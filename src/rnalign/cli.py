@@ -33,11 +33,16 @@ from .training import (NormTelemetry, headline_accuracy, run_experiment,
 
 
 def _atomic(path, writer):
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place.
+    If the writer fails, the temp file is removed and the error re-raised."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _ensure_outdir(out):

@@ -46,6 +46,18 @@ class FeatureBatch:
         self.modality = modality
         self.domain = domain
 
+    @classmethod
+    def wrap(cls, features, modality):
+        """A batch over ``features`` without validation: for the model's own
+        forward pass, whose inputs were validated where they entered the
+        program.  A diverging run may hand over non-finite rows here; the
+        trainer's loss check reports them."""
+        batch = cls.__new__(cls)
+        batch.features = features
+        batch.modality = modality
+        batch.domain = None
+        return batch
+
     @property
     def n(self):
         return self.features.shape[0]
@@ -79,7 +91,11 @@ def _rows(batch):
 
 def feature_norms(batch):
     """Per-sample L2 norms: element i is the norm of feature row i."""
-    f = _rows(batch)
+    return _norms(_rows(batch))
+
+
+def _norms(f):
+    """Row norms of an (N, D) array that ``_rows`` already checked."""
     return np.sqrt(np.sum(f * f, axis=1))
 
 
@@ -101,8 +117,8 @@ def norm_stats(visual, audio):
         raise ConfigurationError(
             f"modalities must be paired: {fv.shape[0]} visual rows vs "
             f"{fa.shape[0]} audio rows")
-    mean_v = float(np.mean(feature_norms(fv)))
-    mean_a = float(np.mean(feature_norms(fa)))
+    mean_v = float(np.mean(_norms(fv)))
+    mean_a = float(np.mean(_norms(fa)))
     if mean_a == 0.0:
         raise DegenerateInputError("mean audio norm is 0; norm ratio undefined")
     return NormStats(mean_v, mean_a, mean_v - mean_a, mean_v / mean_a)
@@ -120,8 +136,8 @@ def rna_loss(visual, audio):
     if fv.shape[0] != fa.shape[0]:
         raise ConfigurationError(
             f"modalities must be paired: {fv.shape[0]} vs {fa.shape[0]} rows")
-    norms_v = feature_norms(fv)
-    norms_a = feature_norms(fa)
+    norms_v = _norms(fv)
+    norms_a = _norms(fa)
     sum_v = float(norms_v.sum())
     sum_a = float(norms_a.sum())
     if sum_a == 0.0:
@@ -159,8 +175,8 @@ def _paired_cosines(fv, fa):
     if fv.shape[0] != fa.shape[0]:
         raise ConfigurationError(
             f"modalities must be paired: {fv.shape[0]} vs {fa.shape[0]} rows")
-    norms_v = feature_norms(fv)
-    norms_a = feature_norms(fa)
+    norms_v = _norms(fv)
+    norms_a = _norms(fa)
     if np.any(norms_v == 0.0) or np.any(norms_a == 0.0):
         raise DegenerateInputError(
             "zero-norm feature row: cosine similarity undefined")
@@ -223,8 +239,8 @@ def hna_loss(visual, audio, target_norm):
     if fv.shape[0] != fa.shape[0]:
         raise ConfigurationError(
             f"modalities must be paired: {fv.shape[0]} vs {fa.shape[0]} rows")
-    norms_v = feature_norms(fv)
-    norms_a = feature_norms(fa)
+    norms_v = _norms(fv)
+    norms_a = _norms(fa)
     n = fv.shape[0]
     mean_v = float(norms_v.mean())
     mean_a = float(norms_a.mean())

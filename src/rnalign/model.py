@@ -6,9 +6,13 @@ either late (summing the per-modality logits) or mid (one classifier over the
 concatenated feature vectors).  An optional per-modality batch-normalization
 stage can be inserted before the classifiers as a baseline regularizer.
 
+Every trainable array lives in one float64 vector, ``model.flat``; the arrays
+``model.parameters()`` yields, and the layers' ``weight``/``bias``/``gamma``/
+``beta`` attributes, are named views into it, laid out in checkpoint order.
 The forward functions return explicit caches; ``model_backward`` composes the
-layer backward passes into a GradientBundle keyed by parameter name, the same
-names ``model.parameters()`` yields, so the optimizer can walk them together.
+layer backward passes into a congruent gradient vector and returns its views
+under the same names, so the optimizer can update the model with a handful of
+whole-vector operations.
 
 Checkpoint format (little-endian throughout):
 
@@ -27,8 +31,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ParseError
 from .losses import AUDIO, VISUAL, FeatureBatch
-from .numerics import (GradientBundle, LinearLayerParams, linear_backward,
-                       linear_forward, relu_backward, relu_forward, softmax)
+from .numerics import (LinearLayerParams, linear_forward, relu_backward,
+                       relu_forward, softmax)
 
 CHECKPOINT_MAGIC = b"RNA1"
 
@@ -75,14 +79,6 @@ class BatchNormState:
         self.momentum = float(momentum)
         self.eps = float(eps)
 
-    def clone(self):
-        other = BatchNormState(self.gamma.shape[0], self.momentum, self.eps)
-        other.running_mean = self.running_mean.copy()
-        other.running_var = self.running_var.copy()
-        other.gamma = self.gamma.copy()
-        other.beta = self.beta.copy()
-        return other
-
 
 def batchnorm_forward(state, x, training, update_running=False):
     """Normalize per feature; batch statistics when training, running
@@ -106,49 +102,104 @@ def batchnorm_forward(state, x, training, update_running=False):
     return y, (state, inv_std, xhat, training)
 
 
-def batchnorm_backward(cache, grad_output):
-    """Backward pass matching ``batchnorm_forward``; in training mode the
-    gradient flows through the batch statistics as well."""
+def batchnorm_backward(cache, grad_output, grads, name):
+    """Backward pass matching ``batchnorm_forward``: writes the scale/shift
+    gradients into ``grads[name + ".gamma"/".beta"]`` and returns the
+    gradient wrt the input.  In training mode the gradient flows through
+    the batch statistics as well."""
     state, inv_std, xhat, training = cache
-    g = np.asarray(grad_output, dtype=np.float64)
+    g = grad_output
     n = g.shape[0]
-    grad_gamma = (g * xhat).sum(axis=0)
-    grad_beta = g.sum(axis=0)
+    (g * xhat).sum(axis=0, out=grads[name + ".gamma"])
+    g.sum(axis=0, out=grads[name + ".beta"])
     dxhat = g * state.gamma
     if training:
-        grad_x = (inv_std / n) * (
+        return (inv_std / n) * (
             n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-    else:
-        grad_x = dxhat * inv_std
-    return {"gamma": grad_gamma, "beta": grad_beta}, grad_x
+    return dxhat * inv_std
+
+
+def _layout(config):
+    """(name, shape) of every trainable array, in checkpoint order."""
+    c = config
+    d = c.feature_dim
+    layout = []
+    for modality, in_dim in ((VISUAL, c.input_dim_visual),
+                             (AUDIO, c.input_dim_audio)):
+        for i, shape in enumerate(((c.hidden_dim, in_dim),
+                                   (d, c.hidden_dim))):
+            layout += [(f"encoder_{modality}.{i}.weight", shape),
+                       (f"encoder_{modality}.{i}.bias", shape[:1])]
+    heads = [("classifier_visual", d), ("classifier_audio", d)]
+    if c.fusion_mode == MID:
+        heads.append(("classifier_mid", 2 * d))
+    for head, fan_in in heads:
+        layout += [(f"{head}.weight", (c.num_classes, fan_in)),
+                   (f"{head}.bias", (c.num_classes,))]
+    if c.batchnorm:
+        for modality in (VISUAL, AUDIO):
+            layout += [(f"batchnorm_{modality}.gamma", (d,)),
+                       (f"batchnorm_{modality}.beta", (d,))]
+    return layout
+
+
+def _views(vector, layout):
+    """Named reshaped views of consecutive segments of ``vector``."""
+    views = {}
+    offset = 0
+    for name, shape in layout:
+        size = int(np.prod(shape))
+        views[name] = vector[offset:offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 class TwoStreamModel:
-    """Container for both streams' parameters; built via ``init_model``."""
+    """Both streams' parameters in one float64 vector; built via
+    ``init_model`` or ``load_checkpoint``.
 
-    def __init__(self, config, encoder_visual, encoder_audio,
-                 classifier_visual, classifier_audio, classifier_mid=None,
-                 batchnorm_visual=None, batchnorm_audio=None):
+    ``flat`` holds every trainable array in checkpoint order (zeros, except
+    batchnorm scales of one, unless a vector is passed).  The layer objects
+    (``encoder_visual``, ``classifier_mid``, ``batchnorm_audio`` ...) hold
+    views into it, so writing a layer's arrays in place writes ``flat``;
+    rebinding an attribute to a new array detaches it.
+    """
+
+    def __init__(self, config, flat=None):
         self.config = config
-        self.encoder_visual = list(encoder_visual)
-        self.encoder_audio = list(encoder_audio)
-        self.classifier_visual = classifier_visual
-        self.classifier_audio = classifier_audio
-        self.classifier_mid = classifier_mid
-        self.batchnorm_visual = batchnorm_visual
-        self.batchnorm_audio = batchnorm_audio
-        d = config.feature_dim
-        if self.encoder_visual[-1].out_dim != d or \
-                self.encoder_audio[-1].out_dim != d:
+        self._layout = _layout(config)
+        size = sum(int(np.prod(shape)) for _, shape in self._layout)
+        fresh = flat is None
+        if fresh:
+            flat = np.zeros(size, dtype=np.float64)
+        elif flat.shape != (size,) or flat.dtype != np.float64:
             raise ConfigurationError(
-                "both encoders must output feature_dim-sized vectors")
-        if (classifier_mid is not None) != (config.fusion_mode == MID):
-            raise ConfigurationError(
-                "mid-fusion classifier present iff fusion_mode == 'mid'")
-        if (batchnorm_visual is None) != (not config.batchnorm) or \
-                (batchnorm_audio is None) != (not config.batchnorm):
-            raise ConfigurationError(
-                "batchnorm state present iff config.batchnorm is set")
+                f"parameter vector must be float64 of shape ({size},)")
+        self.flat = flat
+        self._params = _views(flat, self._layout)
+        self._gradient = None
+        p = self._params
+
+        def layer(name):
+            return LinearLayerParams(p[name + ".weight"], p[name + ".bias"])
+
+        self.encoder_visual = [layer(f"encoder_{VISUAL}.{i}") for i in (0, 1)]
+        self.encoder_audio = [layer(f"encoder_{AUDIO}.{i}") for i in (0, 1)]
+        self.classifier_visual = layer("classifier_visual")
+        self.classifier_audio = layer("classifier_audio")
+        self.classifier_mid = (layer("classifier_mid")
+                               if config.fusion_mode == MID else None)
+        self.batchnorm_visual = self.batchnorm_audio = None
+        if config.batchnorm:
+            states = []
+            for modality in (VISUAL, AUDIO):
+                state = BatchNormState(config.feature_dim)
+                state.gamma = p[f"batchnorm_{modality}.gamma"]
+                state.beta = p[f"batchnorm_{modality}.beta"]
+                if fresh:
+                    state.gamma[...] = 1.0
+                states.append(state)
+            self.batchnorm_visual, self.batchnorm_audio = states
 
     def encoder(self, modality):
         _check_modality(modality)
@@ -165,42 +216,29 @@ class TwoStreamModel:
                 else self.batchnorm_audio)
 
     def parameters(self):
-        """Trainable arrays keyed by name, in declaration order.  The arrays
-        are the live ones, so in-place optimizer updates take effect."""
-        params = {}
-        for modality, layers in ((VISUAL, self.encoder_visual),
-                                 (AUDIO, self.encoder_audio)):
-            for i, layer in enumerate(layers):
-                params[f"encoder_{modality}.{i}.weight"] = layer.weight
-                params[f"encoder_{modality}.{i}.bias"] = layer.bias
-        params["classifier_visual.weight"] = self.classifier_visual.weight
-        params["classifier_visual.bias"] = self.classifier_visual.bias
-        params["classifier_audio.weight"] = self.classifier_audio.weight
-        params["classifier_audio.bias"] = self.classifier_audio.bias
-        if self.classifier_mid is not None:
-            params["classifier_mid.weight"] = self.classifier_mid.weight
-            params["classifier_mid.bias"] = self.classifier_mid.bias
-        if self.config.batchnorm:
-            params["batchnorm_visual.gamma"] = self.batchnorm_visual.gamma
-            params["batchnorm_visual.beta"] = self.batchnorm_visual.beta
-            params["batchnorm_audio.gamma"] = self.batchnorm_audio.gamma
-            params["batchnorm_audio.beta"] = self.batchnorm_audio.beta
-        return params
+        """Trainable arrays keyed by name, in declaration (checkpoint) order.
+        They are the live views into ``flat``, so in-place updates take
+        effect."""
+        return dict(self._params)
+
+    def gradient(self):
+        """(vector, name->view mapping) of the gradient buffer congruent with
+        ``flat``.  Allocated on first use and reused: every ``model_backward``
+        overwrites it."""
+        if self._gradient is None:
+            vector = np.zeros_like(self.flat)
+            self._gradient = (vector, _views(vector, self._layout))
+        return self._gradient
 
     def clone(self):
         """Deep copy: parameters, batchnorm running statistics, config shared."""
-        def copy_layer(layer):
-            return LinearLayerParams(layer.weight.copy(), layer.bias.copy())
-
-        return TwoStreamModel(
-            self.config,
-            [copy_layer(l) for l in self.encoder_visual],
-            [copy_layer(l) for l in self.encoder_audio],
-            copy_layer(self.classifier_visual),
-            copy_layer(self.classifier_audio),
-            copy_layer(self.classifier_mid) if self.classifier_mid else None,
-            self.batchnorm_visual.clone() if self.batchnorm_visual else None,
-            self.batchnorm_audio.clone() if self.batchnorm_audio else None)
+        other = TwoStreamModel(self.config, self.flat.copy())
+        if self.config.batchnorm:
+            for mine, theirs in ((self.batchnorm_visual, other.batchnorm_visual),
+                                 (self.batchnorm_audio, other.batchnorm_audio)):
+                theirs.running_mean = mine.running_mean.copy()
+                theirs.running_var = mine.running_var.copy()
+        return other
 
 
 def _check_modality(modality):
@@ -213,25 +251,26 @@ def init_model(config, seed):
     (so doubling the fan-in halves the weight variance), biases zero.
     The same seed always yields bitwise-identical parameters."""
     rng = np.random.default_rng(seed)
+    model = TwoStreamModel(config)
+    # weights are drawn in layer order, which is their order in parameters()
+    for name, array in model.parameters().items():
+        if name.endswith(".weight"):
+            bound = 1.0 / np.sqrt(array.shape[1])
+            array[...] = rng.uniform(-bound, bound, size=array.shape)
+    return model
 
-    def layer(out_dim, in_dim):
-        bound = 1.0 / np.sqrt(in_dim)
-        weight = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        return LinearLayerParams(weight, np.zeros(out_dim))
 
-    c = config
-    encoder_visual = [layer(c.hidden_dim, c.input_dim_visual),
-                      layer(c.feature_dim, c.hidden_dim)]
-    encoder_audio = [layer(c.hidden_dim, c.input_dim_audio),
-                     layer(c.feature_dim, c.hidden_dim)]
-    classifier_visual = layer(c.num_classes, c.feature_dim)
-    classifier_audio = layer(c.num_classes, c.feature_dim)
-    classifier_mid = (layer(c.num_classes, 2 * c.feature_dim)
-                      if c.fusion_mode == MID else None)
-    bn_v = BatchNormState(c.feature_dim) if c.batchnorm else None
-    bn_a = BatchNormState(c.feature_dim) if c.batchnorm else None
-    return TwoStreamModel(c, encoder_visual, encoder_audio, classifier_visual,
-                          classifier_audio, classifier_mid, bn_v, bn_a)
+def _linear_grads(grads, name, x, g, add=False):
+    """``linear_backward``'s parameter gradients for input ``x`` and output
+    gradient ``g``, written into ``grads[name + ".weight"/".bias"]`` (added
+    to them with ``add``)."""
+    weight, bias = grads[name + ".weight"], grads[name + ".bias"]
+    if add:
+        weight += g.T @ x
+        bias += g.sum(axis=0)
+    else:
+        np.matmul(g.T, x, out=weight)
+        g.sum(axis=0, out=bias)
 
 
 def encode(model, modality, inputs):
@@ -250,22 +289,35 @@ def encode(model, modality, inputs):
         if i < len(layers) - 1:
             h, relu_cache = relu_forward(h)
         caches.append((lin_cache, relu_cache))
-    return FeatureBatch(h, modality), (modality, caches)
+    return FeatureBatch.wrap(h, modality), (modality, caches)
 
 
-def encode_backward(cache, grad_features):
-    """Backward through one encoder.  Returns (name->grad dict, grad_input)."""
+def encode_backward(cache, grad_features, grads=None, add=True):
+    """Backward through one encoder.
+
+    With ``grads`` (a name->array mapping holding this encoder's entries,
+    such as the one ``model_backward`` returns) the parameter gradients are
+    added into it in place (written over its entries unless ``add``) and the
+    gradient wrt the raw inputs is skipped: returns (grads, None).  Without,
+    returns (fresh name->grad dict, grad wrt the inputs).
+    """
     modality, caches = cache
-    grads = {}
+    fresh = grads is None
+    if fresh:
+        grads = {}
+        for i, ((layer, _), _) in enumerate(caches):
+            grads[f"encoder_{modality}.{i}.weight"] = np.empty_like(layer.weight)
+            grads[f"encoder_{modality}.{i}.bias"] = np.empty_like(layer.bias)
+        add = False
     g = np.asarray(grad_features, dtype=np.float64)
     for i in reversed(range(len(caches))):
-        lin_cache, relu_cache = caches[i]
+        (layer, x), relu_cache = caches[i]
         if relu_cache is not None:
             g = relu_backward(relu_cache, g)
-        bundle, g = linear_backward(lin_cache, g)
-        grads[f"encoder_{modality}.{i}.weight"] = bundle["weight"]
-        grads[f"encoder_{modality}.{i}.bias"] = bundle["bias"]
-    return grads, g
+        _linear_grads(grads, f"encoder_{modality}.{i}", x, g, add)
+        if i or fresh:
+            g = g @ layer.weight
+    return grads, (g if fresh else None)
 
 
 def classify(model, modality, features, training=False, update_running=False):
@@ -288,20 +340,15 @@ def classify(model, modality, features, training=False, update_running=False):
     return logits, (modality, bn_cache, lin_cache)
 
 
-def classify_backward(cache, grad_logits):
-    """Backward through one classifier head.
-
-    Returns (name->grad dict, grad wrt the incoming features).
-    """
-    modality, bn_cache, lin_cache = cache
-    bundle, g = linear_backward(lin_cache, grad_logits)
-    grads = {f"classifier_{modality}.weight": bundle["weight"],
-             f"classifier_{modality}.bias": bundle["bias"]}
+def classify_backward(cache, grad_logits, grads):
+    """Backward through one classifier head: writes its parameter gradients
+    into ``grads`` and returns the gradient wrt the incoming features."""
+    modality, bn_cache, (layer, h) = cache
+    _linear_grads(grads, f"classifier_{modality}", h, grad_logits)
+    g = grad_logits @ layer.weight
     if bn_cache is not None:
-        bn_grads, g = batchnorm_backward(bn_cache, g)
-        grads[f"batchnorm_{modality}.gamma"] = bn_grads["gamma"]
-        grads[f"batchnorm_{modality}.beta"] = bn_grads["beta"]
-    return grads, g
+        g = batchnorm_backward(bn_cache, g, grads, f"batchnorm_{modality}")
+    return g
 
 
 def fuse_late(logits_visual, logits_audio):
@@ -339,24 +386,20 @@ def fuse_mid(model, features_visual, features_audio, training=False,
                     model.config.feature_dim)
 
 
-def fuse_mid_backward(cache, grad_logits):
-    """Backward through mid fusion.
+def fuse_mid_backward(cache, grad_logits, grads):
+    """Backward through mid fusion: writes the fusion classifier's (and
+    batchnorm's) parameter gradients into ``grads``.
 
-    Returns (name->grad dict, grad_feat_visual, grad_feat_audio).
+    Returns (grad_feat_visual, grad_feat_audio).
     """
-    bn_cache_v, bn_cache_a, lin_cache, d = cache
-    bundle, g_concat = linear_backward(lin_cache, grad_logits)
-    grads = {"classifier_mid.weight": bundle["weight"],
-             "classifier_mid.bias": bundle["bias"]}
+    bn_cache_v, bn_cache_a, (layer, concat), d = cache
+    _linear_grads(grads, "classifier_mid", concat, grad_logits)
+    g_concat = grad_logits @ layer.weight
     g_v, g_a = g_concat[:, :d], g_concat[:, d:]
     if bn_cache_v is not None:
-        bn_grads, g_v = batchnorm_backward(bn_cache_v, g_v)
-        grads["batchnorm_visual.gamma"] = bn_grads["gamma"]
-        grads["batchnorm_visual.beta"] = bn_grads["beta"]
-        bn_grads, g_a = batchnorm_backward(bn_cache_a, g_a)
-        grads["batchnorm_audio.gamma"] = bn_grads["gamma"]
-        grads["batchnorm_audio.beta"] = bn_grads["beta"]
-    return grads, g_v, g_a
+        g_v = batchnorm_backward(bn_cache_v, g_v, grads, "batchnorm_visual")
+        g_a = batchnorm_backward(bn_cache_a, g_a, grads, "batchnorm_audio")
+    return g_v, g_a
 
 
 def model_forward(model, visual_inputs, audio_inputs, training=False,
@@ -388,32 +431,31 @@ def model_backward(cache, grad_fused_logits, grad_feat_visual=None,
     ``grad_fused_logits`` flows back through the classification head(s);
     the optional feature gradients (from an auxiliary loss acting directly on
     the encoded features) are added before the encoders run backward.
-    Returns a GradientBundle covering every trainable parameter (zeros where
-    nothing flowed).
+    Overwrites the model's gradient vector (``model.gradient()``) and returns
+    its name->view mapping, covering every trainable parameter (zeros where
+    nothing flowed, e.g. the per-modality heads under mid fusion).
     """
     model, cache_ev, cache_ea, head_cache = cache
-    bundle = GradientBundle.zeros_like(model.parameters())
+    _, grads = model.gradient()
     if head_cache[0] == LATE:
         _, cache_cv, cache_ca = head_cache
         # fused = logits_v + logits_a, so both heads see the same gradient
-        grads_v, g_feat_v = classify_backward(cache_cv, grad_fused_logits)
-        grads_a, g_feat_a = classify_backward(cache_ca, grad_fused_logits)
-        bundle.add_scaled(grads_v)
-        bundle.add_scaled(grads_a)
+        g_feat_v = classify_backward(cache_cv, grad_fused_logits, grads)
+        g_feat_a = classify_backward(cache_ca, grad_fused_logits, grads)
     else:
-        _, cache_mid = head_cache
-        grads_mid, g_feat_v, g_feat_a = fuse_mid_backward(cache_mid,
-                                                          grad_fused_logits)
-        bundle.add_scaled(grads_mid)
+        g_feat_v, g_feat_a = fuse_mid_backward(head_cache[1],
+                                               grad_fused_logits, grads)
+        # nothing reaches the per-modality heads under mid fusion
+        for head in ("classifier_visual", "classifier_audio"):
+            grads[head + ".weight"].fill(0.0)
+            grads[head + ".bias"].fill(0.0)
     if grad_feat_visual is not None:
         g_feat_v = g_feat_v + grad_feat_visual
     if grad_feat_audio is not None:
         g_feat_a = g_feat_a + grad_feat_audio
-    enc_grads_v, _ = encode_backward(cache_ev, g_feat_v)
-    enc_grads_a, _ = encode_backward(cache_ea, g_feat_a)
-    bundle.add_scaled(enc_grads_v)
-    bundle.add_scaled(enc_grads_a)
-    return bundle
+    encode_backward(cache_ev, g_feat_v, grads, add=False)
+    encode_backward(cache_ea, g_feat_a, grads, add=False)
+    return grads
 
 
 def modality_logits(model, modality, feat_visual, feat_audio):
@@ -470,9 +512,8 @@ def save_checkpoint(model, path):
         "<7I", c.input_dim_visual, c.input_dim_audio, c.hidden_dim,
         c.feature_dim, c.num_classes, 1 if c.fusion_mode == MID else 0,
         1 if c.batchnorm else 0)
-    chunks = [CHECKPOINT_MAGIC, header]
-    for _, array in model.parameters().items():
-        chunks.append(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    chunks = [CHECKPOINT_MAGIC, header,
+              np.ascontiguousarray(model.flat, dtype="<f8").tobytes()]
     if c.batchnorm:
         for state in (model.batchnorm_visual, model.batchnorm_audio):
             chunks.append(np.ascontiguousarray(state.running_mean,
@@ -496,32 +537,36 @@ def load_checkpoint(path):
         raise ParseError(f"{path}: truncated header at byte {len(blob)}")
     dims = struct.unpack_from("<7I", blob, 4)
     in_v, in_a, hidden, feature, classes, fusion_flag, bn_flag = dims
+    # the two flags are the header's last two u32 fields
+    for name, flag, at in (("fusion", fusion_flag, 4 + 5 * 4),
+                           ("batchnorm", bn_flag, 4 + 6 * 4)):
+        if flag not in (0, 1):
+            raise ParseError(
+                f"{path}: invalid {name} flag {flag} at byte {at} "
+                f"(expected 0 or 1)")
     try:
         config = ModelConfig(in_v, in_a, hidden, feature, classes,
                              MID if fusion_flag == 1 else LATE,
                              batchnorm=bool(bn_flag))
     except ConfigurationError as exc:
         raise ParseError(f"{path}: invalid dimension header: {exc}") from exc
-    model = init_model(config, seed=0)
     offset = 4 + header_size
 
-    def take(shape):
+    def take(count):
         nonlocal offset
-        count = int(np.prod(shape))
         nbytes = count * 8
         if offset + nbytes > len(blob):
             raise ParseError(f"{path}: truncated at byte {offset}")
-        arr = np.frombuffer(blob, dtype="<f8", count=count,
-                            offset=offset).reshape(shape)
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         offset += nbytes
         return arr.astype(np.float64)
 
-    for name, array in model.parameters().items():
-        array[...] = take(array.shape)
+    model = TwoStreamModel(config)
+    model.flat[...] = take(model.flat.size)
     if config.batchnorm:
         for state in (model.batchnorm_visual, model.batchnorm_audio):
-            state.running_mean = take(state.running_mean.shape)
-            state.running_var = take(state.running_var.shape)
+            state.running_mean = take(config.feature_dim)
+            state.running_var = take(config.feature_dim)
     if offset != len(blob):
         raise ParseError(
             f"{path}: {len(blob) - offset} trailing bytes at byte {offset}")

@@ -1,11 +1,13 @@
-"""Dense float64 numerics: linear/ReLU layer primitives with hand-derived
-backward passes, softmax cross-entropy, an SGD-with-momentum optimizer, and a
-central finite-difference gradient oracle used by the test suites.
+"""Dense float64 numerics: validated linear/ReLU layer primitives with
+hand-derived backward passes, softmax cross-entropy, an SGD-with-momentum
+optimizer over flat parameter vectors, and a central finite-difference
+gradient oracle used by the test suites.
 
 Everything operates on plain numpy arrays (row-major, 64-bit floats).  There
 is no autodiff graph: each forward returns an explicit cache and each backward
-consumes it, and the fixed model architecture is differentiated by composing
-these by hand.  All computations are deterministic for fixed inputs.
+consumes it.  The model module composes these primitives by hand, except
+that it writes the linear layers' parameter gradients straight into its flat
+gradient vector.  All computations are deterministic for fixed inputs.
 """
 
 import numpy as np
@@ -39,23 +41,6 @@ def as_matrix(values, rows=None, cols=None):
     return a
 
 
-def matmul(a, b):
-    """Matrix product of two 2-D arrays with an explicit dimension check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ConfigurationError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ConfigurationError(
-            f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def l2_norm(v):
-    """Euclidean norm of a vector; 0.0 for the zero vector."""
-    return float(np.linalg.norm(np.asarray(v, dtype=np.float64)))
-
-
 class LinearLayerParams:
     """Parameters of one fully connected layer: weight (out x in), bias (out,)."""
 
@@ -78,55 +63,6 @@ class LinearLayerParams:
         return self.weight.shape[1]
 
 
-class GradientBundle:
-    """Named gradient arrays mirroring the shapes of a parameter set.
-
-    Behaves like a read-mostly mapping from parameter name to array;
-    ``add_scaled`` accumulates another bundle into this one (used when the
-    cross-entropy path and an auxiliary-loss path both reach the encoders).
-    """
-
-    def __init__(self, grads):
-        self._grads = {k: np.asarray(v, dtype=np.float64)
-                       for k, v in dict(grads).items()}
-
-    @classmethod
-    def zeros_like(cls, params):
-        """A bundle of zeros congruent with ``params`` (a name->array mapping)."""
-        return cls({k: np.zeros_like(np.asarray(v, dtype=np.float64))
-                    for k, v in params.items()})
-
-    def __getitem__(self, name):
-        return self._grads[name]
-
-    def __contains__(self, name):
-        return name in self._grads
-
-    def __len__(self):
-        return len(self._grads)
-
-    def keys(self):
-        return self._grads.keys()
-
-    def items(self):
-        return self._grads.items()
-
-    def add_scaled(self, other, scale=1.0):
-        """In-place ``self += scale * other``; keys in ``other`` must exist here."""
-        for name, g in other.items():
-            if name not in self._grads:
-                raise ConfigurationError(f"no such gradient entry: '{name}'")
-            if self._grads[name].shape != g.shape:
-                raise ConfigurationError(
-                    f"gradient shape mismatch for '{name}': "
-                    f"{self._grads[name].shape} vs {g.shape}")
-            self._grads[name] += scale * g
-        return self
-
-    def all_finite(self):
-        return all(np.all(np.isfinite(g)) for g in self._grads.values())
-
-
 def linear_forward(params, x):
     """Affine map y = x @ W.T + b.
 
@@ -136,14 +72,15 @@ def linear_forward(params, x):
     if x.ndim != 2 or x.shape[1] != params.in_dim:
         raise ConfigurationError(
             f"linear_forward: input shape {x.shape}, expected (N, {params.in_dim})")
-    y = x @ params.weight.T + params.bias
+    y = x @ params.weight.T
+    y += params.bias
     return y, (params, x)
 
 
 def linear_backward(cache, grad_output):
     """Backward pass of ``linear_forward``.
 
-    Returns (GradientBundle with 'weight' and 'bias', grad_input).
+    Returns ({'weight': grad, 'bias': grad}, grad_input).
     """
     params, x = cache
     g = np.asarray(grad_output, dtype=np.float64)
@@ -151,10 +88,7 @@ def linear_backward(cache, grad_output):
         raise ConfigurationError(
             f"linear_backward: grad_output shape {g.shape} does not match the "
             f"cached forward call (expected {(x.shape[0], params.out_dim)})")
-    grad_weight = g.T @ x
-    grad_bias = g.sum(axis=0)
-    grad_input = g @ params.weight
-    return GradientBundle({"weight": grad_weight, "bias": grad_bias}), grad_input
+    return {"weight": g.T @ x, "bias": g.sum(axis=0)}, g @ params.weight
 
 
 def relu_forward(x):
@@ -206,47 +140,40 @@ def softmax_cross_entropy(logits, labels):
         raise ConfigurationError(
             f"label out of range [0, {c}): {int(y.min())}..{int(y.max())}")
     shifted = z - z.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(n), y]))
-    grad = softmax(z)
-    grad[np.arange(n), y] -= 1.0
+    e = np.exp(shifted)
+    total = e.sum(axis=1)
+    rows = np.arange(n)
+    # sum / n is the arithmetic of np.mean, without its call overhead
+    loss = float((np.log(total) - shifted[rows, y]).sum() / n)
+    grad = e / total[:, None]  # softmax(z), reusing its exponentials
+    grad[rows, y] -= 1.0
     grad /= n
     return loss, grad
 
 
-def sgd_step(params, grads, velocities, learning_rate, momentum=0.0,
+def sgd_step(params, grads, velocity, learning_rate, momentum=0.0,
              weight_decay=0.0):
-    """One SGD step with momentum and L2 weight decay, applied in place.
+    """One SGD step with momentum and L2 weight decay, applied in place to
+    three congruent float64 vectors:
 
         v     <- momentum * v + grad + weight_decay * param
         param <- param - learning_rate * v
 
-    ``params`` and ``velocities`` are name->array mappings; missing velocity
-    entries are created as zeros.  ``grads`` is a GradientBundle or mapping
-    covering every parameter.  Raises NumericalError on any non-finite
-    gradient before any parameter is touched.
+    ``params`` is typically ``model.flat``, ``grads`` the vector of
+    ``model.gradient()`` and ``velocity`` starts at zeros.  Raises
+    NumericalError on any non-finite gradient before anything is touched.
     """
-    for name, p in params.items():
-        if name not in grads:
-            raise ConfigurationError(f"no gradient supplied for '{name}'")
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ConfigurationError(
-                f"gradient shape mismatch for '{name}': {g.shape} vs {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for '{name}'; step aborted")
-    for name, p in params.items():
-        g = grads[name]
-        v = velocities.get(name)
-        if v is None:
-            v = np.zeros_like(p)
-            velocities[name] = v
-        v *= momentum
-        v += g
-        if weight_decay:
-            v += weight_decay * p
-        p -= learning_rate * v
-    return params, velocities
+    if grads.shape != params.shape or velocity.shape != params.shape:
+        raise ConfigurationError(
+            f"sgd_step: vector shapes differ: params {params.shape}, "
+            f"grads {grads.shape}, velocity {velocity.shape}")
+    if not np.isfinite(grads).all():
+        raise NumericalError("non-finite gradient; step aborted")
+    velocity *= momentum
+    velocity += grads
+    if weight_decay:
+        velocity += weight_decay * params
+    params -= learning_rate * velocity
 
 
 def finite_difference_grad(f, x, eps=1e-6):

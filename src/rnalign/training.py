@@ -1,8 +1,8 @@
-"""Training loops for domain generalization (DG) and unsupervised domain
+"""Training for domain generalization (DG) and unsupervised domain
 adaptation (UDA), per-iteration norm telemetry, evaluation, and multi-pair
 experiment matrices.
 
-Both trainers minimize
+One loop serves every setting.  It minimizes
 
     L = cross_entropy(fused logits, labels) + lambda * L_aux(f_v, f_a)
 
@@ -31,12 +31,11 @@ from typing import Optional
 
 import numpy as np
 
-from .data import (BenchmarkSpec, MultiModalBatch, generate_benchmark,
-                   load_feature_file, make_uda_split)
+from .data import (BenchmarkSpec, generate_benchmark, load_feature_file,
+                   make_dg_split, make_uda_split)
 from .errors import ConfigurationError, NumericalError, ParseError
 from .losses import (cosine_alignment_loss, hna_loss, norm_stats,
-                     orthogonality_loss, rna_loss, rna_loss_uda,
-                     top_k_norm_share)
+                     orthogonality_loss, rna_loss)
 from .model import (ModelConfig, encode, encode_backward, init_model,
                     modality_logits, model_backward, model_forward, predict,
                     predict_scores)
@@ -75,8 +74,6 @@ class NormTelemetry:
         self.aux_loss_name = aux_loss_name
         self.iterations = []
         self.evals = []
-        self.top_k = None
-        self.top_k_share = None  # {"visual": share, "audio": share}
 
     def add_iteration(self, record):
         if self.iterations and record.iteration <= self.iterations[-1].iteration:
@@ -270,8 +267,9 @@ def _aux_terms(config, hna_r, feat_v, feat_a):
 def _record_for(it, feat_v, feat_a, ce, aux_value):
     norms_v = np.sqrt(np.sum(feat_v.features ** 2, axis=1))
     norms_a = np.sqrt(np.sum(feat_a.features ** 2, axis=1))
-    mean_v = float(norms_v.mean())
-    mean_a = float(norms_a.mean())
+    # sum / count is exactly what .mean() computes, minus its call overhead
+    mean_v = float(norms_v.sum() / norms_v.size)
+    mean_a = float(norms_a.sum() / norms_a.size)
     rho = mean_v / mean_a if mean_a > 0 else float("nan")
     return IterationRecord(it, mean_v, mean_a, mean_v - mean_a, rho,
                            float(ce), float(aux_value))
@@ -286,10 +284,9 @@ def _check_finite(record, telemetry):
         f"ce={record.ce_loss} aux={record.aux_loss}; last record: {last}")
 
 
-def _finish(model, config, snapshots, telemetry, target_test):
-    """Final evaluation: fused accuracy under the snapshot-averaging protocol,
-    single-modality accuracies from the final model, and the top-k norm-share
-    diagnostic on the target test features."""
+def _finish(model, snapshots, telemetry, target_test):
+    """Final evaluation: fused accuracy under the snapshot-averaging protocol
+    and single-modality accuracies from the final model."""
     if not snapshots:
         snapshots = [model.clone()]
     telemetry.add_eval("target_test", "fused",
@@ -297,14 +294,26 @@ def _finish(model, config, snapshots, telemetry, target_test):
     for mode in ("visual", "audio"):
         telemetry.add_eval("target_test", mode,
                            evaluate(model, target_test, mode))
-    feat_v, _ = encode(model, "visual", target_test.visual)
-    feat_a, _ = encode(model, "audio", target_test.audio)
-    k = min(300, model.config.feature_dim)
-    telemetry.top_k = k
-    telemetry.top_k_share = {
-        "visual": top_k_norm_share(feat_v, k),
-        "audio": top_k_norm_share(feat_a, k)}
     return model, telemetry
+
+
+def _split(config, domains):
+    """(labeled source pool, unlabeled target train batch or None, labeled
+    target test batch) for the run's setting."""
+    s, t = config.source_index, config.target_index
+    if config.setting == "uda":
+        split = make_uda_split(domains, s, t)
+        return split.source, split.target_train, split.target_test
+    if config.setting == "dg-single":
+        if s == t:
+            raise ConfigurationError("source and target domains must differ")
+        for idx in (s, t):
+            if not 0 <= idx < len(domains):
+                raise ConfigurationError(f"domain index {idx} out of range")
+        # the single source is the whole pool of a two-domain DG split
+        domains, t = [domains[s], domains[t]], 1
+    split = make_dg_split(domains, t)
+    return split.pooled_sources(), None, split.target_test
 
 
 def train_dg(config):
@@ -313,81 +322,10 @@ def train_dg(config):
     Returns (model, telemetry).  With ``iterations == 0`` the freshly
     initialized model is returned unchanged (and evaluated as-is).
     """
-    config.validate()
     if config.setting not in ("dg-single", "dg-multi"):
         raise ConfigurationError(
             f"train_dg cannot run setting {config.setting!r}")
-    domains = resolve_domains(config)
-    if not 0 <= config.target_index < len(domains):
-        raise ConfigurationError(
-            f"target index {config.target_index} out of range")
-    if config.setting == "dg-single":
-        if config.source_index == config.target_index:
-            raise ConfigurationError("source and target domains must differ")
-        if not 0 <= config.source_index < len(domains):
-            raise ConfigurationError(
-                f"source index {config.source_index} out of range")
-        sources = [domains[config.source_index].train]
-    else:
-        sources = [d.train for i, d in enumerate(domains)
-                   if i != config.target_index]
-    pooled = sources[0] if len(sources) == 1 else \
-        MultiModalBatch.concatenate(sources)
-    target_test = domains[config.target_index].test
-
-    model_seed, sampler_seed, _ = np.random.SeedSequence(config.seed).spawn(3)
-    model = init_model(_model_config(config, domains,
-                                     _num_classes(config, domains)),
-                       model_seed)
-    hna_r = _resolve_hna_target(config, model, pooled) \
-        if config.aux_loss == "hna" else None
-    telemetry = NormTelemetry(config.aux_loss)
-    rng = np.random.default_rng(sampler_seed)
-    params = model.parameters()
-    velocities = {}
-    snapshots = deque(maxlen=config.checkpoint_average)
-    lam = config.lambda_weight
-
-    # divergence shows up as inf/nan and is caught by the explicit finiteness
-    # checks in the loop; numpy's own overflow warnings would only duplicate
-    # that, so they are silenced for the loop's duration
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(config.iterations):
-            batch = pooled.take(
-                rng.integers(0, pooled.n, size=config.batch_size))
-            fused, feat_v, feat_a, cache = model_forward(
-                model, batch.visual, batch.audio, training=True,
-                update_running=True)
-            ce, grad_logits = softmax_cross_entropy(fused, batch.labels)
-            aux_value, grad_v, grad_a = _aux_terms(config, hna_r, feat_v,
-                                                   feat_a)
-            record = _record_for(it, feat_v, feat_a, ce, aux_value)
-            _check_finite(record, telemetry)
-            use_aux = lam != 0.0 and grad_v is not None
-            bundle = model_backward(cache, grad_logits,
-                                    lam * grad_v if use_aux else None,
-                                    lam * grad_a if use_aux else None)
-            try:
-                sgd_step(params, bundle, velocities, config.learning_rate,
-                         config.momentum, config.weight_decay)
-            except NumericalError as exc:
-                raise NumericalError(
-                    f"iteration {it}: {exc}; last record: "
-                    f"{telemetry.iterations[-1] if telemetry.iterations else None}"
-                ) from exc
-            telemetry.add_iteration(record)
-            if config.iterations - it <= config.checkpoint_average:
-                snapshots.append(model.clone())
-    return _finish(model, config, list(snapshots), telemetry, target_test)
-
-
-class _Term:
-    """Duck-typed stand-in for a LossResult (baselines in the UDA loop)."""
-
-    def __init__(self, value, grad_visual, grad_audio):
-        self.value = value
-        self.grad_visual = grad_visual
-        self.grad_audio = grad_audio
+    return _train(config)
 
 
 def train_uda(config):
@@ -395,17 +333,22 @@ def train_uda(config):
 
     The auxiliary loss decomposes into one term per domain; the target term
     sees only encoded target features, never labels (the target batch object
-    has none).  With the ``batchnorm-only`` baseline there is no auxiliary
-    term at all, so target batches are drawn but never encoded.
+    has none).  Without a feature-level auxiliary term (``none``,
+    ``batchnorm-only``) target data is never touched.
     """
-    config.validate()
     if config.setting != "uda":
         raise ConfigurationError(
             f"train_uda cannot run setting {config.setting!r}")
+    return _train(config)
+
+
+def _train(config):
+    """The one training loop behind both settings.  UDA adds the target
+    batch's auxiliary term; its encoder gradients accumulate into the same
+    gradient vector as the source terms'."""
+    config.validate()
     domains = resolve_domains(config)
-    split = make_uda_split(domains, config.source_index, config.target_index)
-    source = split.source
-    target_train = split.target_train
+    source, target_train, target_test = _split(config, domains)
 
     model_seed, source_seed, target_seed = \
         np.random.SeedSequence(config.seed).spawn(3)
@@ -417,72 +360,58 @@ def train_uda(config):
     telemetry = NormTelemetry(config.aux_loss)
     source_rng = np.random.default_rng(source_seed)
     target_rng = np.random.default_rng(target_seed)
-    params = model.parameters()
-    velocities = {}
+    grad, grads = model.gradient()
+    velocity = np.zeros_like(model.flat)
     snapshots = deque(maxlen=config.checkpoint_average)
     lam = config.lambda_weight
     has_aux = config.aux_loss not in ("none", "batchnorm-only")
+    use_aux = lam != 0.0 and has_aux
+    adapt = target_train is not None and has_aux
 
-    # as in train_dg: the finiteness checks report divergence, so numpy's
-    # overflow warnings are silenced for the loop's duration
+    # divergence shows up as inf/nan and is caught by the explicit finiteness
+    # checks in the loop; numpy's own overflow warnings would only duplicate
+    # that, so they are silenced for the loop's duration
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(config.iterations):
-            batch = source.take(
-                source_rng.integers(0, source.n, size=config.batch_size))
-            tgt = target_train.take(
-                target_rng.integers(0, target_train.n,
-                                    size=config.batch_size))
+            idx = source_rng.integers(0, source.n, size=config.batch_size)
             fused, feat_v, feat_a, cache = model_forward(
-                model, batch.visual, batch.audio, training=True,
+                model, source.visual[idx], source.audio[idx], training=True,
                 update_running=True)
-            ce, grad_logits = softmax_cross_entropy(fused, batch.labels)
-
-            aux_value = 0.0
-            grad_sv = grad_sa = None
-            tgt_caches = None
-            if has_aux:
-                tgt_feat_v, cache_tv = encode(model, "visual", tgt.visual)
-                tgt_feat_a, cache_ta = encode(model, "audio", tgt.audio)
-                if config.aux_loss == "rna":
-                    s_term, t_term = rna_loss_uda(feat_v, feat_a,
-                                                  tgt_feat_v, tgt_feat_a)
-                else:
-                    s_value, s_gv, s_ga = _aux_terms(config, hna_r,
-                                                     feat_v, feat_a)
-                    t_value, t_gv, t_ga = _aux_terms(config, hna_r,
-                                                     tgt_feat_v, tgt_feat_a)
-                    s_term = _Term(s_value, s_gv, s_ga)
-                    t_term = _Term(t_value, t_gv, t_ga)
-                aux_value = s_term.value + t_term.value
-                grad_sv, grad_sa = s_term.grad_visual, s_term.grad_audio
-                tgt_caches = (cache_tv, cache_ta,
-                              t_term.grad_visual, t_term.grad_audio)
-
+            ce, grad_logits = softmax_cross_entropy(fused, source.labels[idx])
+            aux_value, grad_v, grad_a = _aux_terms(config, hna_r, feat_v,
+                                                   feat_a)
+            if adapt:
+                idx = target_rng.integers(0, target_train.n,
+                                          size=config.batch_size)
+                tgt_v, cache_tv = encode(model, "visual",
+                                         target_train.visual[idx])
+                tgt_a, cache_ta = encode(model, "audio",
+                                         target_train.audio[idx])
+                tgt_value, tgt_gv, tgt_ga = _aux_terms(config, hna_r, tgt_v,
+                                                       tgt_a)
+                aux_value += tgt_value
             record = _record_for(it, feat_v, feat_a, ce, aux_value)
             _check_finite(record, telemetry)
-            use_aux = lam != 0.0 and has_aux
-            bundle = model_backward(cache, grad_logits,
-                                    lam * grad_sv if use_aux else None,
-                                    lam * grad_sa if use_aux else None)
-            if use_aux:
-                cache_tv, cache_ta, t_gv, t_ga = tgt_caches
-                enc_grads_v, _ = encode_backward(cache_tv, lam * t_gv)
-                enc_grads_a, _ = encode_backward(cache_ta, lam * t_ga)
-                bundle.add_scaled(enc_grads_v)
-                bundle.add_scaled(enc_grads_a)
+            model_backward(cache, grad_logits,
+                           lam * grad_v if use_aux else None,
+                           lam * grad_a if use_aux else None)
+            if adapt and use_aux:
+                encode_backward(cache_tv, lam * tgt_gv, grads)
+                encode_backward(cache_ta, lam * tgt_ga, grads)
             try:
-                sgd_step(params, bundle, velocities, config.learning_rate,
+                sgd_step(model.flat, grad, velocity, config.learning_rate,
                          config.momentum, config.weight_decay)
             except NumericalError as exc:
+                bad = next(name for name, g in grads.items()
+                           if not np.isfinite(g).all())
                 raise NumericalError(
-                    f"iteration {it}: {exc}; last record: "
+                    f"iteration {it}: {exc} (first at '{bad}'); last record: "
                     f"{telemetry.iterations[-1] if telemetry.iterations else None}"
                 ) from exc
             telemetry.add_iteration(record)
             if config.iterations - it <= config.checkpoint_average:
                 snapshots.append(model.clone())
-    return _finish(model, config, list(snapshots), telemetry,
-                   split.target_test)
+    return _finish(model, list(snapshots), telemetry, target_test)
 
 
 def run_experiment(config):

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from rnalign.cli import main
+from rnalign.cli import _atomic, main
 from rnalign.data import load_feature_file
 from rnalign.losses import norm_stats
 from rnalign.model import load_checkpoint, predict
@@ -468,3 +468,19 @@ def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["evaluate"])
     assert excinfo.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+def test_atomic_write_removes_temp_file_when_writer_fails(tmp_path):
+    target = tmp_path / "out.csv"
+
+    def failing_writer(tmp):
+        tmp.write_text("partial", encoding="ascii")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic(target, failing_writer)
+    assert list(tmp_path.iterdir()) == []

@@ -430,3 +430,62 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     (tmp_path / "long.rna").write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(ParseError):
         load_checkpoint(str(tmp_path / "long.rna"))
+
+
+def test_checkpoint_rejects_out_of_range_flags(tmp_path):
+    # header u32 fields 5 (fusion) and 6 (batchnorm) start at bytes 24, 28
+    for batchnorm, field, offset in ((False, 5, 24), (True, 6, 28)):
+        model = init_model(tiny_config(batchnorm=batchnorm), seed=12)
+        path = tmp_path / "model.rna"
+        save_checkpoint(model, str(path))
+        blob = bytearray(path.read_bytes())
+        for bad in (2, 0xFFFFFFFF):
+            blob[4 + 4 * field:8 + 4 * field] = bad.to_bytes(4, "little")
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ParseError, match=f"byte {offset}"):
+                load_checkpoint(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the flat parameter and gradient vectors
+
+
+def test_parameters_are_views_of_one_vector_in_checkpoint_order(tmp_path):
+    model = init_model(tiny_config(fusion_mode="mid", batchnorm=True), seed=4)
+    params = model.parameters()
+    assert np.array_equal(
+        np.concatenate([p.ravel() for p in params.values()]), model.flat)
+    path = tmp_path / "model.rna"
+    save_checkpoint(model, str(path))
+    assert path.read_bytes()[32:32 + 8 * model.flat.size] == \
+        model.flat.astype("<f8").tobytes()
+    model.classifier_mid.bias[...] = 7.0
+    assert np.array_equal(params["classifier_mid.bias"], [7.0] * 3)
+    twin = model.clone()
+    twin.flat[...] = 0.0
+    twin.batchnorm_audio.running_var[...] = 3.0
+    assert np.all(params["classifier_mid.bias"] == 7.0)
+    assert np.all(model.batchnorm_audio.running_var == 1.0)
+
+
+def test_model_backward_overwrites_every_gradient_entry():
+    rng = np.random.default_rng(6)
+    for fusion_mode in ("late", "mid"):
+        for batchnorm in (False, True):
+            model = init_model(tiny_config(fusion_mode=fusion_mode,
+                                           batchnorm=batchnorm), seed=6)
+            vector, _ = model.gradient()
+            vector[...] = np.nan  # leftovers of an earlier step
+            fused, _, _, cache = model_forward(
+                model, rng.normal(size=(4, 3)), rng.normal(size=(4, 4)),
+                training=True)
+            _, grad_logits = softmax_cross_entropy(fused, [0, 1, 2, 0])
+            grads = model_backward(cache, grad_logits)
+            assert list(grads) == list(model.parameters())
+            assert np.all(np.isfinite(vector)), (fusion_mode, batchnorm)
+            if fusion_mode == "mid":
+                # nothing reaches the per-modality heads
+                for head in ("classifier_visual", "classifier_audio"):
+                    assert np.array_equal(grads[head + ".weight"],
+                                          np.zeros((3, 5)))
+                    assert np.array_equal(grads[head + ".bias"], np.zeros(3))

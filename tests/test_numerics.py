@@ -5,14 +5,11 @@ import pytest
 
 from rnalign.errors import ConfigurationError, NumericalError
 from rnalign.numerics import (
-    GradientBundle,
     LinearLayerParams,
     as_matrix,
     finite_difference_grad,
-    l2_norm,
     linear_backward,
     linear_forward,
-    matmul,
     relative_error,
     relu_backward,
     relu_forward,
@@ -20,45 +17,6 @@ from rnalign.numerics import (
     softmax,
     softmax_cross_entropy,
 )
-
-
-# ---------------------------------------------------------------------------
-# matmul
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_small_product():
-    out = matmul([[1.0, 2.0]], [[3.0], [4.0]])
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 11.0
-
-
-def test_matmul_zero_annihilates():
-    rng = np.random.default_rng(0)
-    b = rng.normal(size=(2, 5))
-    out = matmul(np.zeros((2, 2)), b)
-    assert np.array_equal(out, np.zeros((2, 5)))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ConfigurationError):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-
-def test_matmul_associative_on_random_triples():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        dims = rng.integers(1, 9, size=4)
-        a = rng.normal(size=(dims[0], dims[1]))
-        b = rng.normal(size=(dims[1], dims[2]))
-        c = rng.normal(size=(dims[2], dims[3]))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left - right)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -245,48 +203,51 @@ def test_softmax_rows_sum_to_one():
 
 
 def test_sgd_lr_zero_is_identity():
-    params = {"w": np.array([1.0, 2.0])}
-    before = params["w"].copy()
-    sgd_step(params, {"w": np.array([5.0, -5.0])}, {}, learning_rate=0.0)
-    assert np.array_equal(params["w"], before)
+    params = np.array([1.0, 2.0])
+    sgd_step(params, np.array([5.0, -5.0]), np.zeros(2), learning_rate=0.0)
+    assert np.array_equal(params, [1.0, 2.0])
 
 
 def test_sgd_plain_step():
-    params = {"w": np.array([1.0])}
-    sgd_step(params, {"w": np.array([0.5])}, {}, learning_rate=1.0,
+    params = np.array([1.0])
+    sgd_step(params, np.array([0.5]), np.zeros(1), learning_rate=1.0,
              momentum=0.0, weight_decay=0.0)
-    assert params["w"][0] == 0.5
+    assert params[0] == 0.5
 
 
 def test_sgd_momentum_two_steps():
     lr, g = 0.1, 2.0
-    params = {"w": np.array([0.0])}
-    vel = {}
-    grads = {"w": np.array([g])}
+    params = np.array([0.0])
+    vel = np.zeros(1)
+    grads = np.array([g])
     sgd_step(params, grads, vel, learning_rate=lr, momentum=0.9)
     sgd_step(params, grads, vel, learning_rate=lr, momentum=0.9)
     # v1 = g, v2 = 0.9 g + g -> total displacement lr * g * (1 + 1.9)
-    assert abs(params["w"][0] + lr * g * 2.9) < 1e-12
+    assert abs(params[0] + lr * g * 2.9) < 1e-12
 
 
 def test_sgd_weight_decay_pulls_toward_zero():
-    params = {"w": np.array([10.0])}
-    sgd_step(params, {"w": np.array([0.0])}, {}, learning_rate=0.1,
+    params = np.array([10.0])
+    sgd_step(params, np.array([0.0]), np.zeros(1), learning_rate=0.1,
              momentum=0.0, weight_decay=0.5)
-    assert abs(params["w"][0] - (10.0 - 0.1 * 0.5 * 10.0)) < 1e-12
+    assert abs(params[0] - (10.0 - 0.1 * 0.5 * 10.0)) < 1e-12
 
 
 def test_sgd_aborts_on_non_finite_gradient_without_mutation():
-    params = {"a": np.array([1.0]), "b": np.array([2.0])}
-    grads = {"a": np.array([0.1]), "b": np.array([np.nan])}
+    params = np.array([1.0, 2.0])
+    vel = np.array([0.5, 0.5])
     with pytest.raises(NumericalError):
-        sgd_step(params, grads, {}, learning_rate=0.5)
-    assert params["a"][0] == 1.0 and params["b"][0] == 2.0
+        sgd_step(params, np.array([0.1, np.nan]), vel, learning_rate=0.5,
+                 momentum=0.9)
+    assert np.array_equal(params, [1.0, 2.0])
+    assert np.array_equal(vel, [0.5, 0.5])
 
 
 def test_sgd_requires_gradient_for_every_parameter():
     with pytest.raises(ConfigurationError):
-        sgd_step({"w": np.zeros(2)}, {}, {}, learning_rate=0.1)
+        sgd_step(np.zeros(2), np.zeros(1), np.zeros(2), learning_rate=0.1)
+    with pytest.raises(ConfigurationError):
+        sgd_step(np.zeros(2), np.zeros(2), np.zeros(3), learning_rate=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +266,8 @@ def test_fd_constant_function():
 
 
 def test_fd_l2_norm_gradient():
-    grad = finite_difference_grad(lambda x: l2_norm(x), np.array([3.0, 4.0]))
+    grad = finite_difference_grad(lambda x: float(np.linalg.norm(x)),
+                                  np.array([3.0, 4.0]))
     assert np.max(np.abs(grad - [0.6, 0.8])) < 1e-7
 
 
@@ -315,13 +277,7 @@ def test_fd_rejects_bad_eps():
 
 
 # ---------------------------------------------------------------------------
-# l2_norm and relative_error
-
-
-def test_l2_norm_values():
-    assert l2_norm([3.0, 4.0]) == 5.0
-    assert l2_norm(np.zeros(7)) == 0.0
-    assert l2_norm(np.eye(4)[1]) == 1.0
+# relative_error
 
 
 def test_relative_error_yardstick():
@@ -329,29 +285,3 @@ def test_relative_error_yardstick():
     assert relative_error(np.array([1.0]), np.array([1.0 + 1e-9])) < 1e-8
     with pytest.raises(ConfigurationError):
         relative_error(np.zeros(2), np.zeros(3))
-
-
-# ---------------------------------------------------------------------------
-# gradient bundles
-
-
-def test_gradient_bundle_accumulation():
-    base = GradientBundle.zeros_like({"w": np.zeros((2, 2)), "b": np.zeros(2)})
-    other = GradientBundle({"w": np.ones((2, 2)), "b": np.ones(2)})
-    base.add_scaled(other, scale=0.5)
-    assert np.array_equal(base["w"], 0.5 * np.ones((2, 2)))
-    assert np.array_equal(base["b"], 0.5 * np.ones(2))
-    assert base.all_finite()
-
-
-def test_gradient_bundle_rejects_unknown_or_mismatched_entries():
-    base = GradientBundle({"w": np.zeros((2, 2))})
-    with pytest.raises(ConfigurationError):
-        base.add_scaled(GradientBundle({"v": np.zeros((2, 2))}))
-    with pytest.raises(ConfigurationError):
-        base.add_scaled(GradientBundle({"w": np.zeros((3, 2))}))
-
-
-def test_gradient_bundle_detects_non_finite():
-    bundle = GradientBundle({"w": np.array([[np.inf]])})
-    assert not bundle.all_finite()

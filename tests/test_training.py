@@ -163,6 +163,15 @@ def test_train_dg_aborts_on_divergence_with_numerical_error():
         train_dg(cfg)
 
 
+def test_divergence_error_names_iteration_and_last_record():
+    # the encoder output overflows to inf before the loss does; the loop's
+    # loss check still reports where the run was
+    cfg = short_config(learning_rate=1e3, momentum=0.0, iterations=200)
+    with pytest.raises(NumericalError,
+                       match=r"iteration \d+.*last record: IterationRecord"):
+        train_dg(cfg)
+
+
 def test_train_dg_rna_improves_norm_ratio():
     cfg = short_config(aux_loss="rna", iterations=300,
                        benchmark=small_benchmark(samples_per_class=30))
