@@ -13,7 +13,7 @@ from .losses import (FeatureBatch, LossResult, NormStats,
                      cosine_alignment_loss, dot_product_decomposition,
                      feature_norms, hna_loss, norm_stats, orthogonality_loss,
                      rna_loss, rna_loss_uda, top_k_norm_share)
-from .model import (BatchNormState, ModelConfig, TwoStreamModel, encode,
+from .model import (BatchNormState, ModelConfig, TwoStreamModel, encode_pair,
                     fuse_late, fuse_mid, init_model, load_checkpoint, predict,
                     save_checkpoint)
 from .training import (ExperimentConfig, NormTelemetry,

@@ -28,8 +28,9 @@ from .errors import (ConfigurationError, DegenerateInputError, NumericalError,
                      ParseError)
 from .losses import norm_stats, top_k_norm_share
 from .model import save_checkpoint
-from .training import (NormTelemetry, headline_accuracy, run_experiment,
-                       run_experiment_matrix, write_results_csv)
+from .training import (NormTelemetry, count_domains, headline_accuracy,
+                       run_experiment, run_experiment_matrix,
+                       write_results_csv)
 
 
 def _atomic(path, writer):
@@ -138,9 +139,8 @@ def cmd_matrix(args):
     started = time.time()
     parser = load_config_file(args.config)
     base = parse_experiment_config(parser, args.config)
-    num_domains = base.benchmark.num_domains
     methods, seeds, pairs = parse_matrix_options(
-        parser, base.setting, num_domains, args.config)
+        parser, base.setting, count_domains(base), args.config)
     if args.seed is not None:
         seeds = [args.seed]
     out_dir = _ensure_outdir(args.out)

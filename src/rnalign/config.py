@@ -15,7 +15,7 @@ silently falling back to defaults.
 import configparser
 from dataclasses import replace
 
-from .data import BenchmarkSpec
+from .data import BenchmarkSpec, read_text
 from .errors import ConfigurationError, ParseError
 from .training import ExperimentConfig
 
@@ -84,8 +84,7 @@ def load_config_file(path):
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
+        parser.read_string(read_text(path, "utf-8"), source=str(path))
     except OSError as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:

@@ -312,15 +312,32 @@ def save_feature_file(batch, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def read_text(path, encoding="ascii", newline=None):
+    """A text file's contents, as ``open(path, encoding=encoding,
+    newline=newline).read()`` returns them, except that a byte sequence the
+    encoding rejects is a ParseError naming its byte offset."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: byte {exc.start}: 0x{blob[exc.start]:02x} is not "
+            f"{encoding} text") from exc
+    if newline is None:  # universal newlines
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def load_feature_file(path, domain_id=None):
     """Parse an RNAFEAT v1 file back into a MultiModalBatch.
 
-    Raises ParseError (naming the offending line) on malformed headers, wrong
-    per-line field counts (broken visual/audio pairing), non-finite values,
-    truncation, or trailing garbage.
+    Raises ParseError (naming the offending line, or byte for non-ASCII
+    content) on malformed headers, wrong per-line field counts (broken
+    visual/audio pairing), non-finite values, truncation, or trailing
+    garbage.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        raw_lines = fh.read().split("\n")
+    raw_lines = read_text(path).split("\n")
     if raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
     if not raw_lines:
@@ -346,20 +363,28 @@ def load_feature_file(path, domain_id=None):
             f"declared rows")
     labeled = labeled_flag == 1
     expected = dim_v + dim_a + (1 if labeled else 0)
+
+    def fields(i):
+        row = raw_lines[i + 1].split()
+        if len(row) != expected:
+            raise ParseError(
+                f"{path}: line {i + 2}: expected {expected} fields "
+                f"({dim_v} visual + {dim_a} audio"
+                f"{' + 1 label' if labeled else ''}), got {len(row)} — "
+                f"visual/audio pairing broken")
+        return row
+
+    # the first row vouches for the header's dims before anything is sized
+    # by them
+    fields(0)
     visual = np.empty((n, dim_v), dtype=np.float64)
     audio = np.empty((n, dim_a), dtype=np.float64)
     labels = np.empty(n, dtype=np.int64) if labeled else None
     for i in range(n):
         lineno = i + 2
-        fields = raw_lines[i + 1].split()
-        if len(fields) != expected:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {expected} fields "
-                f"({dim_v} visual + {dim_a} audio"
-                f"{' + 1 label' if labeled else ''}), got {len(fields)} — "
-                f"visual/audio pairing broken")
+        row_fields = fields(i)
         try:
-            row = [float(x) for x in fields[:dim_v + dim_a]]
+            row = [float(x) for x in row_fields[:dim_v + dim_a]]
         except ValueError as exc:
             raise ParseError(
                 f"{path}: line {lineno}: non-numeric value") from exc
@@ -369,10 +394,11 @@ def load_feature_file(path, domain_id=None):
         audio[i] = row[dim_v:]
         if labeled:
             try:
-                labels[i] = int(fields[-1])
-            except ValueError as exc:
+                labels[i] = int(row_fields[-1])
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(
-                    f"{path}: line {lineno}: non-integer label") from exc
+                    f"{path}: line {lineno}: invalid label "
+                    f"{row_fields[-1][:20]!r}") from exc
     if domain_id is None:
         name = str(path)
         stem = name[name.rfind("/") + 1:]

@@ -8,9 +8,13 @@ alignment, orthogonality) and a hard variant pinning both mean norms to a
 fixed constant are provided as baselines, plus the dot-product decomposition
 dot = |v| |a| cos(theta) used to cross-check the two families.
 
-All losses return a LossResult carrying the scalar value and exact analytic
-gradients with respect to both feature batches; every gradient is verified
-against central finite differences in the test suite.
+Each loss is implemented once, on the two streams stacked into one (2, N, D)
+array together with their (2, N) row norms (``rna_stacked`` and friends,
+which the trainer calls).  The pair-argument functions (``rna_loss(visual,
+audio)`` ...) validate, stack and call them, and return a LossResult carrying
+the scalar value and exact analytic gradients with respect to both feature
+batches; every gradient is verified against central finite differences in
+the test suite.
 """
 
 from collections import namedtuple
@@ -46,18 +50,6 @@ class FeatureBatch:
         self.modality = modality
         self.domain = domain
 
-    @classmethod
-    def wrap(cls, features, modality):
-        """A batch over ``features`` without validation: for the model's own
-        forward pass, whose inputs were validated where they entered the
-        program.  A diverging run may hand over non-finite rows here; the
-        trainer's loss check reports them."""
-        batch = cls.__new__(cls)
-        batch.features = features
-        batch.modality = modality
-        batch.domain = None
-        return batch
-
     @property
     def n(self):
         return self.features.shape[0]
@@ -89,21 +81,51 @@ def _rows(batch):
     return as_matrix(batch)
 
 
+def row_norms(features):
+    """L2 norm of every feature row: (N,) for an (N, D) batch, (2, N) for
+    a stacked visual/audio pair."""
+    return np.sqrt(np.sum(features * features, axis=-1))
+
+
+def mean_norms(norms):
+    """Per-stream mean of stacked (2, N) row norms, as a (2,) array."""
+    return norms.sum(axis=-1) / norms.shape[-1]
+
+
 def feature_norms(batch):
     """Per-sample L2 norms: element i is the norm of feature row i."""
-    return _norms(_rows(batch))
+    return row_norms(_rows(batch))
 
 
-def _norms(f):
-    """Row norms of an (N, D) array that ``_rows`` already checked."""
-    return np.sqrt(np.sum(f * f, axis=1))
-
-
-def _unit_rows(f, norms):
+def _unit_rows(features, norms):
     """Rows scaled to unit norm; rows of norm 0 map to zero (their norm has
     no gradient there, by convention)."""
     safe = np.where(norms > 0.0, norms, 1.0)
-    return f / safe[:, None]
+    return features / safe[..., None]
+
+
+def _paired(visual, audio):
+    """Both batches as validated arrays with the same number of rows."""
+    fv = _rows(visual)
+    fa = _rows(audio)
+    if fv.shape[0] != fa.shape[0]:
+        raise ConfigurationError(
+            f"modalities must be paired: {fv.shape[0]} visual rows vs "
+            f"{fa.shape[0]} audio rows")
+    return fv, fa
+
+
+def _pair_loss(stacked_loss, visual, audio, *args):
+    """A stacked loss applied to a visual and an audio batch.  The narrower
+    modality is padded with zero columns; they leave its row norms equal up
+    to summation order."""
+    fv, fa = _paired(visual, audio)
+    dim_v, dim_a = fv.shape[1], fa.shape[1]
+    features = np.zeros((2, fv.shape[0], max(dim_v, dim_a)))
+    features[0, :, :dim_v] = fv
+    features[1, :, :dim_a] = fa
+    value, grads = stacked_loss(features, row_norms(features), *args)
+    return LossResult(value, grads[0, :, :dim_v], grads[1, :, :dim_a])
 
 
 def norm_stats(visual, audio):
@@ -111,45 +133,98 @@ def norm_stats(visual, audio):
 
     Raises DegenerateInputError when the mean audio norm is 0 (rho undefined).
     """
-    fv = _rows(visual)
-    fa = _rows(audio)
-    if fv.shape[0] != fa.shape[0]:
-        raise ConfigurationError(
-            f"modalities must be paired: {fv.shape[0]} visual rows vs "
-            f"{fa.shape[0]} audio rows")
-    mean_v = float(np.mean(_norms(fv)))
-    mean_a = float(np.mean(_norms(fa)))
+    fv, fa = _paired(visual, audio)
+    mean_v = float(np.mean(row_norms(fv)))
+    mean_a = float(np.mean(row_norms(fa)))
     if mean_a == 0.0:
         raise DegenerateInputError("mean audio norm is 0; norm ratio undefined")
     return NormStats(mean_v, mean_a, mean_v - mean_a, mean_v / mean_a)
 
 
-def rna_loss(visual, audio):
+# ---------------------------------------------------------------------------
+# The stacked losses.  Each takes the (2, N, D) visual/audio feature stack and
+# its (2, N) row norms and returns (value, gradient stack).  They are the only
+# implementation of each loss; the pair-argument functions below validate,
+# stack and call them.
+
+
+def rna_stacked(features, norms):
     """Relative norm alignment: (rho - 1)^2 with rho = sum|v_i| / sum|a_i|.
 
     The ratio of summed norms equals the ratio of mean norms (equal N), so
     minimizing drives the two modalities' mean feature norms together.
     Gradients are exact: d|x|/dx = x/|x|, zero rows get zero gradient.
     """
-    fv = _rows(visual)
-    fa = _rows(audio)
-    if fv.shape[0] != fa.shape[0]:
-        raise ConfigurationError(
-            f"modalities must be paired: {fv.shape[0]} vs {fa.shape[0]} rows")
-    norms_v = _norms(fv)
-    norms_a = _norms(fa)
-    sum_v = float(norms_v.sum())
-    sum_a = float(norms_a.sum())
+    sum_v, sum_a = norms.sum(axis=1).tolist()
     if sum_a == 0.0:
         raise DegenerateInputError("mean audio norm is 0; norm ratio undefined")
     rho = sum_v / sum_a
     value = (rho - 1.0) ** 2
     # d value / d sum_v = 2 (rho-1) / sum_a;  d value / d sum_a = -2 (rho-1) rho / sum_a
-    dv = 2.0 * (rho - 1.0) / sum_a
-    da = -2.0 * (rho - 1.0) * rho / sum_a
-    grad_v = dv * _unit_rows(fv, norms_v)
-    grad_a = da * _unit_rows(fa, norms_a)
-    return LossResult(value, grad_v, grad_a)
+    coeff = np.array([2.0 * (rho - 1.0) / sum_a,
+                      -2.0 * (rho - 1.0) * rho / sum_a])
+    return value, coeff[:, None, None] * _unit_rows(features, norms)
+
+
+def hna_stacked(features, norms, target_norm):
+    """Hard norm alignment: (mean|v| - R)^2 + (mean|a| - R)^2 for fixed R > 0.
+
+    Unlike the relative variant this pins both modalities to an absolute
+    scale R chosen up front.
+    """
+    r = target_norm
+    n = norms.shape[1]
+    mean_v, mean_a = mean_norms(norms).tolist()
+    value = (mean_v - r) ** 2 + (mean_a - r) ** 2
+    coeff = np.array([2.0 * (mean_v - r) / n, 2.0 * (mean_a - r) / n])
+    return value, coeff[:, None, None] * _unit_rows(features, norms)
+
+
+def _paired_cosines(features, norms):
+    """Rowwise cosines between the visual and the audio rows."""
+    if np.any(norms == 0.0):
+        raise DegenerateInputError(
+            "zero-norm feature row: cosine similarity undefined")
+    dots = np.sum(features[0] * features[1], axis=1)
+    # round-off can push |cos| infinitesimally past 1 for (anti)parallel rows,
+    # which would make 1 - cos dip below the losses' value >= 0 contract
+    return np.clip(dots / (norms[0] * norms[1]), -1.0, 1.0)
+
+
+def _cosine_grads(features, norms, cos, coeff):
+    """Gradients of sum_i coeff_i * cos_i w.r.t. both streams' rows.
+
+    d cos_i / d v_i = a_i / (|v_i||a_i|) - cos_i * v_i / |v_i|^2, symmetrically
+    for a_i.
+    """
+    return coeff[:, None] * (
+        features[::-1] / (norms[0] * norms[1])[:, None]
+        - (cos / norms ** 2)[..., None] * features)
+
+
+def cosine_alignment_stacked(features, norms):
+    """Mean over paired rows of 1 - cos(theta_i); pulls the angle to zero."""
+    cos = _paired_cosines(features, norms)
+    n = cos.shape[0]
+    value = float(np.mean(1.0 - cos))
+    return value, _cosine_grads(features, norms, cos, np.full(n, -1.0 / n))
+
+
+def orthogonality_stacked(features, norms):
+    """Mean over paired rows of cos^2(theta_i); pushes the modalities apart."""
+    cos = _paired_cosines(features, norms)
+    n = cos.shape[0]
+    value = float(np.mean(cos ** 2))
+    return value, _cosine_grads(features, norms, cos, 2.0 * cos / n)
+
+
+# ---------------------------------------------------------------------------
+# pair-argument adapters
+
+
+def rna_loss(visual, audio):
+    """``rna_stacked`` on a visual and an audio batch (see there)."""
+    return _pair_loss(rna_stacked, visual, audio)
 
 
 def rna_loss_uda(source_visual, source_audio, target_visual, target_audio):
@@ -170,84 +245,31 @@ def rna_loss_uda(source_visual, source_audio, target_visual, target_audio):
     return source_term, target_term
 
 
-def _paired_cosines(fv, fa):
-    """Rowwise cosines plus the pieces their gradients need."""
-    if fv.shape[0] != fa.shape[0]:
+def _same_dims(visual, audio):
+    dim_v, dim_a = _rows(visual).shape[1], _rows(audio).shape[1]
+    if dim_v != dim_a:
         raise ConfigurationError(
-            f"modalities must be paired: {fv.shape[0]} vs {fa.shape[0]} rows")
-    norms_v = _norms(fv)
-    norms_a = _norms(fa)
-    if np.any(norms_v == 0.0) or np.any(norms_a == 0.0):
-        raise DegenerateInputError(
-            "zero-norm feature row: cosine similarity undefined")
-    dots = np.sum(fv * fa, axis=1)
-    # round-off can push |cos| infinitesimally past 1 for (anti)parallel rows,
-    # which would make 1 - cos dip below the losses' value >= 0 contract
-    cos = np.clip(dots / (norms_v * norms_a), -1.0, 1.0)
-    return cos, norms_v, norms_a
-
-
-def _cosine_grads(fv, fa, cos, norms_v, norms_a, coeff):
-    """Gradients of sum_i coeff_i * cos_i w.r.t. the feature rows.
-
-    d cos_i / d v_i = a_i / (|v_i||a_i|) - cos_i * v_i / |v_i|^2, symmetrically
-    for a_i.
-    """
-    c = coeff[:, None]
-    grad_v = c * (fa / (norms_v * norms_a)[:, None]
-                  - (cos / norms_v ** 2)[:, None] * fv)
-    grad_a = c * (fv / (norms_v * norms_a)[:, None]
-                  - (cos / norms_a ** 2)[:, None] * fa)
-    return grad_v, grad_a
+            f"cosines need equal feature dims, got {dim_v} and {dim_a}")
 
 
 def cosine_alignment_loss(visual, audio):
-    """Mean over paired rows of 1 - cos(theta_i); pulls the angle to zero."""
-    fv = _rows(visual)
-    fa = _rows(audio)
-    cos, norms_v, norms_a = _paired_cosines(fv, fa)
-    n = fv.shape[0]
-    value = float(np.mean(1.0 - cos))
-    grad_v, grad_a = _cosine_grads(
-        fv, fa, cos, norms_v, norms_a, np.full(n, -1.0 / n))
-    return LossResult(value, grad_v, grad_a)
+    """``cosine_alignment_stacked`` on a visual and an audio batch."""
+    _same_dims(visual, audio)
+    return _pair_loss(cosine_alignment_stacked, visual, audio)
 
 
 def orthogonality_loss(visual, audio):
-    """Mean over paired rows of cos^2(theta_i); pushes the modalities apart."""
-    fv = _rows(visual)
-    fa = _rows(audio)
-    cos, norms_v, norms_a = _paired_cosines(fv, fa)
-    n = fv.shape[0]
-    value = float(np.mean(cos ** 2))
-    grad_v, grad_a = _cosine_grads(
-        fv, fa, cos, norms_v, norms_a, 2.0 * cos / n)
-    return LossResult(value, grad_v, grad_a)
+    """``orthogonality_stacked`` on a visual and an audio batch."""
+    _same_dims(visual, audio)
+    return _pair_loss(orthogonality_stacked, visual, audio)
 
 
 def hna_loss(visual, audio, target_norm):
-    """Hard norm alignment: (mean|v| - R)^2 + (mean|a| - R)^2 for fixed R > 0.
-
-    Unlike the relative variant this pins both modalities to an absolute
-    scale R chosen up front.
-    """
+    """``hna_stacked`` on a visual and an audio batch, for target R > 0."""
     r = float(target_norm)
     if r <= 0.0:
         raise ConfigurationError(f"target norm R must be positive, got {r}")
-    fv = _rows(visual)
-    fa = _rows(audio)
-    if fv.shape[0] != fa.shape[0]:
-        raise ConfigurationError(
-            f"modalities must be paired: {fv.shape[0]} vs {fa.shape[0]} rows")
-    norms_v = _norms(fv)
-    norms_a = _norms(fa)
-    n = fv.shape[0]
-    mean_v = float(norms_v.mean())
-    mean_a = float(norms_a.mean())
-    value = (mean_v - r) ** 2 + (mean_a - r) ** 2
-    grad_v = (2.0 * (mean_v - r) / n) * _unit_rows(fv, norms_v)
-    grad_a = (2.0 * (mean_a - r) / n) * _unit_rows(fa, norms_a)
-    return LossResult(value, grad_v, grad_a)
+    return _pair_loss(hna_stacked, visual, audio, r)
 
 
 def top_k_norm_share(features, k):

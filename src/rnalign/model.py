@@ -9,10 +9,14 @@ stage can be inserted before the classifiers as a baseline regularizer.
 Every trainable array lives in one float64 vector, ``model.flat``; the arrays
 ``model.parameters()`` yields, and the layers' ``weight``/``bias``/``gamma``/
 ``beta`` attributes, are named views into it, laid out in checkpoint order.
-The forward functions return explicit caches; ``model_backward`` composes the
-layer backward passes into a congruent gradient vector and returns its views
-under the same names, so the optimizer can update the model with a handful of
-whole-vector operations.
+Because the layout places each visual array at a constant distance from its
+audio twin, ``model.pairs`` also views every such family as one (2, ...)
+array (visual first), and ``model.gradient_pairs()`` does the same over the
+gradient vector.  The forward and backward passes run on those: both streams
+travel as one (2, N, .) array from the encoders to the heads, so every layer
+after the first is one call for both streams.  Layer 0 stays one matmul per
+stream, since the two input widths may differ.  The forward functions return
+explicit caches; ``model_backward`` writes the whole gradient vector.
 
 Checkpoint format (little-endian throughout):
 
@@ -26,13 +30,13 @@ Checkpoint format (little-endian throughout):
 """
 
 import struct
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ParseError
 from .losses import AUDIO, VISUAL, FeatureBatch
-from .numerics import (LinearLayerParams, linear_forward, relu_backward,
-                       relu_forward, softmax)
+from .numerics import LinearLayerParams, softmax
 
 CHECKPOINT_MAGIC = b"RNA1"
 
@@ -65,7 +69,8 @@ class ModelConfig:
 
 class BatchNormState:
     """Per-feature batch normalization: learned scale/shift plus running
-    statistics used in evaluation mode."""
+    statistics used in evaluation mode.  ``dim`` is the feature dim, or
+    (2, feature dim) for the model's stacked visual/audio state."""
 
     def __init__(self, dim, momentum=0.1, eps=1e-5):
         if eps <= 0:
@@ -81,24 +86,26 @@ class BatchNormState:
 
 
 def batchnorm_forward(state, x, training, update_running=False):
-    """Normalize per feature; batch statistics when training, running
-    statistics otherwise.  Running stats are only touched when
-    ``update_running`` is set, so the forward stays pure for gradient checks.
+    """Normalize per feature over the batch axis (-2) of an (N, d) batch,
+    or of each stream of a (2, N, d) stack with a stacked state; batch
+    statistics when training, running statistics otherwise.  Running stats
+    are updated in place, and only when ``update_running`` is set, so the
+    forward stays pure for gradient checks.
     """
     x = np.asarray(x, dtype=np.float64)
     if training:
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
+        mean = x.mean(axis=-2)
+        var = x.var(axis=-2)
         if update_running:
             m = state.momentum
-            state.running_mean = (1.0 - m) * state.running_mean + m * mean
-            state.running_var = (1.0 - m) * state.running_var + m * var
+            state.running_mean[...] = (1.0 - m) * state.running_mean + m * mean
+            state.running_var[...] = (1.0 - m) * state.running_var + m * var
     else:
         mean = state.running_mean
         var = state.running_var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x - mean) * inv_std
-    y = state.gamma * xhat + state.beta
+    inv_std = (1.0 / np.sqrt(var + state.eps))[..., None, :]
+    xhat = (x - mean[..., None, :]) * inv_std
+    y = state.gamma[..., None, :] * xhat + state.beta[..., None, :]
     return y, (state, inv_std, xhat, training)
 
 
@@ -109,13 +116,14 @@ def batchnorm_backward(cache, grad_output, grads, name):
     the batch statistics as well."""
     state, inv_std, xhat, training = cache
     g = grad_output
-    n = g.shape[0]
-    (g * xhat).sum(axis=0, out=grads[name + ".gamma"])
-    g.sum(axis=0, out=grads[name + ".beta"])
-    dxhat = g * state.gamma
+    n = g.shape[-2]
+    (g * xhat).sum(axis=-2, out=grads[name + ".gamma"])
+    g.sum(axis=-2, out=grads[name + ".beta"])
+    dxhat = g * state.gamma[..., None, :]
     if training:
         return (inv_std / n) * (
-            n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+            n * dxhat - dxhat.sum(axis=-2, keepdims=True)
+            - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True))
     return dxhat * inv_std
 
 
@@ -154,15 +162,42 @@ def _views(vector, layout):
     return views
 
 
+# the per-modality arrays whose visual and audio copies have the same shape;
+# layer 0's weight is missing because its fan-in is the modality's input dim
+_PAIRED = ("encoder_{}.0.bias", "encoder_{}.1.weight", "encoder_{}.1.bias",
+           "classifier_{}.weight", "classifier_{}.bias",
+           "batchnorm_{}.gamma", "batchnorm_{}.beta")
+
+
+def _pair_views(views):
+    """(2, ...) views over each visual array and its audio twin, keyed by
+    the family name without the modality ("encoder.1.weight" ...).  The
+    twins sit a constant distance apart in the vector, which becomes the
+    stride of the leading axis."""
+    pairs = {}
+    for pattern in _PAIRED:
+        visual = views.get(pattern.format(VISUAL))
+        if visual is None:  # batchnorm is off
+            continue
+        audio = views[pattern.format(AUDIO)]
+        gap = (audio.__array_interface__["data"][0]
+               - visual.__array_interface__["data"][0])
+        pairs[pattern.replace("_{}", "")] = np.lib.stride_tricks.as_strided(
+            visual, (2,) + visual.shape, (gap,) + visual.strides)
+    return pairs
+
+
 class TwoStreamModel:
     """Both streams' parameters in one float64 vector; built via
     ``init_model`` or ``load_checkpoint``.
 
     ``flat`` holds every trainable array in checkpoint order (zeros, except
     batchnorm scales of one, unless a vector is passed).  The layer objects
-    (``encoder_visual``, ``classifier_mid``, ``batchnorm_audio`` ...) hold
-    views into it, so writing a layer's arrays in place writes ``flat``;
-    rebinding an attribute to a new array detaches it.
+    (``encoder_visual``, ``classifier_mid``, ``batchnorm_audio`` ...) and the
+    stacked ``pairs`` hold views into it, so writing a layer's arrays in
+    place writes ``flat``; rebinding an attribute to a new array detaches
+    it.  With batchnorm on, ``batchnorm_pair`` is the stacked state the
+    passes use, and the per-modality states view its rows.
     """
 
     def __init__(self, config, flat=None):
@@ -177,6 +212,7 @@ class TwoStreamModel:
                 f"parameter vector must be float64 of shape ({size},)")
         self.flat = flat
         self._params = _views(flat, self._layout)
+        self.pairs = _pair_views(self._params)
         self._gradient = None
         p = self._params
 
@@ -189,31 +225,22 @@ class TwoStreamModel:
         self.classifier_audio = layer("classifier_audio")
         self.classifier_mid = (layer("classifier_mid")
                                if config.fusion_mode == MID else None)
+        self.batchnorm_pair = None
         self.batchnorm_visual = self.batchnorm_audio = None
         if config.batchnorm:
+            pair = BatchNormState((2, config.feature_dim))
+            pair.gamma = self.pairs["batchnorm.gamma"]
+            pair.beta = self.pairs["batchnorm.beta"]
+            if fresh:
+                pair.gamma[...] = 1.0
             states = []
-            for modality in (VISUAL, AUDIO):
+            for s in (0, 1):
                 state = BatchNormState(config.feature_dim)
-                state.gamma = p[f"batchnorm_{modality}.gamma"]
-                state.beta = p[f"batchnorm_{modality}.beta"]
-                if fresh:
-                    state.gamma[...] = 1.0
+                for name in ("running_mean", "running_var", "gamma", "beta"):
+                    setattr(state, name, getattr(pair, name)[s])
                 states.append(state)
+            self.batchnorm_pair = pair
             self.batchnorm_visual, self.batchnorm_audio = states
-
-    def encoder(self, modality):
-        _check_modality(modality)
-        return self.encoder_visual if modality == VISUAL else self.encoder_audio
-
-    def classifier(self, modality):
-        _check_modality(modality)
-        return (self.classifier_visual if modality == VISUAL
-                else self.classifier_audio)
-
-    def batchnorm(self, modality):
-        _check_modality(modality)
-        return (self.batchnorm_visual if modality == VISUAL
-                else self.batchnorm_audio)
 
     def parameters(self):
         """Trainable arrays keyed by name, in declaration (checkpoint) order.
@@ -221,23 +248,31 @@ class TwoStreamModel:
         effect."""
         return dict(self._params)
 
+    def _gradient_buffer(self):
+        if self._gradient is None:
+            vector = np.zeros_like(self.flat)
+            views = _views(vector, self._layout)
+            self._gradient = (vector, views, _pair_views(views))
+        return self._gradient
+
     def gradient(self):
         """(vector, name->view mapping) of the gradient buffer congruent with
         ``flat``.  Allocated on first use and reused: every ``model_backward``
         overwrites it."""
-        if self._gradient is None:
-            vector = np.zeros_like(self.flat)
-            self._gradient = (vector, _views(vector, self._layout))
-        return self._gradient
+        return self._gradient_buffer()[:2]
+
+    def gradient_pairs(self):
+        """The stacked (2, ...) views of the gradient buffer, keyed like
+        ``pairs``."""
+        return self._gradient_buffer()[2]
 
     def clone(self):
         """Deep copy: parameters, batchnorm running statistics, config shared."""
         other = TwoStreamModel(self.config, self.flat.copy())
         if self.config.batchnorm:
-            for mine, theirs in ((self.batchnorm_visual, other.batchnorm_visual),
-                                 (self.batchnorm_audio, other.batchnorm_audio)):
-                theirs.running_mean = mine.running_mean.copy()
-                theirs.running_var = mine.running_var.copy()
+            mine, theirs = self.batchnorm_pair, other.batchnorm_pair
+            theirs.running_mean[...] = mine.running_mean
+            theirs.running_var[...] = mine.running_var
         return other
 
 
@@ -260,95 +295,98 @@ def init_model(config, seed):
     return model
 
 
-def _linear_grads(grads, name, x, g, add=False):
-    """``linear_backward``'s parameter gradients for input ``x`` and output
-    gradient ``g``, written into ``grads[name + ".weight"/".bias"]`` (added
-    to them with ``add``)."""
-    weight, bias = grads[name + ".weight"], grads[name + ".bias"]
+def _linear_grads(weight, bias, x, g, add=False):
+    """Parameter gradients of y = x @ W.T + b for input ``x`` and output
+    gradient ``g`` (one stream, or a stack of them on a leading axis),
+    written into ``weight``/``bias`` (added to them with ``add``)."""
+    g_t = np.swapaxes(g, -1, -2)
     if add:
-        weight += g.T @ x
-        bias += g.sum(axis=0)
+        weight += g_t @ x
+        bias += g.sum(axis=-2)
     else:
-        np.matmul(g.T, x, out=weight)
-        g.sum(axis=0, out=bias)
+        np.matmul(g_t, x, out=weight)
+        g.sum(axis=-2, out=bias)
 
 
-def encode(model, modality, inputs):
-    """Run one modality's encoder.  Returns (FeatureBatch, cache)."""
-    layers = model.encoder(modality)
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != layers[0].in_dim:
-        raise ConfigurationError(
-            f"{modality} encoder expects (N, {layers[0].in_dim}) inputs, "
-            f"got {x.shape}")
-    caches = []
-    h = x
-    for i, layer in enumerate(layers):
-        h, lin_cache = linear_forward(layer, h)
-        relu_cache = None
-        if i < len(layers) - 1:
-            h, relu_cache = relu_forward(h)
-        caches.append((lin_cache, relu_cache))
-    return FeatureBatch.wrap(h, modality), (modality, caches)
+EncoderCache = namedtuple("EncoderCache", "model inputs hidden active")
 
 
-def encode_backward(cache, grad_features, grads=None, add=True):
-    """Backward through one encoder.
+def encode_pair(model, visual_inputs, audio_inputs):
+    """Run both encoders on paired inputs.
 
-    With ``grads`` (a name->array mapping holding this encoder's entries,
-    such as the one ``model_backward`` returns) the parameter gradients are
-    added into it in place (written over its entries unless ``add``) and the
-    gradient wrt the raw inputs is skipped: returns (grads, None).  Without,
-    returns (fresh name->grad dict, grad wrt the inputs).
+    Returns (features, cache) with ``features`` the (2, N, feature_dim)
+    stack, visual first.
     """
-    modality, caches = cache
-    fresh = grads is None
-    if fresh:
-        grads = {}
-        for i, ((layer, _), _) in enumerate(caches):
-            grads[f"encoder_{modality}.{i}.weight"] = np.empty_like(layer.weight)
-            grads[f"encoder_{modality}.{i}.bias"] = np.empty_like(layer.bias)
-        add = False
-    g = np.asarray(grad_features, dtype=np.float64)
-    for i in reversed(range(len(caches))):
-        (layer, x), relu_cache = caches[i]
-        if relu_cache is not None:
-            g = relu_backward(relu_cache, g)
-        _linear_grads(grads, f"encoder_{modality}.{i}", x, g, add)
-        if i or fresh:
-            g = g @ layer.weight
-    return grads, (g if fresh else None)
-
-
-def classify(model, modality, features, training=False, update_running=False):
-    """One modality's classifier head; normalizes first when batchnorm is on.
-
-    Returns (logits, cache).
-    """
-    f = features.features if isinstance(features, FeatureBatch) else \
-        np.asarray(features, dtype=np.float64)
-    if f.shape[1] != model.config.feature_dim:
+    inputs = (np.asarray(visual_inputs, dtype=np.float64),
+              np.asarray(audio_inputs, dtype=np.float64))
+    layers = (model.encoder_visual[0], model.encoder_audio[0])
+    for modality, x, layer in zip((VISUAL, AUDIO), inputs, layers):
+        if x.ndim != 2 or x.shape[1] != layer.in_dim:
+            raise ConfigurationError(
+                f"{modality} encoder expects (N, {layer.in_dim}) inputs, "
+                f"got {x.shape}")
+    n = inputs[0].shape[0]
+    if inputs[1].shape[0] != n:
         raise ConfigurationError(
-            f"classifier expects feature dim {model.config.feature_dim}, "
-            f"got {f.shape[1]}")
-    bn_cache = None
-    h = f
-    if model.config.batchnorm:
-        h, bn_cache = batchnorm_forward(model.batchnorm(modality), h,
-                                        training, update_running)
-    logits, lin_cache = linear_forward(model.classifier(modality), h)
-    return logits, (modality, bn_cache, lin_cache)
+            f"modalities must be paired: {n} visual rows vs "
+            f"{inputs[1].shape[0]} audio rows")
+    p = model.pairs
+    hidden = np.empty((2, n, model.config.hidden_dim))
+    for s in (0, 1):
+        np.matmul(inputs[s], layers[s].weight.T, out=hidden[s])
+    hidden += p["encoder.0.bias"][:, None]
+    active = np.maximum(hidden, 0.0)
+    features = active @ np.swapaxes(p["encoder.1.weight"], 1, 2)
+    features += p["encoder.1.bias"][:, None]
+    return features, EncoderCache(model, inputs, hidden, active)
 
 
-def classify_backward(cache, grad_logits, grads):
-    """Backward through one classifier head: writes its parameter gradients
-    into ``grads`` and returns the gradient wrt the incoming features."""
-    modality, bn_cache, (layer, h) = cache
-    _linear_grads(grads, f"classifier_{modality}", h, grad_logits)
-    g = grad_logits @ layer.weight
-    if bn_cache is not None:
-        g = batchnorm_backward(bn_cache, g, grads, f"batchnorm_{modality}")
-    return g
+def encode_pair_backward(cache, grad_features, add=True):
+    """Backward through both encoders for a (2, N, feature_dim) feature
+    gradient: adds their parameter gradients into the model's gradient
+    vector (writes them over it unless ``add``)."""
+    model, inputs, hidden, active = cache
+    _, grads, pairs = model._gradient_buffer()
+    g = grad_features
+    _linear_grads(pairs["encoder.1.weight"], pairs["encoder.1.bias"],
+                  active, g, add)
+    g = g @ model.pairs["encoder.1.weight"]
+    g *= hidden > 0.0
+    for s, modality in enumerate((VISUAL, AUDIO)):
+        weight = grads[f"encoder_{modality}.0.weight"]
+        if add:
+            weight += g[s].T @ inputs[s]
+        else:
+            np.matmul(g[s].T, inputs[s], out=weight)
+    if add:
+        pairs["encoder.0.bias"] += g.sum(axis=1)
+    else:
+        g.sum(axis=1, out=pairs["encoder.0.bias"])
+
+
+def _normalize(model, features, training, update_running):
+    """The batchnorm stage on the feature stack, if the model has one.
+    Returns (normalized stack, cache or None)."""
+    if not model.config.batchnorm:
+        return features, None
+    return batchnorm_forward(model.batchnorm_pair, features, training,
+                             update_running)
+
+
+def _stream_logits(model, h):
+    """Both per-modality classifier heads on a (2, N, d) stack."""
+    p = model.pairs
+    logits = h @ np.swapaxes(p["classifier.weight"], 1, 2)
+    logits += p["classifier.bias"][:, None]
+    return logits
+
+
+def _mid_logits(model, h):
+    """The fusion classifier over [h_v || h_a].  Returns (logits, concat)."""
+    concat = np.concatenate(h, axis=1)
+    logits = concat @ model.classifier_mid.weight.T
+    logits += model.classifier_mid.bias
+    return logits, concat
 
 
 def fuse_late(logits_visual, logits_audio):
@@ -361,6 +399,21 @@ def fuse_late(logits_visual, logits_audio):
     return lv + la
 
 
+def _stack_features(model, feat_visual, feat_audio):
+    """Two (N, d) feature batches (arrays or FeatureBatch) as one validated
+    (2, N, d) stack."""
+    halves = [np.asarray(f.features if isinstance(f, FeatureBatch) else f,
+                         dtype=np.float64)
+              for f in (feat_visual, feat_audio)]
+    d = model.config.feature_dim
+    if halves[0].shape != halves[1].shape or halves[0].ndim != 2 \
+            or halves[0].shape[1] != d:
+        raise ConfigurationError(
+            f"expected two (N, {d}) feature arrays, got {halves[0].shape} "
+            f"and {halves[1].shape}")
+    return np.stack(halves)
+
+
 def fuse_mid(model, features_visual, features_audio, training=False,
              update_running=False):
     """Mid-level fusion: one classifier over [f_v || f_a].
@@ -370,91 +423,67 @@ def fuse_mid(model, features_visual, features_audio, training=False,
     """
     if model.config.fusion_mode != MID:
         raise ConfigurationError("fuse_mid called on a late-fusion model")
-    fv = features_visual.features if isinstance(features_visual, FeatureBatch) \
-        else np.asarray(features_visual, dtype=np.float64)
-    fa = features_audio.features if isinstance(features_audio, FeatureBatch) \
-        else np.asarray(features_audio, dtype=np.float64)
-    bn_cache_v = bn_cache_a = None
-    if model.config.batchnorm:
-        fv, bn_cache_v = batchnorm_forward(model.batchnorm_visual, fv,
-                                           training, update_running)
-        fa, bn_cache_a = batchnorm_forward(model.batchnorm_audio, fa,
-                                           training, update_running)
-    concat = np.concatenate([fv, fa], axis=1)
-    logits, lin_cache = linear_forward(model.classifier_mid, concat)
-    return logits, (bn_cache_v, bn_cache_a, lin_cache,
-                    model.config.feature_dim)
+    features = _stack_features(model, features_visual, features_audio)
+    h, bn_cache = _normalize(model, features, training, update_running)
+    logits, concat = _mid_logits(model, h)
+    return logits, (bn_cache, concat)
 
 
-def fuse_mid_backward(cache, grad_logits, grads):
-    """Backward through mid fusion: writes the fusion classifier's (and
-    batchnorm's) parameter gradients into ``grads``.
-
-    Returns (grad_feat_visual, grad_feat_audio).
-    """
-    bn_cache_v, bn_cache_a, (layer, concat), d = cache
-    _linear_grads(grads, "classifier_mid", concat, grad_logits)
-    g_concat = grad_logits @ layer.weight
-    g_v, g_a = g_concat[:, :d], g_concat[:, d:]
-    if bn_cache_v is not None:
-        g_v = batchnorm_backward(bn_cache_v, g_v, grads, "batchnorm_visual")
-        g_a = batchnorm_backward(bn_cache_a, g_a, grads, "batchnorm_audio")
-    return g_v, g_a
+ForwardCache = namedtuple("ForwardCache", "encoder features bn head_input")
 
 
 def model_forward(model, visual_inputs, audio_inputs, training=False,
                   update_running=False):
     """Full forward pass of both streams up to fused logits.
 
-    Returns (fused_logits, feat_visual, feat_audio, cache).
+    Returns (fused_logits, feat_visual, feat_audio, cache); the two feature
+    arrays are the rows of the stacked (2, N, d) ``cache.features``.
     """
-    feat_v, cache_ev = encode(model, VISUAL, visual_inputs)
-    feat_a, cache_ea = encode(model, AUDIO, audio_inputs)
+    features, enc_cache = encode_pair(model, visual_inputs, audio_inputs)
+    h, bn_cache = _normalize(model, features, training, update_running)
     if model.config.fusion_mode == LATE:
-        logits_v, cache_cv = classify(model, VISUAL, feat_v, training,
-                                      update_running)
-        logits_a, cache_ca = classify(model, AUDIO, feat_a, training,
-                                      update_running)
-        fused = fuse_late(logits_v, logits_a)
-        head_cache = (LATE, cache_cv, cache_ca)
+        fused = fuse_late(*_stream_logits(model, h))
     else:
-        fused, cache_mid = fuse_mid(model, feat_v, feat_a, training,
-                                    update_running)
-        head_cache = (MID, cache_mid)
-    return fused, feat_v, feat_a, (model, cache_ev, cache_ea, head_cache)
+        fused, h = _mid_logits(model, h)
+    cache = ForwardCache(enc_cache, features, bn_cache, h)
+    return fused, features[0], features[1], cache
 
 
-def model_backward(cache, grad_fused_logits, grad_feat_visual=None,
-                   grad_feat_audio=None):
+def model_backward(cache, grad_fused_logits, grad_features=None):
     """Compose the backward passes of the whole model.
 
     ``grad_fused_logits`` flows back through the classification head(s);
-    the optional feature gradients (from an auxiliary loss acting directly on
-    the encoded features) are added before the encoders run backward.
-    Overwrites the model's gradient vector (``model.gradient()``) and returns
-    its name->view mapping, covering every trainable parameter (zeros where
-    nothing flowed, e.g. the per-modality heads under mid fusion).
+    the optional (2, N, d) ``grad_features`` (from an auxiliary loss acting
+    directly on the encoded features) is added before the encoders run
+    backward.  Overwrites the model's gradient vector (``model.gradient()``)
+    and returns its name->view mapping, covering every trainable parameter
+    (zeros where nothing flowed, e.g. the per-modality heads under mid
+    fusion).
     """
-    model, cache_ev, cache_ea, head_cache = cache
-    _, grads = model.gradient()
-    if head_cache[0] == LATE:
-        _, cache_cv, cache_ca = head_cache
+    model = cache.encoder.model
+    _, grads, pairs = model._gradient_buffer()
+    g_logits = grad_fused_logits
+    if model.config.fusion_mode == LATE:
         # fused = logits_v + logits_a, so both heads see the same gradient
-        g_feat_v = classify_backward(cache_cv, grad_fused_logits, grads)
-        g_feat_a = classify_backward(cache_ca, grad_fused_logits, grads)
+        np.matmul(g_logits.T, cache.head_input, out=pairs["classifier.weight"])
+        pairs["classifier.bias"][...] = g_logits.sum(axis=0)
+        g = g_logits @ model.pairs["classifier.weight"]
     else:
-        g_feat_v, g_feat_a = fuse_mid_backward(head_cache[1],
-                                               grad_fused_logits, grads)
+        layer = model.classifier_mid
+        _linear_grads(grads["classifier_mid.weight"],
+                      grads["classifier_mid.bias"], cache.head_input,
+                      g_logits)
+        n, d = g_logits.shape[0], model.config.feature_dim
+        # [g_v || g_a] per row, viewed as the (2, N, d) stack
+        g = (g_logits @ layer.weight).reshape(n, 2, d).transpose(1, 0, 2)
         # nothing reaches the per-modality heads under mid fusion
-        for head in ("classifier_visual", "classifier_audio"):
-            grads[head + ".weight"].fill(0.0)
-            grads[head + ".bias"].fill(0.0)
-    if grad_feat_visual is not None:
-        g_feat_v = g_feat_v + grad_feat_visual
-    if grad_feat_audio is not None:
-        g_feat_a = g_feat_a + grad_feat_audio
-    encode_backward(cache_ev, g_feat_v, grads, add=False)
-    encode_backward(cache_ea, g_feat_a, grads, add=False)
+        pairs["classifier.weight"].fill(0.0)
+        pairs["classifier.bias"].fill(0.0)
+    if cache.bn is not None:
+        g = batchnorm_backward(cache.bn, g, pairs, "batchnorm")
+    if grad_features is not None:
+        g = g + grad_features
+    encode_pair_backward(cache.encoder, g, add=False)
     return grads
 
 
@@ -466,21 +495,13 @@ def modality_logits(model, modality, feat_visual, feat_audio):
     vector zeroed out.
     """
     _check_modality(modality)
+    s = 0 if modality == VISUAL else 1
+    features = _stack_features(model, feat_visual, feat_audio)
+    h, _ = _normalize(model, features, training=False, update_running=False)
     if model.config.fusion_mode == LATE:
-        feats = feat_visual if modality == VISUAL else feat_audio
-        logits, _ = classify(model, modality, feats, training=False)
-        return logits
-    fv = feat_visual.features if isinstance(feat_visual, FeatureBatch) else feat_visual
-    fa = feat_audio.features if isinstance(feat_audio, FeatureBatch) else feat_audio
-    if model.config.batchnorm:
-        fv, _ = batchnorm_forward(model.batchnorm_visual, fv, training=False)
-        fa, _ = batchnorm_forward(model.batchnorm_audio, fa, training=False)
-    if modality == VISUAL:
-        fa = np.zeros_like(fa)
-    else:
-        fv = np.zeros_like(fv)
-    concat = np.concatenate([fv, fa], axis=1)
-    logits, _ = linear_forward(model.classifier_mid, concat)
+        return _stream_logits(model, h)[s]
+    h[1 - s] = 0.0  # h is this call's own array
+    logits, _ = _mid_logits(model, h)
     return logits
 
 
@@ -565,8 +586,8 @@ def load_checkpoint(path):
     model.flat[...] = take(model.flat.size)
     if config.batchnorm:
         for state in (model.batchnorm_visual, model.batchnorm_audio):
-            state.running_mean = take(config.feature_dim)
-            state.running_var = take(config.feature_dim)
+            state.running_mean[...] = take(config.feature_dim)
+            state.running_var[...] = take(config.feature_dim)
     if offset != len(blob):
         raise ParseError(
             f"{path}: {len(blob) - offset} trailing bytes at byte {offset}")

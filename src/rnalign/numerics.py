@@ -5,9 +5,10 @@ gradient oracle used by the test suites.
 
 Everything operates on plain numpy arrays (row-major, 64-bit floats).  There
 is no autodiff graph: each forward returns an explicit cache and each backward
-consumes it.  The model module composes these primitives by hand, except
-that it writes the linear layers' parameter gradients straight into its flat
-gradient vector.  All computations are deterministic for fixed inputs.
+consumes it.  The single-layer primitives are the validated reference for
+one stream; the model runs the same arithmetic on both streams at once,
+stacked on a leading axis.  All computations are deterministic for fixed
+inputs.
 """
 
 import numpy as np
@@ -139,14 +140,23 @@ def softmax_cross_entropy(logits, labels):
     if y.size and (y.min() < 0 or y.max() >= c):
         raise ConfigurationError(
             f"label out of range [0, {c}): {int(y.min())}..{int(y.max())}")
-    shifted = z - z.max(axis=1, keepdims=True)
+    return cross_entropy(z, y)
+
+
+def cross_entropy(logits, labels):
+    """The arithmetic of ``softmax_cross_entropy`` without its checks:
+    ``logits`` a float64 (N, C) array, ``labels`` N integers already known
+    to lie in [0, C).  The trainer checks its labels once per run and calls
+    this every step."""
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1)
     rows = np.arange(n)
     # sum / n is the arithmetic of np.mean, without its call overhead
-    loss = float((np.log(total) - shifted[rows, y]).sum() / n)
+    loss = float((np.log(total) - shifted[rows, labels]).sum() / n)
     grad = e / total[:, None]  # softmax(z), reusing its exponentials
-    grad[rows, y] -= 1.0
+    grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad
 

@@ -24,22 +24,25 @@ All accuracies are fractions in [0, 1].
 """
 
 import csv
+import io
 import math
+import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .data import (BenchmarkSpec, generate_benchmark, load_feature_file,
-                   make_dg_split, make_uda_split)
+from .data import (BenchmarkSpec, DomainData, generate_benchmark,
+                   load_feature_file, make_dg_split, make_uda_split,
+                   read_text)
 from .errors import ConfigurationError, NumericalError, ParseError
-from .losses import (cosine_alignment_loss, hna_loss, norm_stats,
-                     orthogonality_loss, rna_loss)
-from .model import (ModelConfig, encode, encode_backward, init_model,
-                    modality_logits, model_backward, model_forward, predict,
-                    predict_scores)
-from .numerics import sgd_step, softmax_cross_entropy
+from .losses import (cosine_alignment_stacked, hna_stacked, mean_norms,
+                     orthogonality_stacked, rna_stacked, row_norms)
+from .model import (ModelConfig, encode_pair, encode_pair_backward,
+                    init_model, modality_logits, model_backward,
+                    model_forward, predict, predict_scores)
+from .numerics import cross_entropy, sgd_step
 
 TELEMETRY_HEADER = "iter,mean_norm_v,mean_norm_a,delta,rho,ce_loss,aux_loss"
 
@@ -111,27 +114,34 @@ class NormTelemetry:
     @classmethod
     def from_csv(cls, path, aux_loss_name=None):
         telemetry = cls(aux_loss_name)
-        with open(path, "r", encoding="ascii", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: line 1: empty telemetry file")
-            if ",".join(header) != TELEMETRY_HEADER:
+        rows = _csv_rows(path)
+        header = next(rows, None)
+        if header is None:
+            raise ParseError(f"{path}: line 1: empty telemetry file")
+        if ",".join(header) != TELEMETRY_HEADER:
+            raise ParseError(
+                f"{path}: line 1: expected header '{TELEMETRY_HEADER}'")
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != 7:
                 raise ParseError(
-                    f"{path}: line 1: expected header '{TELEMETRY_HEADER}'")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 7:
-                    raise ParseError(
-                        f"{path}: line {lineno}: expected 7 fields, "
-                        f"got {len(row)}")
-                try:
-                    rec = IterationRecord(int(row[0]), *map(float, row[1:]))
-                except ValueError as exc:
-                    raise ParseError(
-                        f"{path}: line {lineno}: {exc}") from exc
+                    f"{path}: line {lineno}: expected 7 fields, "
+                    f"got {len(row)}")
+            try:
+                rec = IterationRecord(int(row[0]), *map(float, row[1:]))
                 telemetry.add_iteration(rec)
+            except (ValueError, ConfigurationError) as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
         return telemetry
+
+
+def _csv_rows(path):
+    """The rows of an ASCII CSV file; undecodable bytes and malformed CSV
+    are ParseErrors naming the byte or line."""
+    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 @dataclass
@@ -182,25 +192,48 @@ class ExperimentConfig:
                 f"setting {self.setting} needs a source_index")
 
 
-def resolve_domains(config):
-    """The run's domains: generated from the benchmark spec, or loaded from
-    ``<data_dir>/<id>_train.rnafeat`` / ``<id>_test.rnafeat`` file pairs."""
-    if config.data_dir is None:
-        return generate_benchmark(config.benchmark)
-    from pathlib import Path
+def _domain_order(path):
+    """Sort key: file names by their digit runs as numbers, so D2 comes
+    before D10."""
+    return [int(part) if part.isdigit() else part
+            for part in re.split(r"(\d+)", path.name)]
 
-    from .data import DomainData
-    root = Path(config.data_dir)
-    train_files = sorted(root.glob("*_train.rnafeat"))
+
+def _domain_files(data_dir):
+    """[(domain id, train path, test path)] for ``<data_dir>/<id>_train.
+    rnafeat`` / ``<id>_test.rnafeat`` pairs, ordered by the numbers in the
+    ids (D1, D2, ..., D10)."""
+    from pathlib import Path
+    root = Path(data_dir)
+    train_files = sorted(root.glob("*_train.rnafeat"), key=_domain_order)
     if not train_files:
         raise ConfigurationError(
             f"no '*_train.rnafeat' files found in {root}")
-    domains = []
+    files = []
     for train_path in train_files:
         domain_id = train_path.name[:-len("_train.rnafeat")]
         test_path = root / f"{domain_id}_test.rnafeat"
         if not test_path.exists():
             raise ConfigurationError(f"missing test split file: {test_path}")
+        files.append((domain_id, train_path, test_path))
+    return files
+
+
+def count_domains(config):
+    """How many domains the run's data has (without loading files)."""
+    if config.data_dir is None:
+        return config.benchmark.num_domains
+    return len(_domain_files(config.data_dir))
+
+
+def resolve_domains(config):
+    """The run's domains: generated from the benchmark spec, or loaded from
+    ``<data_dir>/<id>_train.rnafeat`` / ``<id>_test.rnafeat`` file pairs,
+    in the order of the numbers in their ids."""
+    if config.data_dir is None:
+        return generate_benchmark(config.benchmark)
+    domains = []
+    for domain_id, train_path, test_path in _domain_files(config.data_dir):
         train = load_feature_file(train_path, domain_id)
         test = load_feature_file(test_path, domain_id)
         if not train.labeled or not test.labeled:
@@ -229,9 +262,13 @@ def _model_config(config, domains, num_classes):
         batchnorm=(config.aux_loss == "batchnorm-only"))
 
 
+# the stacked auxiliary losses: each maps the (2, N, d) feature stack and its
+# (2, N) row norms (plus R for hna) to (value, gradient stack)
 _AUX_FUNCTIONS = {
-    "cosine-align": cosine_alignment_loss,
-    "orthogonality": orthogonality_loss,
+    "rna": rna_stacked,
+    "hna": hna_stacked,
+    "cosine-align": cosine_alignment_stacked,
+    "orthogonality": orthogonality_stacked,
 }
 
 
@@ -243,33 +280,14 @@ def _resolve_hna_target(config, model, probe_batch):
         return float(config.hna_target_norm)
     n = min(config.batch_size, probe_batch.n)
     probe = probe_batch.take(np.arange(n))
-    feat_v, _ = encode(model, "visual", probe.visual)
-    feat_a, _ = encode(model, "audio", probe.audio)
-    stats = norm_stats(feat_v, feat_a)
-    return 0.5 * (stats.mean_norm_visual + stats.mean_norm_audio)
+    features, _ = encode_pair(model, probe.visual, probe.audio)
+    mean_v, mean_a = mean_norms(row_norms(features)).tolist()
+    return 0.5 * (mean_v + mean_a)
 
 
-def _aux_terms(config, hna_r, feat_v, feat_a):
-    """(value, grad_v, grad_a) of the configured auxiliary loss on one
-    domain's features; (0, None, None) when there is no feature-level term."""
-    aux = config.aux_loss
-    if aux in ("none", "batchnorm-only"):
-        return 0.0, None, None
-    if aux == "rna":
-        res = rna_loss(feat_v, feat_a)
-    elif aux == "hna":
-        res = hna_loss(feat_v, feat_a, hna_r)
-    else:
-        res = _AUX_FUNCTIONS[aux](feat_v, feat_a)
-    return res.value, res.grad_visual, res.grad_audio
-
-
-def _record_for(it, feat_v, feat_a, ce, aux_value):
-    norms_v = np.sqrt(np.sum(feat_v.features ** 2, axis=1))
-    norms_a = np.sqrt(np.sum(feat_a.features ** 2, axis=1))
-    # sum / count is exactly what .mean() computes, minus its call overhead
-    mean_v = float(norms_v.sum() / norms_v.size)
-    mean_a = float(norms_a.sum() / norms_a.size)
+def _record_for(it, norms, ce, aux_value):
+    """The telemetry row of one step from its (2, N) feature row norms."""
+    mean_v, mean_a = mean_norms(norms).tolist()
     rho = mean_v / mean_a if mean_a > 0 else float("nan")
     return IterationRecord(it, mean_v, mean_a, mean_v - mean_a, rho,
                            float(ce), float(aux_value))
@@ -342,62 +360,78 @@ def train_uda(config):
     return _train(config)
 
 
+def _index_blocks(rng, pool_size, config, block=256):
+    """Each iteration's minibatch indices.  One ``integers`` call draws up to
+    ``block`` iterations' worth; the generator keeps its spare 32-bit half
+    in its state, so the stream is bitwise the one that a call per
+    iteration draws."""
+    for start in range(0, config.iterations, block):
+        count = min(block, config.iterations - start)
+        yield from rng.integers(0, pool_size,
+                                size=(count, config.batch_size))
+
+
 def _train(config):
-    """The one training loop behind both settings.  UDA adds the target
-    batch's auxiliary term; its encoder gradients accumulate into the same
-    gradient vector as the source terms'."""
+    """The one training loop behind both settings.  Both streams travel as
+    one (2, N, d) stack; the row norms are computed once per step and feed
+    the auxiliary loss and the telemetry row.  UDA adds the target batch's
+    auxiliary term; its encoder gradients accumulate into the same gradient
+    vector as the source terms'."""
     config.validate()
     domains = resolve_domains(config)
     source, target_train, target_test = _split(config, domains)
 
     model_seed, source_seed, target_seed = \
         np.random.SeedSequence(config.seed).spawn(3)
-    model = init_model(_model_config(config, domains,
-                                     _num_classes(config, domains)),
+    num_classes = _num_classes(config, domains)
+    if source.labels.min() < 0 or source.labels.max() >= num_classes:
+        raise ConfigurationError(
+            f"training labels outside [0, {num_classes})")
+    model = init_model(_model_config(config, domains, num_classes),
                        model_seed)
-    hna_r = _resolve_hna_target(config, model, source) \
-        if config.aux_loss == "hna" else None
+    aux = _AUX_FUNCTIONS.get(config.aux_loss)
+    aux_args = ()
+    if config.aux_loss == "hna":
+        aux_args = (_resolve_hna_target(config, model, source),)
     telemetry = NormTelemetry(config.aux_loss)
-    source_rng = np.random.default_rng(source_seed)
-    target_rng = np.random.default_rng(target_seed)
     grad, grads = model.gradient()
     velocity = np.zeros_like(model.flat)
     snapshots = deque(maxlen=config.checkpoint_average)
     lam = config.lambda_weight
-    has_aux = config.aux_loss not in ("none", "batchnorm-only")
-    use_aux = lam != 0.0 and has_aux
-    adapt = target_train is not None and has_aux
+    use_aux = lam != 0.0 and aux is not None
+    adapt = target_train is not None and aux is not None
+    source_indices = _index_blocks(np.random.default_rng(source_seed),
+                                   source.n, config)
+    if adapt:
+        target_indices = _index_blocks(np.random.default_rng(target_seed),
+                                       target_train.n, config)
 
     # divergence shows up as inf/nan and is caught by the explicit finiteness
     # checks in the loop; numpy's own overflow warnings would only duplicate
     # that, so they are silenced for the loop's duration
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(config.iterations):
-            idx = source_rng.integers(0, source.n, size=config.batch_size)
-            fused, feat_v, feat_a, cache = model_forward(
+        for it, idx in zip(range(config.iterations), source_indices):
+            fused, _, _, cache = model_forward(
                 model, source.visual[idx], source.audio[idx], training=True,
                 update_running=True)
-            ce, grad_logits = softmax_cross_entropy(fused, source.labels[idx])
-            aux_value, grad_v, grad_a = _aux_terms(config, hna_r, feat_v,
-                                                   feat_a)
+            norms = row_norms(cache.features)
+            ce, grad_logits = cross_entropy(fused, source.labels[idx])
+            aux_value, aux_grad = 0.0, None
+            if aux is not None:
+                aux_value, aux_grad = aux(cache.features, norms, *aux_args)
             if adapt:
-                idx = target_rng.integers(0, target_train.n,
-                                          size=config.batch_size)
-                tgt_v, cache_tv = encode(model, "visual",
-                                         target_train.visual[idx])
-                tgt_a, cache_ta = encode(model, "audio",
-                                         target_train.audio[idx])
-                tgt_value, tgt_gv, tgt_ga = _aux_terms(config, hna_r, tgt_v,
-                                                       tgt_a)
-                aux_value += tgt_value
-            record = _record_for(it, feat_v, feat_a, ce, aux_value)
+                idx = next(target_indices)
+                target, target_cache = encode_pair(
+                    model, target_train.visual[idx], target_train.audio[idx])
+                target_value, target_grad = aux(target, row_norms(target),
+                                                *aux_args)
+                aux_value += target_value
+            record = _record_for(it, norms, ce, aux_value)
             _check_finite(record, telemetry)
             model_backward(cache, grad_logits,
-                           lam * grad_v if use_aux else None,
-                           lam * grad_a if use_aux else None)
+                           lam * aux_grad if use_aux else None)
             if adapt and use_aux:
-                encode_backward(cache_tv, lam * tgt_gv, grads)
-                encode_backward(cache_ta, lam * tgt_ga, grads)
+                encode_pair_backward(target_cache, lam * target_grad)
             try:
                 sgd_step(model.flat, grad, velocity, config.learning_rate,
                          config.momentum, config.weight_decay)
@@ -437,9 +471,8 @@ def evaluate(model, batch, mode="fused"):
     if mode == "fused":
         pred = predict(model, batch)
     else:
-        feat_v, _ = encode(model, "visual", batch.visual)
-        feat_a, _ = encode(model, "audio", batch.audio)
-        logits = modality_logits(model, mode, feat_v, feat_a)
+        features, _ = encode_pair(model, batch.visual, batch.audio)
+        logits = modality_logits(model, mode, *features)
         pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == batch.labels))
 
@@ -527,9 +560,7 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     continues.
     """
     base_config.validate()
-    num_domains = (base_config.benchmark.num_domains
-                   if base_config.data_dir is None
-                   else len(resolve_domains(base_config)))
+    num_domains = count_domains(base_config)
     if pairs is None:
         pairs = default_pairs(base_config.setting, num_domains)
     cells = []
@@ -584,23 +615,21 @@ def write_results_csv(path, results):
 def read_results_csv(path):
     """Parse a results table back into (pair_labels, {method: row}) where a
     row is the list of per-pair means plus the final overall mean."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: line 1: empty results file")
-        if len(header) < 3 or header[0] != "method" or header[-1] != "mean":
+    rows_in = _csv_rows(path)
+    header = next(rows_in, None)
+    if header is None:
+        raise ParseError(f"{path}: line 1: empty results file")
+    if len(header) < 3 or header[0] != "method" or header[-1] != "mean":
+        raise ParseError(
+            f"{path}: line 1: expected 'method,<pairs...>,mean' header")
+    labels = header[1:-1]
+    rows = {}
+    for lineno, row in enumerate(rows_in, start=2):
+        if len(row) != len(header):
             raise ParseError(
-                f"{path}: line 1: expected 'method,<pairs...>,mean' header")
-        labels = header[1:-1]
-        rows = {}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {len(header)} fields")
-            try:
-                rows[row[0]] = [float(x) for x in row[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+                f"{path}: line {lineno}: expected {len(header)} fields")
+        try:
+            rows[row[0]] = [float(x) for x in row[1:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     return labels, rows

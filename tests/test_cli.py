@@ -484,3 +484,75 @@ def test_atomic_write_removes_temp_file_when_writer_fails(tmp_path):
     with pytest.raises(OSError, match="disk full"):
         _atomic(target, failing_writer)
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# data directories and malformed input
+
+
+def eleven_domain_data(tmp_path, capsys):
+    """A generated data dir with domains D1..D11 (string order would put
+    D10 and D11 before D2)."""
+    spec = write_config(tmp_path, BENCHMARK_INI.replace(
+        "num_domains = 3", "num_domains = 11").replace(
+        "samples_per_class = 8", "samples_per_class = 4"), name="spec.ini")
+    data_dir = tmp_path / "data11"
+    assert run_cli(capsys, ["generate", "--config", spec,
+                            "--out", str(data_dir), "--quiet"])[0] == 0
+    return data_dir
+
+
+def test_matrix_pairs_are_checked_against_the_data_dir(tmp_path, capsys):
+    data_dir = eleven_domain_data(tmp_path, capsys)
+    config = write_config(
+        tmp_path,
+        MATRIX_INI.replace("pairs = D1->D2, D2->D1", "pairs = D11->D1")
+        .replace("seeds = 0, 1", "seeds = 0")
+        .replace("iterations = 40", f"iterations = 5\ndata_dir = {data_dir}"))
+    out_dir = tmp_path / "grid"
+    code, _, err = run_cli(capsys, ["matrix", "--config", config,
+                                    "--out", str(out_dir), "--quiet"])
+    assert code == 0, err
+    header = (out_dir / "results.csv").read_text(
+        encoding="ascii").splitlines()[0]
+    assert header == "method,D11->D1,mean"
+    bad = write_config(tmp_path, config_text(config).replace(
+        "D11->D1", "D12->D1"), name="bad.ini")
+    code, _, err = run_cli(capsys, ["matrix", "--config", bad,
+                                    "--out", str(tmp_path / "bad")])
+    assert code == 2 and "D12" in err
+
+
+def config_text(path):
+    with open(path, encoding="ascii") as fh:
+        return fh.read()
+
+
+def test_train_on_non_ascii_feature_file_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, TRAIN_INI)
+    data_dir = tmp_path / "data"
+    assert run_cli(capsys, ["generate", "--config", config,
+                            "--out", str(data_dir), "--quiet"])[0] == 0
+    target = data_dir / "D2_train.rnafeat"
+    blob = bytearray(target.read_bytes())
+    at = blob.index(b"\n") + 3
+    blob[at] = 0xFF
+    target.write_bytes(bytes(blob))
+    file_config = write_config(
+        tmp_path, TRAIN_INI + f"data_dir = {data_dir}\n", name="files.ini")
+    code, _, err = run_cli(capsys, ["train", "--config", file_config,
+                                    "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"byte {at}" in err and "D2_train.rnafeat" in err
+
+
+def test_non_ascii_telemetry_and_config_exit_2(tmp_path, capsys):
+    telemetry = tmp_path / "telemetry.csv"
+    telemetry.write_bytes(TELEMETRY_HEADER.encode() + b"\n0,1.0,\xe9\n")
+    code, _, err = run_cli(capsys, ["norms", str(telemetry)])
+    assert code == 2 and "byte" in err
+    config = tmp_path / "latin.ini"
+    config.write_bytes(TRAIN_INI.encode("ascii") + b"; caf\xe9\n")
+    code, _, err = run_cli(capsys, ["train", "--config", str(config),
+                                    "--out", str(tmp_path / "run")])
+    assert code == 2 and f"byte {len(TRAIN_INI) + 5}" in err

@@ -3,6 +3,8 @@ format."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rnalign.data import (
     BenchmarkSpec,
@@ -318,3 +320,72 @@ def test_feature_file_error_reports_line_number(tmp_path):
     path.write_text("RNAFEAT v1 2 1 1 0\n0.0 0.0\nnot-a-number 1.0\n")
     with pytest.raises(ParseError, match="line 3"):
         load_feature_file(str(path))
+
+
+def test_feature_file_rejects_non_ascii_byte_naming_its_offset(tmp_path):
+    path = tmp_path / "latin.rnafeat"
+    path.write_bytes(b"RNAFEAT v1 1 1 1 0\n0.0 \xff.0\n")
+    with pytest.raises(ParseError, match="byte 23"):
+        load_feature_file(str(path))
+
+
+def test_feature_file_rejects_label_too_large_for_int64(tmp_path):
+    path = tmp_path / "huge.rnafeat"
+    path.write_text("RNAFEAT v1 1 1 1 1\n0.0 0.0 99999999999999999999\n")
+    with pytest.raises(ParseError, match="line 2"):
+        load_feature_file(str(path))
+
+
+# a valid labeled file: 3 rows of 2 visual + 2 audio floats and a label
+VALID_FEATURE_BYTES = (
+    b"RNAFEAT v1 3 2 2 1\n"
+    b"0.5 -1.25 3.0 1e-07 0\n"
+    b"-0.0 2.5 0.125 -7.75 1\n"
+    b"1.0 1.0 -2.0 4.5 0\n")
+
+
+def test_fuzz_seed_file_is_valid(tmp_path):
+    path = tmp_path / "seed.rnafeat"
+    path.write_bytes(VALID_FEATURE_BYTES)
+    batch = load_feature_file(str(path))
+    assert batch.n == 3 and batch.labeled
+    assert np.array_equal(batch.labels, [0, 1, 0])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+              st.integers(min_value=0,
+                          max_value=len(VALID_FEATURE_BYTES) - 1),
+              st.binary(min_size=1, max_size=3)),
+    min_size=1, max_size=4))
+def test_feature_file_corruption_is_a_batch_or_a_parse_error(tmp_path,
+                                                             edits):
+    blob = bytearray(VALID_FEATURE_BYTES)
+    for kind, at, chunk in edits:
+        at = min(at, len(blob))
+        if kind == "replace":
+            blob[at:at + len(chunk)] = chunk
+        elif kind == "insert":
+            blob[at:at] = chunk
+        else:
+            del blob[at:at + len(chunk)]
+    path = tmp_path / "fuzz.rnafeat"
+    path.write_bytes(bytes(blob))
+    try:
+        batch = load_feature_file(str(path))
+    except ParseError:
+        return
+    assert isinstance(batch, MultiModalBatch)
+    assert np.all(np.isfinite(batch.visual)) and np.all(np.isfinite(batch.audio))
+
+
+def test_feature_file_accepts_any_line_ending(tmp_path):
+    loaded = []
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.rnafeat"
+        path.write_bytes(VALID_FEATURE_BYTES.replace(b"\n",
+                                                     newline.encode()))
+        loaded.append(load_feature_file(str(path)))
+    assert all(batches_equal(batch, loaded[0]) for batch in loaded[1:])

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from rnalign.errors import ConfigurationError, ParseError
-from rnalign.losses import AUDIO, VISUAL, FeatureBatch
+from rnalign.losses import AUDIO, VISUAL
 from rnalign.model import (
     BatchNormState,
     ModelConfig,
     batchnorm_forward,
-    classify,
-    encode,
-    encode_backward,
+    encode_pair,
+    encode_pair_backward,
     fuse_late,
     fuse_mid,
     fused_eval_logits,
@@ -40,7 +39,8 @@ def tiny_config(**overrides):
 
 
 def make_identity_encoder_model(dim=3):
-    """All-equal dims with identity weights: encode(x) == x for positive x."""
+    """All-equal dims with identity weights: both encoders map positive x
+    to x."""
     cfg = ModelConfig(input_dim_visual=dim, input_dim_audio=dim,
                       hidden_dim=dim, feature_dim=dim, num_classes=2)
     model = init_model(cfg, seed=0)
@@ -107,9 +107,10 @@ def test_init_rejects_bad_dimensions():
 def test_encode_identity_stack_passes_positive_inputs_through():
     model = make_identity_encoder_model(dim=3)
     x = np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 4.0]])
-    feats, _ = encode(model, VISUAL, x)
-    assert isinstance(feats, FeatureBatch)
-    assert np.array_equal(feats.features, x)
+    feats, _ = encode_pair(model, x, 2.0 * x)
+    assert feats.shape == (2, 2, 3)
+    assert np.array_equal(feats[0], x)
+    assert np.array_equal(feats[1], 2.0 * x)
 
 
 def test_encode_zero_weights_give_zero_features():
@@ -117,30 +118,36 @@ def test_encode_zero_weights_give_zero_features():
     for layer in model.encoder_audio:
         layer.weight[...] = 0.0
         layer.bias[...] = 0.0
-    feats, _ = encode(model, AUDIO, np.ones((3, 4)))
-    assert np.array_equal(feats.features, np.zeros((3, 5)))
+    feats, _ = encode_pair(model, np.ones((3, 3)), np.ones((3, 4)))
+    assert np.array_equal(feats[1], np.zeros((3, 5)))
+    assert np.any(feats[0] != 0.0)
 
 
 def test_encode_rejects_wrong_input_dim():
     model = init_model(tiny_config(), seed=0)
     with pytest.raises(ConfigurationError):
-        encode(model, VISUAL, np.zeros((2, 9)))
+        encode_pair(model, np.zeros((2, 9)), np.zeros((2, 4)))
+    with pytest.raises(ConfigurationError):
+        encode_pair(model, np.zeros((2, 3)), np.zeros((3, 4)))
 
 
 def test_encode_backward_matches_finite_differences():
     rng = np.random.default_rng(13)
     model = init_model(tiny_config(), seed=5)
-    x = rng.normal(size=(3, 3))
-    proj = rng.normal(size=(3, 5))
-    feats, cache = encode(model, VISUAL, x)
-    grads, grad_in = encode_backward(cache, proj)
+    x_v, x_a = rng.normal(size=(3, 3)), rng.normal(size=(3, 4))
+    proj = rng.normal(size=(2, 3, 5))
+    _, cache = encode_pair(model, x_v, x_a)
+    _, grads = model.gradient()
+    encode_pair_backward(cache, proj, add=False)
     params = model.parameters()
 
     def run():
-        out, _ = encode(model, VISUAL, x)
-        return float(np.sum(proj * out.features))
+        out, _ = encode_pair(model, x_v, x_a)
+        return float(np.sum(proj * out))
 
-    for name in grads:
+    encoder_names = [name for name in params if name.startswith("encoder_")]
+    assert len(encoder_names) == 8
+    for name in encoder_names:
         p = params[name]
 
         def f(t, p=p):
@@ -153,9 +160,18 @@ def test_encode_backward_matches_finite_differences():
         fd = finite_difference_grad(f, p.copy())
         assert relative_error(grads[name], fd) < 1e-5, name
 
-    fd_x = finite_difference_grad(
-        lambda t: float(np.sum(proj * encode(model, VISUAL, t)[0].features)), x)
-    assert relative_error(grad_in, fd_x) < 1e-5
+
+def test_encode_backward_add_accumulates_into_the_gradient():
+    rng = np.random.default_rng(14)
+    model = init_model(tiny_config(), seed=5)
+    _, cache = encode_pair(model, rng.normal(size=(4, 3)),
+                           rng.normal(size=(4, 4)))
+    proj = rng.normal(size=(2, 4, 5))
+    vector, _ = model.gradient()
+    encode_pair_backward(cache, proj, add=False)
+    once = vector.copy()
+    encode_pair_backward(cache, proj)
+    assert np.array_equal(vector, once + once)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +182,7 @@ def test_classify_zero_weights_give_uniform_softmax():
     model = init_model(tiny_config(), seed=0)
     model.classifier_visual.weight[...] = 0.0
     model.classifier_visual.bias[...] = 0.0
-    logits, _ = classify(model, VISUAL, np.ones((4, 5)))
+    logits = modality_logits(model, VISUAL, np.ones((4, 5)), np.ones((4, 5)))
     assert np.array_equal(logits, np.zeros((4, 3)))
 
 
@@ -176,7 +192,7 @@ def test_classify_identity_reproduces_one_hot_features():
     model.classifier_visual.weight[...] = np.eye(3)
     model.classifier_visual.bias[...] = 0.0
     feats = np.eye(3)
-    logits, _ = classify(model, VISUAL, feats)
+    logits = modality_logits(model, VISUAL, feats, np.zeros((3, 3)))
     assert np.array_equal(logits, feats)
 
 
@@ -318,9 +334,8 @@ def test_zeroed_audio_classifier_makes_fusion_visual_only():
     v = rng.normal(size=(10, 3))
     a = rng.normal(size=(10, 4))
     fused = fused_eval_logits(model, v, a)
-    feat_v, _ = encode(model, VISUAL, v)
-    feat_a, _ = encode(model, AUDIO, a)
-    visual_only = modality_logits(model, VISUAL, feat_v, feat_a)
+    feats, _ = encode_pair(model, v, a)
+    visual_only = modality_logits(model, VISUAL, feats[0], feats[1])
     assert np.allclose(fused, visual_only)
     assert np.array_equal(np.argmax(fused, axis=1),
                           np.argmax(visual_only, axis=1))
@@ -489,3 +504,54 @@ def test_model_backward_overwrites_every_gradient_entry():
                     assert np.array_equal(grads[head + ".weight"],
                                           np.zeros((3, 5)))
                     assert np.array_equal(grads[head + ".bias"], np.zeros(3))
+
+
+def test_pair_views_alias_flat_and_gradient_in_checkpoint_order():
+    model = init_model(tiny_config(fusion_mode="mid", batchnorm=True), seed=7)
+    _, grads = model.gradient()
+    for stacked, named in ((model.pairs, model.parameters()),
+                           (model.gradient_pairs(), grads)):
+        assert list(stacked) == ["encoder.0.bias", "encoder.1.weight",
+                                 "encoder.1.bias", "classifier.weight",
+                                 "classifier.bias", "batchnorm.gamma",
+                                 "batchnorm.beta"]
+        for family, pair in stacked.items():
+            head, _, field = family.partition(".")
+            visual = named[f"{head}_{VISUAL}.{field}"]
+            audio = named[f"{head}_{AUDIO}.{field}"]
+            assert pair.shape == (2,) + visual.shape, family
+            # views, not copies: a write through the pair lands in the
+            # named arrays, visual row first
+            pair[0] = 1.5
+            pair[1] = -2.5
+            assert np.all(visual == 1.5) and np.all(audio == -2.5), family
+    params = model.parameters()
+    assert np.array_equal(
+        np.concatenate([p.ravel() for p in params.values()]), model.flat)
+    vector, grads = model.gradient()
+    assert np.array_equal(
+        np.concatenate([g.ravel() for g in grads.values()]), vector)
+    # the stacked batchnorm state and the per-modality states share arrays
+    model.batchnorm_pair.running_mean[1] = 4.0
+    assert np.all(model.batchnorm_audio.running_mean == 4.0)
+    assert np.all(model.batchnorm_visual.running_mean == 0.0)
+
+
+def test_stacked_batchnorm_matches_per_stream_batchnorm():
+    rng = np.random.default_rng(15)
+    pair = BatchNormState((2, 4))
+    pair.gamma[...] = rng.normal(size=(2, 4))
+    pair.beta[...] = rng.normal(size=(2, 4))
+    singles = []
+    for s in (0, 1):
+        state = BatchNormState(4)
+        state.gamma[...] = pair.gamma[s]
+        state.beta[...] = pair.beta[s]
+        singles.append(state)
+    x = rng.normal(size=(2, 6, 4))
+    y, _ = batchnorm_forward(pair, x, training=True, update_running=True)
+    for s, state in enumerate(singles):
+        y_s, _ = batchnorm_forward(state, x[s], training=True,
+                                   update_running=True)
+        assert y_s.tobytes() == y[s].tobytes()
+        assert state.running_var.tobytes() == pair.running_var[s].tobytes()

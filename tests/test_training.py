@@ -6,8 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rnalign.data import BenchmarkSpec, MultiModalBatch, generate_benchmark
-from rnalign.errors import ConfigurationError, NumericalError
+from rnalign.data import (BenchmarkSpec, MultiModalBatch, generate_benchmark,
+                          save_feature_file)
+from rnalign.errors import ConfigurationError, NumericalError, ParseError
 from rnalign.model import ModelConfig, init_model
 from rnalign.training import (
     TELEMETRY_HEADER,
@@ -15,11 +16,13 @@ from rnalign.training import (
     IterationRecord,
     NormTelemetry,
     average_checkpoint_scores,
+    count_domains,
     default_pairs,
     evaluate,
     headline_accuracy,
     pair_label,
     read_results_csv,
+    resolve_domains,
     run_experiment,
     run_experiment_matrix,
     train_dg,
@@ -387,3 +390,35 @@ def test_results_csv_round_trip(tmp_path):
         got = rows[method]
         assert np.allclose(got[:-1], matrix.means)
         assert abs(got[-1] - matrix.mean) < 1e-15
+
+
+def test_data_dir_domains_are_ordered_by_number(tmp_path):
+    spec = small_benchmark(num_domains=11, samples_per_class=4)
+    for domain in generate_benchmark(spec):
+        for split in ("train", "test"):
+            save_feature_file(getattr(domain, split),
+                              tmp_path / f"{domain.domain_id}_{split}.rnafeat")
+    config = short_config(benchmark=spec, data_dir=str(tmp_path),
+                          source_index=0, target_index=10, iterations=3)
+    domains = resolve_domains(config)
+    assert [d.domain_id for d in domains] == [f"D{i}" for i in range(1, 12)]
+    assert count_domains(config) == 11
+    # source 0 is D1, so a run from the files equals the in-memory run
+    from_files, _ = run_experiment(config)
+    in_memory, _ = run_experiment(dataclasses.replace(config, data_dir=None))
+    assert models_equal(from_files, in_memory)
+
+
+def test_telemetry_and_results_readers_report_bad_bytes_and_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    head = TELEMETRY_HEADER.encode() + b"\n0,1.0,1.0,0.0,1.0,"
+    path.write_bytes(head + b"\xff,0\n")
+    with pytest.raises(ParseError, match=f"byte {len(head)}"):
+        NormTelemetry.from_csv(path)
+    path.write_text(TELEMETRY_HEADER + "\n1,1,1,0,1,0,0\n0,1,1,0,1,0,0\n")
+    with pytest.raises(ParseError, match="line 3"):
+        NormTelemetry.from_csv(path)
+    head = b"method,D1->D2,mean\nrna,0.5,"
+    path.write_bytes(head + b"\x80\n")
+    with pytest.raises(ParseError, match=f"byte {len(head)}"):
+        read_results_csv(path)
