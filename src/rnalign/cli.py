@@ -28,7 +28,7 @@ from .errors import (ConfigurationError, DegenerateInputError, NumericalError,
                      ParseError)
 from .losses import norm_stats, top_k_norm_share
 from .model import save_checkpoint
-from .training import (NormTelemetry, count_domains, headline_accuracy,
+from .training import (NormTelemetry, domain_ids, headline_accuracy,
                        run_experiment, run_experiment_matrix,
                        write_results_csv)
 
@@ -140,7 +140,7 @@ def cmd_matrix(args):
     parser = load_config_file(args.config)
     base = parse_experiment_config(parser, args.config)
     methods, seeds, pairs = parse_matrix_options(
-        parser, base.setting, count_domains(base), args.config)
+        parser, base.setting, domain_ids(base), args.config)
     if args.seed is not None:
         seeds = [args.seed]
     out_dir = _ensure_outdir(args.out)

@@ -150,17 +150,15 @@ def parse_experiment_config(parser, path="<config>"):
     return config
 
 
-def _parse_pair(token, setting, num_domains, path):
-    """One pair token: "D1->D2" for single-source settings, "D3" (the target)
-    for dg-multi."""
+def _parse_pair(token, setting, ids, path):
+    """One pair token of domain ids: "D1->D2" for single-source settings,
+    "D3" (the target) for dg-multi."""
     def domain_index(name):
         name = name.strip()
-        if not (name.startswith("D") and name[1:].isdigit()):
-            raise ParseError(f"{path}: bad domain name {name!r} in pairs")
-        idx = int(name[1:]) - 1
-        if not 0 <= idx < num_domains:
-            raise ParseError(f"{path}: domain {name} out of range in pairs")
-        return idx
+        if name not in ids:
+            raise ParseError(f"{path}: unknown domain {name!r} in pairs "
+                             f"(domains: {', '.join(ids)})")
+        return ids.index(name)
 
     if setting == "dg-multi":
         return (domain_index(token),)
@@ -171,8 +169,9 @@ def _parse_pair(token, setting, num_domains, path):
     return (domain_index(left), domain_index(right))
 
 
-def parse_matrix_options(parser, setting, num_domains, path="<config>"):
-    """(methods, seeds, pairs-or-None) from [matrix].
+def parse_matrix_options(parser, setting, ids, path="<config>"):
+    """(methods, seeds, pairs-or-None) from [matrix]; ``ids`` are the
+    domain ids the pair tokens name.
 
     Defaults: methods = source-only and rna; seeds = 0,1,2; pairs = the full
     grid for the setting (signalled by None).
@@ -201,7 +200,7 @@ def parse_matrix_options(parser, setting, num_domains, path="<config>"):
             if not seeds:
                 raise ParseError(f"{path}: [matrix] seeds is empty")
         if "pairs" in section:
-            pairs = [_parse_pair(tok.strip(), setting, num_domains, path)
+            pairs = [_parse_pair(tok.strip(), setting, ids, path)
                      for tok in section["pairs"].split(",") if tok.strip()]
             if not pairs:
                 raise ParseError(f"{path}: [matrix] pairs is empty")

@@ -182,12 +182,17 @@ def _class_counts(rng, spec):
     return counts
 
 
+def generated_domain_ids(num_domains):
+    """The ids of the generated domains: "D1".."Dk"."""
+    return [f"D{d + 1}" for d in range(num_domains)]
+
+
 def generate_benchmark(spec):
     """Generate every domain of the benchmark.
 
-    Returns a list of ``spec.num_domains`` DomainData objects with ids
-    "D1".."Dk".  Identical spec (including seed) always yields bitwise
-    identical data.
+    Returns a list of ``spec.num_domains`` DomainData objects with the ids
+    of ``generated_domain_ids``.  Identical spec (including seed) always
+    yields bitwise identical data.
     """
     root = np.random.SeedSequence(spec.seed)
     proto_seed, *domain_seeds = root.spawn(1 + spec.num_domains)
@@ -202,7 +207,7 @@ def generate_benchmark(spec):
     proto_a = prototypes(spec.input_dim_audio)
 
     domains = []
-    for d in range(spec.num_domains):
+    for d, domain_id in enumerate(generated_domain_ids(spec.num_domains)):
         rng = np.random.default_rng(domain_seeds[d])
         rot_v = _random_rotation(rng, spec.input_dim_visual,
                                  spec.transform_strength)
@@ -238,9 +243,9 @@ def generate_benchmark(spec):
             y = np.concatenate([p[2] for p in parts])
             order = rng.permutation(len(y))
             return MultiModalBatch(xv[order], xa[order], y[order],
-                                   domain_id=f"D{d + 1}")
+                                   domain_id=domain_id)
 
-        domains.append(DomainData(f"D{d + 1}", assemble(train_parts),
+        domains.append(DomainData(domain_id, assemble(train_parts),
                                   assemble(test_parts)))
     return domains
 

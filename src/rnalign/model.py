@@ -6,13 +6,13 @@ either late (summing the per-modality logits) or mid (one classifier over the
 concatenated feature vectors).  An optional per-modality batch-normalization
 stage can be inserted before the classifiers as a baseline regularizer.
 
-Every trainable array lives in one float64 vector, ``model.flat``; the arrays
-``model.parameters()`` yields, and the layers' ``weight``/``bias``/``gamma``/
-``beta`` attributes, are named views into it, laid out in checkpoint order.
-Because the layout places each visual array at a constant distance from its
-audio twin, ``model.pairs`` also views every such family as one (2, ...)
-array (visual first), and ``model.gradient_pairs()`` does the same over the
-gradient vector.  The forward and backward passes run on those: both streams
+Every trainable array lives in one float64 vector, ``model.flat``, and the
+model has no other parameter representation: ``model.parameters()`` yields
+named views into it, laid out in checkpoint order.  Because the layout places
+each visual array at a constant distance from its audio twin, ``model.pairs``
+also views every such family as one (2, ...) array (visual first);
+``model.gradient()`` returns the gradient vector with the same two kinds of
+view.  The forward and backward passes run on the pair views: both streams
 travel as one (2, N, .) array from the encoders to the heads, so every layer
 after the first is one call for both streams.  Layer 0 stays one matmul per
 stream, since the two input widths may differ.  The forward functions return
@@ -29,14 +29,15 @@ Checkpoint format (little-endian throughout):
                      running variance of each modality (visual then audio).
 """
 
+import math
 import struct
 from collections import namedtuple
 
 import numpy as np
 
 from .errors import ConfigurationError, ParseError
-from .losses import AUDIO, VISUAL, FeatureBatch
-from .numerics import LinearLayerParams, softmax
+from .losses import AUDIO, VISUAL
+from .numerics import softmax
 
 CHECKPOINT_MAGIC = b"RNA1"
 
@@ -156,7 +157,7 @@ def _views(vector, layout):
     views = {}
     offset = 0
     for name, shape in layout:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         views[name] = vector[offset:offset + size].reshape(shape)
         offset += size
     return views
@@ -192,18 +193,16 @@ class TwoStreamModel:
     ``init_model`` or ``load_checkpoint``.
 
     ``flat`` holds every trainable array in checkpoint order (zeros, except
-    batchnorm scales of one, unless a vector is passed).  The layer objects
-    (``encoder_visual``, ``classifier_mid``, ``batchnorm_audio`` ...) and the
-    stacked ``pairs`` hold views into it, so writing a layer's arrays in
-    place writes ``flat``; rebinding an attribute to a new array detaches
-    it.  With batchnorm on, ``batchnorm_pair`` is the stacked state the
-    passes use, and the per-modality states view its rows.
+    batchnorm scales of one, unless a vector is passed).  ``parameters()``
+    and ``pairs`` are views into it, so writing them in place writes
+    ``flat``.  With batchnorm on, ``batchnorm_pair`` is the stacked (2, d)
+    state, visual row first; its ``gamma``/``beta`` are the pair views.
     """
 
     def __init__(self, config, flat=None):
         self.config = config
         self._layout = _layout(config)
-        size = sum(int(np.prod(shape)) for _, shape in self._layout)
+        size = sum(math.prod(shape) for _, shape in self._layout)
         fresh = flat is None
         if fresh:
             flat = np.zeros(size, dtype=np.float64)
@@ -214,33 +213,14 @@ class TwoStreamModel:
         self._params = _views(flat, self._layout)
         self.pairs = _pair_views(self._params)
         self._gradient = None
-        p = self._params
-
-        def layer(name):
-            return LinearLayerParams(p[name + ".weight"], p[name + ".bias"])
-
-        self.encoder_visual = [layer(f"encoder_{VISUAL}.{i}") for i in (0, 1)]
-        self.encoder_audio = [layer(f"encoder_{AUDIO}.{i}") for i in (0, 1)]
-        self.classifier_visual = layer("classifier_visual")
-        self.classifier_audio = layer("classifier_audio")
-        self.classifier_mid = (layer("classifier_mid")
-                               if config.fusion_mode == MID else None)
         self.batchnorm_pair = None
-        self.batchnorm_visual = self.batchnorm_audio = None
         if config.batchnorm:
-            pair = BatchNormState((2, config.feature_dim))
-            pair.gamma = self.pairs["batchnorm.gamma"]
-            pair.beta = self.pairs["batchnorm.beta"]
+            state = BatchNormState((2, config.feature_dim))
+            state.gamma = self.pairs["batchnorm.gamma"]
+            state.beta = self.pairs["batchnorm.beta"]
             if fresh:
-                pair.gamma[...] = 1.0
-            states = []
-            for s in (0, 1):
-                state = BatchNormState(config.feature_dim)
-                for name in ("running_mean", "running_var", "gamma", "beta"):
-                    setattr(state, name, getattr(pair, name)[s])
-                states.append(state)
-            self.batchnorm_pair = pair
-            self.batchnorm_visual, self.batchnorm_audio = states
+                state.gamma[...] = 1.0
+            self.batchnorm_pair = state
 
     def parameters(self):
         """Trainable arrays keyed by name, in declaration (checkpoint) order.
@@ -248,23 +228,16 @@ class TwoStreamModel:
         effect."""
         return dict(self._params)
 
-    def _gradient_buffer(self):
+    def gradient(self):
+        """(vector, name->view mapping, pair views) of the gradient buffer
+        congruent with ``flat``; the views are keyed like ``parameters()``
+        and ``pairs``.  Allocated on first use and reused: every
+        ``model_backward`` overwrites it."""
         if self._gradient is None:
             vector = np.zeros_like(self.flat)
             views = _views(vector, self._layout)
             self._gradient = (vector, views, _pair_views(views))
         return self._gradient
-
-    def gradient(self):
-        """(vector, name->view mapping) of the gradient buffer congruent with
-        ``flat``.  Allocated on first use and reused: every ``model_backward``
-        overwrites it."""
-        return self._gradient_buffer()[:2]
-
-    def gradient_pairs(self):
-        """The stacked (2, ...) views of the gradient buffer, keyed like
-        ``pairs``."""
-        return self._gradient_buffer()[2]
 
     def clone(self):
         """Deep copy: parameters, batchnorm running statistics, config shared."""
@@ -319,11 +292,12 @@ def encode_pair(model, visual_inputs, audio_inputs):
     """
     inputs = (np.asarray(visual_inputs, dtype=np.float64),
               np.asarray(audio_inputs, dtype=np.float64))
-    layers = (model.encoder_visual[0], model.encoder_audio[0])
-    for modality, x, layer in zip((VISUAL, AUDIO), inputs, layers):
-        if x.ndim != 2 or x.shape[1] != layer.in_dim:
+    weights = (model._params["encoder_visual.0.weight"],
+               model._params["encoder_audio.0.weight"])
+    for modality, x, weight in zip((VISUAL, AUDIO), inputs, weights):
+        if x.ndim != 2 or x.shape[1] != weight.shape[1]:
             raise ConfigurationError(
-                f"{modality} encoder expects (N, {layer.in_dim}) inputs, "
+                f"{modality} encoder expects (N, {weight.shape[1]}) inputs, "
                 f"got {x.shape}")
     n = inputs[0].shape[0]
     if inputs[1].shape[0] != n:
@@ -333,7 +307,7 @@ def encode_pair(model, visual_inputs, audio_inputs):
     p = model.pairs
     hidden = np.empty((2, n, model.config.hidden_dim))
     for s in (0, 1):
-        np.matmul(inputs[s], layers[s].weight.T, out=hidden[s])
+        np.matmul(inputs[s], weights[s].T, out=hidden[s])
     hidden += p["encoder.0.bias"][:, None]
     active = np.maximum(hidden, 0.0)
     features = active @ np.swapaxes(p["encoder.1.weight"], 1, 2)
@@ -346,7 +320,7 @@ def encode_pair_backward(cache, grad_features, add=True):
     gradient: adds their parameter gradients into the model's gradient
     vector (writes them over it unless ``add``)."""
     model, inputs, hidden, active = cache
-    _, grads, pairs = model._gradient_buffer()
+    _, grads, pairs = model.gradient()
     g = grad_features
     _linear_grads(pairs["encoder.1.weight"], pairs["encoder.1.bias"],
                   active, g, add)
@@ -384,8 +358,8 @@ def _stream_logits(model, h):
 def _mid_logits(model, h):
     """The fusion classifier over [h_v || h_a].  Returns (logits, concat)."""
     concat = np.concatenate(h, axis=1)
-    logits = concat @ model.classifier_mid.weight.T
-    logits += model.classifier_mid.bias
+    logits = concat @ model._params["classifier_mid.weight"].T
+    logits += model._params["classifier_mid.bias"]
     return logits, concat
 
 
@@ -397,36 +371,6 @@ def fuse_late(logits_visual, logits_audio):
         raise ConfigurationError(
             f"cannot fuse logits of shapes {lv.shape} and {la.shape}")
     return lv + la
-
-
-def _stack_features(model, feat_visual, feat_audio):
-    """Two (N, d) feature batches (arrays or FeatureBatch) as one validated
-    (2, N, d) stack."""
-    halves = [np.asarray(f.features if isinstance(f, FeatureBatch) else f,
-                         dtype=np.float64)
-              for f in (feat_visual, feat_audio)]
-    d = model.config.feature_dim
-    if halves[0].shape != halves[1].shape or halves[0].ndim != 2 \
-            or halves[0].shape[1] != d:
-        raise ConfigurationError(
-            f"expected two (N, {d}) feature arrays, got {halves[0].shape} "
-            f"and {halves[1].shape}")
-    return np.stack(halves)
-
-
-def fuse_mid(model, features_visual, features_audio, training=False,
-             update_running=False):
-    """Mid-level fusion: one classifier over [f_v || f_a].
-
-    When batchnorm is on, each half is normalized before concatenation.
-    Returns (logits, cache).
-    """
-    if model.config.fusion_mode != MID:
-        raise ConfigurationError("fuse_mid called on a late-fusion model")
-    features = _stack_features(model, features_visual, features_audio)
-    h, bn_cache = _normalize(model, features, training, update_running)
-    logits, concat = _mid_logits(model, h)
-    return logits, (bn_cache, concat)
 
 
 ForwardCache = namedtuple("ForwardCache", "encoder features bn head_input")
@@ -461,7 +405,7 @@ def model_backward(cache, grad_fused_logits, grad_features=None):
     fusion).
     """
     model = cache.encoder.model
-    _, grads, pairs = model._gradient_buffer()
+    _, grads, pairs = model.gradient()
     g_logits = grad_fused_logits
     if model.config.fusion_mode == LATE:
         # fused = logits_v + logits_a, so both heads see the same gradient
@@ -469,13 +413,13 @@ def model_backward(cache, grad_fused_logits, grad_features=None):
         pairs["classifier.bias"][...] = g_logits.sum(axis=0)
         g = g_logits @ model.pairs["classifier.weight"]
     else:
-        layer = model.classifier_mid
         _linear_grads(grads["classifier_mid.weight"],
                       grads["classifier_mid.bias"], cache.head_input,
                       g_logits)
         n, d = g_logits.shape[0], model.config.feature_dim
         # [g_v || g_a] per row, viewed as the (2, N, d) stack
-        g = (g_logits @ layer.weight).reshape(n, 2, d).transpose(1, 0, 2)
+        g = (g_logits @ model._params["classifier_mid.weight"]).reshape(
+            n, 2, d).transpose(1, 0, 2)
         # nothing reaches the per-modality heads under mid fusion
         pairs["classifier.weight"].fill(0.0)
         pairs["classifier.bias"].fill(0.0)
@@ -487,21 +431,28 @@ def model_backward(cache, grad_fused_logits, grad_features=None):
     return grads
 
 
-def modality_logits(model, modality, feat_visual, feat_audio):
-    """Evaluation-mode logits attributable to one modality alone.
+def modality_logits(model, modality, features):
+    """Evaluation-mode logits attributable to one modality alone, from the
+    (2, N, feature_dim) stack ``encode_pair`` returns (left unchanged).
 
     Late fusion: that modality's classifier output.  Mid fusion: the fusion
     classifier applied with the other modality's half of the concatenated
     vector zeroed out.
     """
     _check_modality(modality)
+    features = np.asarray(features, dtype=np.float64)
+    d = model.config.feature_dim
+    if features.ndim != 3 or features.shape[0] != 2 \
+            or features.shape[2] != d:
+        raise ConfigurationError(
+            f"expected a (2, N, {d}) feature stack, got {features.shape}")
     s = 0 if modality == VISUAL else 1
-    features = _stack_features(model, feat_visual, feat_audio)
     h, _ = _normalize(model, features, training=False, update_running=False)
     if model.config.fusion_mode == LATE:
         return _stream_logits(model, h)[s]
-    h[1 - s] = 0.0  # h is this call's own array
-    logits, _ = _mid_logits(model, h)
+    alone = np.zeros_like(h)
+    alone[s] = h[s]
+    logits, _ = _mid_logits(model, alone)
     return logits
 
 
@@ -536,59 +487,58 @@ def save_checkpoint(model, path):
     chunks = [CHECKPOINT_MAGIC, header,
               np.ascontiguousarray(model.flat, dtype="<f8").tobytes()]
     if c.batchnorm:
-        for state in (model.batchnorm_visual, model.batchnorm_audio):
-            chunks.append(np.ascontiguousarray(state.running_mean,
-                                               dtype="<f8").tobytes())
-            chunks.append(np.ascontiguousarray(state.running_var,
-                                               dtype="<f8").tobytes())
+        state = model.batchnorm_pair
+        # (stream, statistic, d): visual mean, visual var, audio mean, ...
+        stats = np.stack([state.running_mean, state.running_var], axis=1)
+        chunks.append(stats.astype("<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
 
+# name, least and greatest valid value of each u32 header field
+_HEADER_FIELDS = (("input_dim_visual", 1, None), ("input_dim_audio", 1, None),
+                  ("hidden_dim", 1, None), ("feature_dim", 1, None),
+                  ("num_classes", 2, None), ("fusion flag", 0, 1),
+                  ("batchnorm flag", 0, 1))
+
+
 def load_checkpoint(path):
     """Reconstruct a model from a checkpoint file written by
-    ``save_checkpoint``; raises ParseError on malformed or truncated files."""
+    ``save_checkpoint``; raises ParseError, naming the byte, on malformed or
+    truncated files.  The body's length is checked against the header's
+    dimensions before anything is allocated."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ParseError(
             f"{path}: bad magic at byte 0 (not a checkpoint file)")
-    header_size = struct.calcsize("<7I")
-    if len(blob) < 4 + header_size:
+    offset = 4 + struct.calcsize("<7I")
+    if len(blob) < offset:
         raise ParseError(f"{path}: truncated header at byte {len(blob)}")
     dims = struct.unpack_from("<7I", blob, 4)
+    for i, ((name, low, high), value) in enumerate(zip(_HEADER_FIELDS, dims)):
+        if value < low or (high is not None and value > high):
+            expected = f"{low} or {high}" if high is not None else f">= {low}"
+            raise ParseError(f"{path}: invalid {name} {value} at byte "
+                             f"{4 + 4 * i} (expected {expected})")
     in_v, in_a, hidden, feature, classes, fusion_flag, bn_flag = dims
-    # the two flags are the header's last two u32 fields
-    for name, flag, at in (("fusion", fusion_flag, 4 + 5 * 4),
-                           ("batchnorm", bn_flag, 4 + 6 * 4)):
-        if flag not in (0, 1):
-            raise ParseError(
-                f"{path}: invalid {name} flag {flag} at byte {at} "
-                f"(expected 0 or 1)")
-    try:
-        config = ModelConfig(in_v, in_a, hidden, feature, classes,
-                             MID if fusion_flag == 1 else LATE,
-                             batchnorm=bool(bn_flag))
-    except ConfigurationError as exc:
-        raise ParseError(f"{path}: invalid dimension header: {exc}") from exc
-    offset = 4 + header_size
-
-    def take(count):
-        nonlocal offset
-        nbytes = count * 8
-        if offset + nbytes > len(blob):
-            raise ParseError(f"{path}: truncated at byte {offset}")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += nbytes
-        return arr.astype(np.float64)
-
-    model = TwoStreamModel(config)
-    model.flat[...] = take(model.flat.size)
-    if config.batchnorm:
-        for state in (model.batchnorm_visual, model.batchnorm_audio):
-            state.running_mean[...] = take(config.feature_dim)
-            state.running_var[...] = take(config.feature_dim)
-    if offset != len(blob):
+    config = ModelConfig(in_v, in_a, hidden, feature, classes,
+                         MID if fusion_flag == 1 else LATE,
+                         batchnorm=bool(bn_flag))
+    # Python ints: the header allows sizes that overflow int64
+    size = sum(math.prod(shape) for _, shape in _layout(config))
+    count = size + (4 * feature if config.batchnorm else 0)
+    end = offset + 8 * count
+    if end > len(blob):
+        raise ParseError(f"{path}: truncated at byte {len(blob)} (the header "
+                         f"declares a {end}-byte file)")
+    if end < len(blob):
         raise ParseError(
-            f"{path}: {len(blob) - offset} trailing bytes at byte {offset}")
+            f"{path}: {len(blob) - end} trailing bytes at byte {end}")
+    body = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+    model = TwoStreamModel(config, body[:size].astype(np.float64))
+    if config.batchnorm:
+        stats = body[size:].reshape(2, 2, feature)
+        model.batchnorm_pair.running_mean[...] = stats[:, 0]
+        model.batchnorm_pair.running_var[...] = stats[:, 1]
     return model

@@ -34,8 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .data import (BenchmarkSpec, DomainData, generate_benchmark,
-                   load_feature_file, make_dg_split, make_uda_split,
-                   read_text)
+                   generated_domain_ids, load_feature_file, make_dg_split,
+                   make_uda_split, read_text)
 from .errors import ConfigurationError, NumericalError, ParseError
 from .losses import (cosine_alignment_stacked, hna_stacked, mean_norms,
                      orthogonality_stacked, rna_stacked, row_norms)
@@ -219,11 +219,12 @@ def _domain_files(data_dir):
     return files
 
 
-def count_domains(config):
-    """How many domains the run's data has (without loading files)."""
+def domain_ids(config):
+    """The ids of the run's domains, in domain-index order (without loading
+    files)."""
     if config.data_dir is None:
-        return config.benchmark.num_domains
-    return len(_domain_files(config.data_dir))
+        return generated_domain_ids(config.benchmark.num_domains)
+    return [domain_id for domain_id, _, _ in _domain_files(config.data_dir)]
 
 
 def resolve_domains(config):
@@ -244,10 +245,12 @@ def resolve_domains(config):
 
 
 def _num_classes(config, domains):
+    """The benchmark's class count, or one more than the largest label in
+    any train or test file of a ``data_dir``."""
     if config.data_dir is None:
         return config.benchmark.num_classes
-    top = max(int(d.train.labels.max()) for d in domains)
-    return top + 1
+    return 1 + max(int(batch.labels.max(initial=-1)) for d in domains
+                   for batch in (d.train, d.test))
 
 
 def _model_config(config, domains, num_classes):
@@ -394,7 +397,7 @@ def _train(config):
     if config.aux_loss == "hna":
         aux_args = (_resolve_hna_target(config, model, source),)
     telemetry = NormTelemetry(config.aux_loss)
-    grad, grads = model.gradient()
+    grad, grads, _ = model.gradient()
     velocity = np.zeros_like(model.flat)
     snapshots = deque(maxlen=config.checkpoint_average)
     lam = config.lambda_weight
@@ -472,7 +475,7 @@ def evaluate(model, batch, mode="fused"):
         pred = predict(model, batch)
     else:
         features, _ = encode_pair(model, batch.visual, batch.audio)
-        logits = modality_logits(model, mode, *features)
+        logits = modality_logits(model, mode, features)
         pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == batch.labels))
 
@@ -513,14 +516,18 @@ def default_pairs(setting, num_domains):
     raise ConfigurationError(f"unknown setting: {setting!r}")
 
 
-def pair_label(setting, pair, num_domains):
-    """Human-readable cell label: "D1->D2" or "D1,D2->D3"."""
+def pair_label(setting, pair, ids):
+    """Cell label from the domain ids: "D1->D2" or "D1,D2->D3"."""
+    pair = pair if isinstance(pair, tuple) else (pair,)
+    if not all(0 <= i < len(ids) for i in pair):
+        raise ConfigurationError(
+            f"domain pair {pair} out of range for {len(ids)} domains")
     if setting in ("dg-single", "uda"):
         s, t = pair
-        return f"D{s + 1}->D{t + 1}"
-    (t,) = pair if isinstance(pair, tuple) else (pair,)
-    sources = ",".join(f"D{i + 1}" for i in range(num_domains) if i != t)
-    return f"{sources}->D{t + 1}"
+        return f"{ids[s]}->{ids[t]}"
+    (t,) = pair
+    sources = ",".join(ids[k] for k in range(len(ids)) if k != t)
+    return f"{sources}->{ids[t]}"
 
 
 @dataclass
@@ -560,13 +567,13 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     continues.
     """
     base_config.validate()
-    num_domains = count_domains(base_config)
+    ids = domain_ids(base_config)
     if pairs is None:
-        pairs = default_pairs(base_config.setting, num_domains)
+        pairs = default_pairs(base_config.setting, len(ids))
     cells = []
     failures = []
     for pair in pairs:
-        label = pair_label(base_config.setting, pair, num_domains)
+        label = pair_label(base_config.setting, pair, ids)
         accuracies = []
         for seed in seeds:
             if base_config.setting == "dg-multi":

@@ -523,6 +523,35 @@ def test_matrix_pairs_are_checked_against_the_data_dir(tmp_path, capsys):
     assert code == 2 and "D12" in err
 
 
+def test_matrix_pairs_name_data_dir_domains_by_their_ids(tmp_path, capsys):
+    spec = write_config(tmp_path, BENCHMARK_INI.replace(
+        "num_domains = 3", "num_domains = 2"), name="spec.ini")
+    data_dir = tmp_path / "rooms"
+    assert run_cli(capsys, ["generate", "--config", spec,
+                            "--out", str(data_dir), "--quiet"])[0] == 0
+    for old, new in (("D1", "kitchen"), ("D2", "office")):
+        for split in ("train", "test"):
+            (data_dir / f"{old}_{split}.rnafeat").rename(
+                data_dir / f"{new}_{split}.rnafeat")
+    config = write_config(
+        tmp_path,
+        MATRIX_INI.replace("pairs = D1->D2, D2->D1", "pairs = office->kitchen")
+        .replace("seeds = 0, 1", "seeds = 0")
+        .replace("iterations = 40", f"iterations = 5\ndata_dir = {data_dir}"))
+    out_dir = tmp_path / "grid"
+    code, _, err = run_cli(capsys, ["matrix", "--config", config,
+                                    "--out", str(out_dir), "--quiet"])
+    assert code == 0, err
+    header = (out_dir / "results.csv").read_text(
+        encoding="ascii").splitlines()[0]
+    assert header == "method,office->kitchen,mean"
+    bad = write_config(tmp_path, config_text(config).replace(
+        "office->kitchen", "D1->D2"), name="bad.ini")
+    code, _, err = run_cli(capsys, ["matrix", "--config", bad,
+                                    "--out", str(tmp_path / "bad")])
+    assert code == 2 and "D1" in err
+
+
 def config_text(path):
     with open(path, encoding="ascii") as fh:
         return fh.read()

@@ -1,7 +1,11 @@
 """Unit tests for the two-stream model: init, fusion, batchnorm, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rnalign.errors import ConfigurationError, ParseError
 from rnalign.losses import AUDIO, VISUAL
@@ -12,7 +16,6 @@ from rnalign.model import (
     encode_pair,
     encode_pair_backward,
     fuse_late,
-    fuse_mid,
     fused_eval_logits,
     init_model,
     load_checkpoint,
@@ -38,16 +41,26 @@ def tiny_config(**overrides):
     return ModelConfig(**base)
 
 
-def make_identity_encoder_model(dim=3):
+ENCODER_LAYERS = ("encoder_visual.0", "encoder_visual.1", "encoder_audio.0",
+                  "encoder_audio.1")
+
+
+def set_layer(model, name, weight, bias=0.0):
+    """Write one layer's weight and bias through the parameter views."""
+    params = model.parameters()
+    params[name + ".weight"][...] = weight
+    params[name + ".bias"][...] = bias
+
+
+def make_identity_encoder_model(dim=3, num_classes=2):
     """All-equal dims with identity weights: both encoders map positive x
     to x."""
     cfg = ModelConfig(input_dim_visual=dim, input_dim_audio=dim,
-                      hidden_dim=dim, feature_dim=dim, num_classes=2)
+                      hidden_dim=dim, feature_dim=dim,
+                      num_classes=num_classes)
     model = init_model(cfg, seed=0)
-    for stack in (model.encoder_visual, model.encoder_audio):
-        for layer in stack:
-            layer.weight[...] = np.eye(dim)
-            layer.bias[...] = 0.0
+    for name in ENCODER_LAYERS:
+        set_layer(model, name, np.eye(dim))
     return model
 
 
@@ -79,8 +92,9 @@ def test_init_fan_in_scaling_halves_variance():
                             seed=seed)
         wide = init_model(tiny_config(input_dim_visual=16, hidden_dim=64),
                           seed=1000 + seed)
-        draws_narrow.append(narrow.encoder_visual[0].weight.ravel())
-        draws_wide.append(wide.encoder_visual[0].weight.ravel())
+        draws_narrow.append(
+            narrow.parameters()["encoder_visual.0.weight"].ravel())
+        draws_wide.append(wide.parameters()["encoder_visual.0.weight"].ravel())
     var_narrow = np.concatenate(draws_narrow).var()
     var_wide = np.concatenate(draws_wide).var()
     assert abs(var_narrow / var_wide - 2.0) < 0.2
@@ -115,9 +129,8 @@ def test_encode_identity_stack_passes_positive_inputs_through():
 
 def test_encode_zero_weights_give_zero_features():
     model = init_model(tiny_config(), seed=0)
-    for layer in model.encoder_audio:
-        layer.weight[...] = 0.0
-        layer.bias[...] = 0.0
+    for name in ("encoder_audio.0", "encoder_audio.1"):
+        set_layer(model, name, 0.0)
     feats, _ = encode_pair(model, np.ones((3, 3)), np.ones((3, 4)))
     assert np.array_equal(feats[1], np.zeros((3, 5)))
     assert np.any(feats[0] != 0.0)
@@ -137,7 +150,7 @@ def test_encode_backward_matches_finite_differences():
     x_v, x_a = rng.normal(size=(3, 3)), rng.normal(size=(3, 4))
     proj = rng.normal(size=(2, 3, 5))
     _, cache = encode_pair(model, x_v, x_a)
-    _, grads = model.gradient()
+    _, grads, _ = model.gradient()
     encode_pair_backward(cache, proj, add=False)
     params = model.parameters()
 
@@ -167,7 +180,7 @@ def test_encode_backward_add_accumulates_into_the_gradient():
     _, cache = encode_pair(model, rng.normal(size=(4, 3)),
                            rng.normal(size=(4, 4)))
     proj = rng.normal(size=(2, 4, 5))
-    vector, _ = model.gradient()
+    vector, _, _ = model.gradient()
     encode_pair_backward(cache, proj, add=False)
     once = vector.copy()
     encode_pair_backward(cache, proj)
@@ -180,19 +193,18 @@ def test_encode_backward_add_accumulates_into_the_gradient():
 
 def test_classify_zero_weights_give_uniform_softmax():
     model = init_model(tiny_config(), seed=0)
-    model.classifier_visual.weight[...] = 0.0
-    model.classifier_visual.bias[...] = 0.0
-    logits = modality_logits(model, VISUAL, np.ones((4, 5)), np.ones((4, 5)))
+    set_layer(model, "classifier_visual", 0.0)
+    logits = modality_logits(model, VISUAL, np.ones((2, 4, 5)))
     assert np.array_equal(logits, np.zeros((4, 3)))
 
 
 def test_classify_identity_reproduces_one_hot_features():
     cfg = tiny_config(feature_dim=3, num_classes=3)
     model = init_model(cfg, seed=0)
-    model.classifier_visual.weight[...] = np.eye(3)
-    model.classifier_visual.bias[...] = 0.0
+    set_layer(model, "classifier_visual", np.eye(3))
     feats = np.eye(3)
-    logits = modality_logits(model, VISUAL, feats, np.zeros((3, 3)))
+    logits = modality_logits(model, VISUAL,
+                             np.stack([feats, np.zeros((3, 3))]))
     assert np.array_equal(logits, feats)
 
 
@@ -262,27 +274,33 @@ def test_fuse_late_rejects_shape_mismatch():
 def test_fuse_mid_zero_weights_give_uniform_prediction():
     cfg = tiny_config(fusion_mode="mid")
     model = init_model(cfg, seed=0)
-    model.classifier_mid.weight[...] = 0.0
-    model.classifier_mid.bias[...] = 0.0
-    logits, _ = fuse_mid(model, np.ones((2, 5)), np.ones((2, 5)))
-    assert np.array_equal(logits, np.zeros((2, 3)))
+    set_layer(model, "classifier_mid", 0.0)
+    for modality in (VISUAL, AUDIO):
+        logits = modality_logits(model, modality, np.ones((2, 2, 5)))
+        assert np.array_equal(logits, np.zeros((2, 3)))
 
 
 def test_fuse_mid_visual_block_matches_visual_only_late_model():
     rng = np.random.default_rng(10)
     mid_model = init_model(tiny_config(fusion_mode="mid"), seed=4)
     wv = rng.normal(size=(3, 5))
-    mid_model.classifier_mid.weight[...] = np.hstack([wv, np.zeros((3, 5))])
-    mid_model.classifier_mid.bias[...] = 0.0
-    fv, fa = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
-    logits, _ = fuse_mid(mid_model, fv, fa)
-    assert np.allclose(logits, fv @ wv.T)
+    set_layer(mid_model, "classifier_mid", np.hstack([wv, np.zeros((3, 5))]))
+    features = rng.normal(size=(2, 4, 5))
+    kept = features.copy()
+    logits = modality_logits(mid_model, VISUAL, features)
+    assert np.allclose(logits, features[0] @ wv.T)
+    # the audio half of the concatenation meets the zero block
+    assert np.array_equal(modality_logits(mid_model, AUDIO, features),
+                          np.zeros((4, 3)))
+    # the caller's stack is left as it was
+    assert np.array_equal(features, kept)
 
 
-def test_fuse_mid_on_late_model_is_an_error():
-    model = init_model(tiny_config(), seed=0)
-    with pytest.raises(ConfigurationError):
-        fuse_mid(model, np.zeros((1, 5)), np.zeros((1, 5)))
+def test_modality_logits_rejects_a_malformed_stack():
+    model = init_model(tiny_config(fusion_mode="mid"), seed=0)
+    for shape in ((4, 5), (3, 4, 5), (2, 4, 6)):
+        with pytest.raises(ConfigurationError):
+            modality_logits(model, VISUAL, np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -291,26 +309,16 @@ def test_fuse_mid_on_late_model_is_an_error():
 
 def test_predict_breaks_ties_toward_lowest_class():
     model = init_model(tiny_config(), seed=0)
-    for clf in (model.classifier_visual, model.classifier_audio):
-        clf.weight[...] = 0.0
-        clf.bias[...] = 0.0
+    for name in ("classifier_visual", "classifier_audio"):
+        set_layer(model, name, 0.0)
     batch = MultiModalBatch(np.ones((3, 3)), np.ones((3, 4)))
     assert np.array_equal(predict(model, batch), [0, 0, 0])
 
 
 def test_predict_picks_argmax():
-    model = make_identity_encoder_model(dim=3)
-    cfg3 = ModelConfig(input_dim_visual=3, input_dim_audio=3, hidden_dim=3,
-                       feature_dim=3, num_classes=3)
-    model = init_model(cfg3, seed=0)
-    for stack in (model.encoder_visual, model.encoder_audio):
-        for layer in stack:
-            layer.weight[...] = np.eye(3)
-            layer.bias[...] = 0.0
-    model.classifier_visual.weight[...] = np.eye(3)
-    model.classifier_visual.bias[...] = 0.0
-    model.classifier_audio.weight[...] = 0.0
-    model.classifier_audio.bias[...] = 0.0
+    model = make_identity_encoder_model(dim=3, num_classes=3)
+    set_layer(model, "classifier_visual", np.eye(3))
+    set_layer(model, "classifier_audio", 0.0)
     batch = MultiModalBatch(np.array([[1.0, 5.0, 2.0]]), np.zeros((1, 3)))
     assert np.array_equal(predict(model, batch), [1])
 
@@ -321,21 +329,20 @@ def test_prediction_invariant_to_constant_logit_shift():
     model = init_model(tiny_config(), seed=6)
     batch = MultiModalBatch(rng.normal(size=(8, 3)), rng.normal(size=(8, 4)))
     base = predict(model, batch)
-    model.classifier_visual.bias[...] += 7.5
-    model.classifier_audio.bias[...] -= 2.25
+    model.parameters()["classifier_visual.bias"][...] += 7.5
+    model.parameters()["classifier_audio.bias"][...] -= 2.25
     assert np.array_equal(predict(model, batch), base)
 
 
 def test_zeroed_audio_classifier_makes_fusion_visual_only():
     rng = np.random.default_rng(12)
     model = init_model(tiny_config(), seed=7)
-    model.classifier_audio.weight[...] = 0.0
-    model.classifier_audio.bias[...] = 0.0
+    set_layer(model, "classifier_audio", 0.0)
     v = rng.normal(size=(10, 3))
     a = rng.normal(size=(10, 4))
     fused = fused_eval_logits(model, v, a)
     feats, _ = encode_pair(model, v, a)
-    visual_only = modality_logits(model, VISUAL, feats[0], feats[1])
+    visual_only = modality_logits(model, VISUAL, feats)
     assert np.allclose(fused, visual_only)
     assert np.array_equal(np.argmax(fused, axis=1),
                           np.argmax(visual_only, axis=1))
@@ -405,20 +412,29 @@ def test_full_model_gradients_mid_fusion_with_batchnorm():
 
 
 def test_checkpoint_round_trip_is_bitwise(tmp_path):
+    rng = np.random.default_rng(9)
     for fusion_mode, batchnorm in (("late", False), ("mid", True)):
         model = init_model(tiny_config(fusion_mode=fusion_mode,
                                        batchnorm=batchnorm), seed=9)
         path = tmp_path / f"model-{fusion_mode}.rna"
+        if batchnorm:
+            state = model.batchnorm_pair
+            state.running_mean[...] = rng.normal(size=(2, 5))
+            state.running_var[...] = rng.uniform(size=(2, 5))
         save_checkpoint(model, str(path))
         loaded = load_checkpoint(str(path))
         assert loaded.config.fusion_mode == fusion_mode
         for name, p in model.parameters().items():
             assert np.array_equal(p, loaded.parameters()[name]), name
         if batchnorm:
-            assert np.array_equal(model.batchnorm_visual.running_mean,
-                                  loaded.batchnorm_visual.running_mean)
-            assert np.array_equal(model.batchnorm_audio.running_var,
-                                  loaded.batchnorm_audio.running_var)
+            # the body ends with visual mean, visual var, audio mean, audio var
+            assert path.read_bytes()[-8 * 20:] == np.concatenate(
+                [state.running_mean[0], state.running_var[0],
+                 state.running_mean[1], state.running_var[1]]).tobytes()
+            assert np.array_equal(state.running_mean,
+                                  loaded.batchnorm_pair.running_mean)
+            assert np.array_equal(state.running_var,
+                                  loaded.batchnorm_pair.running_var)
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
@@ -461,6 +477,75 @@ def test_checkpoint_rejects_out_of_range_flags(tmp_path):
                 load_checkpoint(str(path))
 
 
+def test_checkpoint_rejects_corrupt_header_dimensions(tmp_path):
+    model = init_model(tiny_config(), seed=13)
+    path = tmp_path / "model.rna"
+    save_checkpoint(model, str(path))
+    blob = bytearray(path.read_bytes())
+    # u32 header fields 0-4: visual and audio input, hidden, feature, classes
+    for fields, value in (((0, 1, 2, 3, 4), 0xFFFFFFFF), ((2, 3), 2 ** 31),
+                          ((2, 3), 100000)):
+        bad = bytearray(blob)
+        for field in fields:
+            bad[4 + 4 * field:8 + 4 * field] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ParseError, match=f"truncated at byte {len(blob)}"):
+            load_checkpoint(str(path))
+    for field, at in ((0, 4), (3, 16), (4, 20)):
+        bad = bytearray(blob)
+        bad[4 + 4 * field:8 + 4 * field] = bytes(4)
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ParseError, match=f"byte {at}"):
+            load_checkpoint(str(path))
+
+
+def checkpoint_bytes(tmp_path, **overrides):
+    base = dict(input_dim_visual=2, input_dim_audio=3, hidden_dim=2,
+                feature_dim=2, num_classes=2)
+    base.update(overrides)
+    model = init_model(ModelConfig(**base), seed=14)
+    if model.config.batchnorm:
+        model.batchnorm_pair.running_var[...] = [[0.5, 2.0], [3.0, 0.25]]
+    path = tmp_path / "base.rna"
+    save_checkpoint(model, str(path))
+    return path.read_bytes()
+
+
+CHECKPOINT_KINDS = ({}, {"fusion_mode": "mid"},
+                    {"fusion_mode": "mid", "batchnorm": True})
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(CHECKPOINT_KINDS), edits=st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+              # mostly in the 32-byte magic and header, sometimes the body
+              st.one_of(st.integers(0, 40), st.integers(0, 700)),
+              st.binary(min_size=1, max_size=4)),
+    max_size=4))
+def test_checkpoint_corruption_loads_or_is_a_parse_error(tmp_path, kind,
+                                                        edits):
+    blob = bytearray(checkpoint_bytes(tmp_path, **kind))
+    for edit, at, chunk in edits:
+        at = min(at, len(blob))
+        if edit == "replace":
+            blob[at:at + len(chunk)] = chunk
+        elif edit == "insert":
+            blob[at:at] = chunk
+        else:
+            del blob[at:at + len(chunk)]
+    path = tmp_path / "fuzz.rna"
+    path.write_bytes(bytes(blob))
+    try:
+        model = load_checkpoint(str(path))
+    except ParseError as exc:
+        assert re.search(r"byte \d+", str(exc)), exc
+        return
+    # whatever loads re-saves to the same bytes, untouched files included
+    save_checkpoint(model, str(tmp_path / "resaved.rna"))
+    assert (tmp_path / "resaved.rna").read_bytes() == bytes(blob)
+
+
 # ---------------------------------------------------------------------------
 # the flat parameter and gradient vectors
 
@@ -474,13 +559,13 @@ def test_parameters_are_views_of_one_vector_in_checkpoint_order(tmp_path):
     save_checkpoint(model, str(path))
     assert path.read_bytes()[32:32 + 8 * model.flat.size] == \
         model.flat.astype("<f8").tobytes()
-    model.classifier_mid.bias[...] = 7.0
+    model.flat[-23:-20] = 7.0  # before the 4 x 5 batchnorm scales/shifts
     assert np.array_equal(params["classifier_mid.bias"], [7.0] * 3)
     twin = model.clone()
     twin.flat[...] = 0.0
-    twin.batchnorm_audio.running_var[...] = 3.0
+    twin.batchnorm_pair.running_var[1] = 3.0
     assert np.all(params["classifier_mid.bias"] == 7.0)
-    assert np.all(model.batchnorm_audio.running_var == 1.0)
+    assert np.all(model.batchnorm_pair.running_var == 1.0)
 
 
 def test_model_backward_overwrites_every_gradient_entry():
@@ -489,7 +574,7 @@ def test_model_backward_overwrites_every_gradient_entry():
         for batchnorm in (False, True):
             model = init_model(tiny_config(fusion_mode=fusion_mode,
                                            batchnorm=batchnorm), seed=6)
-            vector, _ = model.gradient()
+            vector, _, _ = model.gradient()
             vector[...] = np.nan  # leftovers of an earlier step
             fused, _, _, cache = model_forward(
                 model, rng.normal(size=(4, 3)), rng.normal(size=(4, 4)),
@@ -508,9 +593,9 @@ def test_model_backward_overwrites_every_gradient_entry():
 
 def test_pair_views_alias_flat_and_gradient_in_checkpoint_order():
     model = init_model(tiny_config(fusion_mode="mid", batchnorm=True), seed=7)
-    _, grads = model.gradient()
+    _, grads, grad_pairs = model.gradient()
     for stacked, named in ((model.pairs, model.parameters()),
-                           (model.gradient_pairs(), grads)):
+                           (grad_pairs, grads)):
         assert list(stacked) == ["encoder.0.bias", "encoder.1.weight",
                                  "encoder.1.bias", "classifier.weight",
                                  "classifier.bias", "batchnorm.gamma",
@@ -528,13 +613,13 @@ def test_pair_views_alias_flat_and_gradient_in_checkpoint_order():
     params = model.parameters()
     assert np.array_equal(
         np.concatenate([p.ravel() for p in params.values()]), model.flat)
-    vector, grads = model.gradient()
+    vector, grads, _ = model.gradient()
     assert np.array_equal(
         np.concatenate([g.ravel() for g in grads.values()]), vector)
-    # the stacked batchnorm state and the per-modality states share arrays
-    model.batchnorm_pair.running_mean[1] = 4.0
-    assert np.all(model.batchnorm_audio.running_mean == 4.0)
-    assert np.all(model.batchnorm_visual.running_mean == 0.0)
+    # the batchnorm state's scale and shift are the pair views of flat
+    model.batchnorm_pair.gamma[1] = 4.0
+    assert np.all(params["batchnorm_audio.gamma"] == 4.0)
+    assert np.all(params["batchnorm_visual.gamma"] == 1.5)
 
 
 def test_stacked_batchnorm_matches_per_stream_batchnorm():

@@ -352,10 +352,10 @@ def check_against_reference(setting, fusion, aux, lam, bench=BENCH,
     assert list(model.parameters()) == list(params)
     for name, p in model.parameters().items():
         assert p.tobytes() == params[name].tobytes(), name
-    assert running == [
-        state.running_mean.tobytes() + state.running_var.tobytes()
-        for state in (model.batchnorm_visual, model.batchnorm_audio)
-        if state is not None]
+    state = model.batchnorm_pair
+    assert running == ([] if state is None else [
+        state.running_mean[s].tobytes() + state.running_var[s].tobytes()
+        for s in (0, 1)])
     assert [dataclasses.astuple(r) for r in telemetry.iterations] == rows
     assert [(e.split, e.mode, e.accuracy) for e in telemetry.evals] == evals
 

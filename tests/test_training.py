@@ -16,8 +16,8 @@ from rnalign.training import (
     IterationRecord,
     NormTelemetry,
     average_checkpoint_scores,
-    count_domains,
     default_pairs,
+    domain_ids,
     evaluate,
     headline_accuracy,
     pair_label,
@@ -243,7 +243,7 @@ def rigged_probability_model(probs):
     model = init_model(cfg, seed=0)
     for name, p in model.parameters().items():
         p[...] = 0.0
-    model.classifier_visual.bias[...] = np.log(probs)
+    model.parameters()["classifier_visual.bias"][...] = np.log(probs)
     return model
 
 
@@ -269,7 +269,7 @@ def test_evaluate_uniform_zero_model_hits_tie_class_frequency():
 
 def test_evaluate_modes_differ_for_asymmetric_model():
     model = rigged_probability_model([0.9, 0.1])
-    model.classifier_audio.bias[...] = np.log([0.1, 0.9])
+    model.parameters()["classifier_audio.bias"][...] = np.log([0.1, 0.9])
     batch = balanced_batch()
     # visual stream says class 0, audio stream says class 1
     assert evaluate(model, batch, "visual") == 0.5
@@ -340,9 +340,13 @@ def test_default_pairs_layout():
 
 
 def test_pair_labels():
-    assert pair_label("dg-single", (0, 1), 3) == "D1->D2"
-    assert pair_label("uda", (2, 0), 3) == "D3->D1"
-    assert pair_label("dg-multi", (2,), 3) == "D1,D2->D3"
+    ids = ["D1", "D2", "D3"]
+    assert pair_label("dg-single", (0, 1), ids) == "D1->D2"
+    assert pair_label("uda", (2, 0), ids) == "D3->D1"
+    assert pair_label("dg-multi", (2,), ids) == "D1,D2->D3"
+    for bad in ((0, 3), (-1, 0), (3,)):
+        with pytest.raises(ConfigurationError):
+            pair_label("uda" if len(bad) == 2 else "dg-multi", bad, ids)
 
 
 def test_matrix_single_cell_matches_single_run():
@@ -402,11 +406,48 @@ def test_data_dir_domains_are_ordered_by_number(tmp_path):
                           source_index=0, target_index=10, iterations=3)
     domains = resolve_domains(config)
     assert [d.domain_id for d in domains] == [f"D{i}" for i in range(1, 12)]
-    assert count_domains(config) == 11
+    assert domain_ids(config) == [f"D{i}" for i in range(1, 12)]
     # source 0 is D1, so a run from the files equals the in-memory run
     from_files, _ = run_experiment(config)
     in_memory, _ = run_experiment(dataclasses.replace(config, data_dir=None))
     assert models_equal(from_files, in_memory)
+
+
+def save_domains(domains, data_dir, ids):
+    """Write each domain's splits as ``<id>_train/test.rnafeat`` files."""
+    for domain, domain_id in zip(domains, ids):
+        for split in ("train", "test"):
+            save_feature_file(getattr(domain, split),
+                              data_dir / f"{domain_id}_{split}.rnafeat")
+
+
+def test_matrix_labels_are_the_data_dir_domain_ids(tmp_path):
+    spec = small_benchmark(num_domains=2, samples_per_class=4)
+    save_domains(generate_benchmark(spec), tmp_path, ["kitchen", "office"])
+    config = short_config(benchmark=spec, data_dir=str(tmp_path),
+                          iterations=3)
+    assert domain_ids(config) == ["kitchen", "office"]
+    matrix = run_experiment_matrix(config, seeds=[0])
+    assert matrix.labels == ["kitchen->office", "office->kitchen"]
+    multi = run_experiment_matrix(
+        dataclasses.replace(config, setting="dg-multi", source_index=None),
+        seeds=[0])
+    assert multi.labels == ["office->kitchen", "kitchen->office"]
+
+
+def test_data_dir_class_count_covers_test_labels(tmp_path):
+    spec = small_benchmark(num_domains=2, num_classes=3, samples_per_class=4)
+    domains = generate_benchmark(spec)
+    test = domains[1].test
+    labels = test.labels.copy()
+    labels[0] = 5  # above every train label
+    domains[1].test = MultiModalBatch(test.visual, test.audio, labels,
+                                      test.domain_id)
+    save_domains(domains, tmp_path, ["D1", "D2"])
+    config = short_config(benchmark=spec, data_dir=str(tmp_path),
+                          iterations=2)
+    model, _ = run_experiment(config)
+    assert 5 < model.config.num_classes
 
 
 def test_telemetry_and_results_readers_report_bad_bytes_and_rows(tmp_path):
