@@ -14,9 +14,8 @@ from .losses import (FeatureBatch, LossResult, NormStats,
                      feature_norms, hna_loss, norm_stats, orthogonality_loss,
                      rna_loss, rna_loss_uda, top_k_norm_share)
 from .model import (BatchNormState, ModelConfig, TwoStreamModel, encode_pair,
-                    fuse_late, init_model, load_checkpoint, predict,
+                    eval_logits, init_model, load_checkpoint, predict,
                     save_checkpoint)
 from .training import (ExperimentConfig, NormTelemetry,
                        average_checkpoint_scores, evaluate,
-                       run_experiment, run_experiment_matrix, train_dg,
-                       train_uda)
+                       run_experiment, run_experiment_matrix)

@@ -263,7 +263,9 @@ def build_parser():
     p.add_argument("input", help="telemetry CSV or RNAFEAT feature file")
     p.add_argument("--k", type=int, default=300,
                    help="top-k feature dimensions for the norm-share "
-                        "diagnostic (clamped to the feature dim)")
+                        "diagnostic, clamped to the feature dim: the default "
+                        "300 covers every dimension of the stock 24-d "
+                        "inputs, so its share reads 1.0 by definition")
     p.add_argument("--out", default=None,
                    help="optionally also write the report as CSV here")
     p.add_argument("--quiet", action="store_true",

@@ -186,11 +186,14 @@ def parse_matrix_options(parser, setting, ids, path="<config>"):
                        if m.strip()]
             if not methods:
                 raise ParseError(f"{path}: [matrix] methods is empty")
-            for m in methods:
+            for i, m in enumerate(methods):
                 if m not in METHODS:
                     raise ParseError(
                         f"{path}: unknown method {m!r} (expected one of "
                         f"{', '.join(METHODS)})")
+                if m in methods[:i]:
+                    raise ParseError(
+                        f"{path}: [matrix] methods names {m!r} twice")
         if "seeds" in section:
             try:
                 seeds = [int(s) for s in section["seeds"].split(",")

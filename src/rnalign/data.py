@@ -20,6 +20,8 @@ Floats are written with ``repr`` so a save/load round-trip is lossless at
 64-bit precision.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -112,6 +114,11 @@ class BenchmarkSpec:
         self.train_fraction = float(train_fraction)
         self.class_skew = float(class_skew)
         self.seed = int(seed)
+        for name in ("prototype_scale", "transform_strength", "noise_sigma",
+                     "audio_norm_scale", "train_fraction", "class_skew"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.num_domains < 2:
             raise ConfigurationError(
                 "need at least 2 domains (one source, one target)")

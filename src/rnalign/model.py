@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import ConfigurationError, ParseError
 from .losses import AUDIO, VISUAL
-from .numerics import softmax
 
 CHECKPOINT_MAGIC = b"RNA1"
 
@@ -68,22 +67,21 @@ class ModelConfig:
             raise ConfigurationError(f"unknown fusion mode: {fusion_mode!r}")
 
 
+# the running statistics' update rate and the variance floor
+BATCHNORM_MOMENTUM = 0.1
+BATCHNORM_EPS = 1e-5
+
+
 class BatchNormState:
     """Per-feature batch normalization: learned scale/shift plus running
     statistics used in evaluation mode.  ``dim`` is the feature dim, or
     (2, feature dim) for the model's stacked visual/audio state."""
 
-    def __init__(self, dim, momentum=0.1, eps=1e-5):
-        if eps <= 0:
-            raise ConfigurationError("batchnorm eps must be positive")
-        if not 0.0 <= momentum <= 1.0:
-            raise ConfigurationError("batchnorm momentum must be in [0, 1]")
+    def __init__(self, dim):
         self.running_mean = np.zeros(dim, dtype=np.float64)
         self.running_var = np.ones(dim, dtype=np.float64)
         self.gamma = np.ones(dim, dtype=np.float64)
         self.beta = np.zeros(dim, dtype=np.float64)
-        self.momentum = float(momentum)
-        self.eps = float(eps)
 
 
 def batchnorm_forward(state, x, training, update_running=False):
@@ -98,13 +96,13 @@ def batchnorm_forward(state, x, training, update_running=False):
         mean = x.mean(axis=-2)
         var = x.var(axis=-2)
         if update_running:
-            m = state.momentum
+            m = BATCHNORM_MOMENTUM
             state.running_mean[...] = (1.0 - m) * state.running_mean + m * mean
             state.running_var[...] = (1.0 - m) * state.running_var + m * var
     else:
         mean = state.running_mean
         var = state.running_var
-    inv_std = (1.0 / np.sqrt(var + state.eps))[..., None, :]
+    inv_std = (1.0 / np.sqrt(var + BATCHNORM_EPS))[..., None, :]
     xhat = (x - mean[..., None, :]) * inv_std
     y = state.gamma[..., None, :] * xhat + state.beta[..., None, :]
     return y, (state, inv_std, xhat, training)
@@ -249,11 +247,6 @@ class TwoStreamModel:
         return other
 
 
-def _check_modality(modality):
-    if modality not in (VISUAL, AUDIO):
-        raise ConfigurationError(f"unknown modality: {modality!r}")
-
-
 def init_model(config, seed):
     """Deterministic initialization: weights uniform in +-1/sqrt(fan_in)
     (so doubling the fan-in halves the weight variance), biases zero.
@@ -355,22 +348,11 @@ def _stream_logits(model, h):
     return logits
 
 
-def _mid_logits(model, h):
-    """The fusion classifier over [h_v || h_a].  Returns (logits, concat)."""
-    concat = np.concatenate(h, axis=1)
+def _mid_logits(model, concat):
+    """The fusion classifier over concatenated [h_v || h_a] rows."""
     logits = concat @ model._params["classifier_mid.weight"].T
     logits += model._params["classifier_mid.bias"]
-    return logits, concat
-
-
-def fuse_late(logits_visual, logits_audio):
-    """Late fusion: elementwise sum of the per-modality logits."""
-    lv = np.asarray(logits_visual, dtype=np.float64)
-    la = np.asarray(logits_audio, dtype=np.float64)
-    if lv.shape != la.shape:
-        raise ConfigurationError(
-            f"cannot fuse logits of shapes {lv.shape} and {la.shape}")
-    return lv + la
+    return logits
 
 
 ForwardCache = namedtuple("ForwardCache", "encoder features bn head_input")
@@ -380,17 +362,18 @@ def model_forward(model, visual_inputs, audio_inputs, training=False,
                   update_running=False):
     """Full forward pass of both streams up to fused logits.
 
-    Returns (fused_logits, feat_visual, feat_audio, cache); the two feature
-    arrays are the rows of the stacked (2, N, d) ``cache.features``.
+    Returns (fused_logits, cache); ``cache.features`` is the stacked
+    (2, N, d) encoder output, visual first.
     """
     features, enc_cache = encode_pair(model, visual_inputs, audio_inputs)
     h, bn_cache = _normalize(model, features, training, update_running)
     if model.config.fusion_mode == LATE:
-        fused = fuse_late(*_stream_logits(model, h))
+        logits = _stream_logits(model, h)
+        fused = logits[0] + logits[1]
     else:
-        fused, h = _mid_logits(model, h)
-    cache = ForwardCache(enc_cache, features, bn_cache, h)
-    return fused, features[0], features[1], cache
+        h = np.concatenate(h, axis=1)
+        fused = _mid_logits(model, h)
+    return fused, ForwardCache(enc_cache, features, bn_cache, h)
 
 
 def model_backward(cache, grad_fused_logits, grad_features=None):
@@ -431,49 +414,37 @@ def model_backward(cache, grad_fused_logits, grad_features=None):
     return grads
 
 
-def modality_logits(model, modality, features):
-    """Evaluation-mode logits attributable to one modality alone, from the
-    (2, N, feature_dim) stack ``encode_pair`` returns (left unchanged).
+# the rows of the stack ``eval_logits`` returns
+EVAL_MODES = ("fused", "visual", "audio")
 
-    Late fusion: that modality's classifier output.  Mid fusion: the fusion
-    classifier applied with the other modality's half of the concatenated
-    vector zeroed out.
+
+def eval_logits(model, visual_inputs, audio_inputs):
+    """Evaluation-mode logits of every mode in ``EVAL_MODES`` from one
+    encode: the (3, N, num_classes) stack of the fused logits, then each
+    stream's logits alone.
+
+    Late fusion: the fused logits are the sum of the two heads' outputs and
+    a stream alone is its own head.  Mid fusion: the fusion classifier on
+    [h_v || h_a], and on that concatenation with the other stream's half
+    zeroed.
     """
-    _check_modality(modality)
-    features = np.asarray(features, dtype=np.float64)
-    d = model.config.feature_dim
-    if features.ndim != 3 or features.shape[0] != 2 \
-            or features.shape[2] != d:
-        raise ConfigurationError(
-            f"expected a (2, N, {d}) feature stack, got {features.shape}")
-    s = 0 if modality == VISUAL else 1
+    features, _ = encode_pair(model, visual_inputs, audio_inputs)
     h, _ = _normalize(model, features, training=False, update_running=False)
     if model.config.fusion_mode == LATE:
-        return _stream_logits(model, h)[s]
-    alone = np.zeros_like(h)
-    alone[s] = h[s]
-    logits, _ = _mid_logits(model, alone)
-    return logits
-
-
-def fused_eval_logits(model, visual_inputs, audio_inputs):
-    """Evaluation-mode fused logits for a batch of raw inputs."""
-    fused, _, _, _ = model_forward(model, visual_inputs, audio_inputs,
-                                   training=False)
-    return fused
-
-
-def predict_scores(model, visual_inputs, audio_inputs):
-    """Evaluation-mode softmax scores of the fused logits."""
-    return softmax(fused_eval_logits(model, visual_inputs, audio_inputs))
+        streams = _stream_logits(model, h)
+        return np.concatenate([(streams[0] + streams[1])[None], streams])
+    d = model.config.feature_dim
+    concat = np.zeros((3, h.shape[1], 2 * d))
+    concat[0, :, :d] = concat[1, :, :d] = h[0]
+    concat[0, :, d:] = concat[2, :, d:] = h[1]
+    return _mid_logits(model, concat)
 
 
 def predict(model, batch):
     """Predicted class indices for a MultiModalBatch (or any object with
     ``visual`` and ``audio`` input arrays).  Argmax of the fused logits;
     ties break toward the lowest class index."""
-    fused = fused_eval_logits(model, batch.visual, batch.audio)
-    return np.argmax(fused, axis=1)
+    return np.argmax(eval_logits(model, batch.visual, batch.audio)[0], axis=1)
 
 
 def save_checkpoint(model, path):

@@ -39,17 +39,16 @@ from .data import (BenchmarkSpec, DomainData, generate_benchmark,
 from .errors import ConfigurationError, NumericalError, ParseError
 from .losses import (cosine_alignment_stacked, hna_stacked, mean_norms,
                      orthogonality_stacked, rna_stacked, row_norms)
-from .model import (ModelConfig, encode_pair, encode_pair_backward,
-                    init_model, modality_logits, model_backward,
-                    model_forward, predict, predict_scores)
-from .numerics import cross_entropy, sgd_step
+from .model import (EVAL_MODES, ModelConfig, encode_pair,
+                    encode_pair_backward, eval_logits, init_model,
+                    model_backward, model_forward)
+from .numerics import cross_entropy, sgd_step, softmax
 
 TELEMETRY_HEADER = "iter,mean_norm_v,mean_norm_a,delta,rho,ce_loss,aux_loss"
 
 SETTINGS = ("dg-single", "dg-multi", "uda")
 AUX_LOSSES = ("none", "rna", "cosine-align", "orthogonality", "hna",
               "batchnorm-only")
-EVAL_MODES = ("fused", "visual", "audio")
 
 
 @dataclass
@@ -167,6 +166,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self):
+        for name in ("lambda_weight", "hna_target_norm", "learning_rate",
+                     "momentum", "weight_decay"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.setting not in SETTINGS:
             raise ConfigurationError(f"unknown setting: {self.setting!r}")
         if self.aux_loss not in AUX_LOSSES:
@@ -307,14 +311,11 @@ def _check_finite(record, telemetry):
 
 def _finish(model, snapshots, telemetry, target_test):
     """Final evaluation: fused accuracy under the snapshot-averaging protocol
-    and single-modality accuracies from the final model."""
-    if not snapshots:
-        snapshots = [model.clone()]
-    telemetry.add_eval("target_test", "fused",
-                       average_checkpoint_scores(snapshots, target_test))
-    for mode in ("visual", "audio"):
-        telemetry.add_eval("target_test", mode,
-                           evaluate(model, target_test, mode))
+    and single-modality accuracies from the final model.  The final model is
+    the last snapshot bit for bit, so each snapshot is encoded once."""
+    for mode, accuracy in zip(EVAL_MODES, _snapshot_accuracies(
+            snapshots or [model], target_test)):
+        telemetry.add_eval("target_test", mode, accuracy)
     return model, telemetry
 
 
@@ -337,32 +338,6 @@ def _split(config, domains):
     return split.pooled_sources(), None, split.target_test
 
 
-def train_dg(config):
-    """Domain-generalization training on pooled labeled sources.
-
-    Returns (model, telemetry).  With ``iterations == 0`` the freshly
-    initialized model is returned unchanged (and evaluated as-is).
-    """
-    if config.setting not in ("dg-single", "dg-multi"):
-        raise ConfigurationError(
-            f"train_dg cannot run setting {config.setting!r}")
-    return _train(config)
-
-
-def train_uda(config):
-    """Adaptation training: labeled source plus unlabeled target batches.
-
-    The auxiliary loss decomposes into one term per domain; the target term
-    sees only encoded target features, never labels (the target batch object
-    has none).  Without a feature-level auxiliary term (``none``,
-    ``batchnorm-only``) target data is never touched.
-    """
-    if config.setting != "uda":
-        raise ConfigurationError(
-            f"train_uda cannot run setting {config.setting!r}")
-    return _train(config)
-
-
 def _index_blocks(rng, pool_size, config, block=256):
     """Each iteration's minibatch indices.  One ``integers`` call draws up to
     ``block`` iterations' worth; the generator keeps its spare 32-bit half
@@ -374,12 +349,19 @@ def _index_blocks(rng, pool_size, config, block=256):
                                 size=(count, config.batch_size))
 
 
-def _train(config):
-    """The one training loop behind both settings.  Both streams travel as
-    one (2, N, d) stack; the row norms are computed once per step and feed
-    the auxiliary loss and the telemetry row.  UDA adds the target batch's
-    auxiliary term; its encoder gradients accumulate into the same gradient
-    vector as the source terms'."""
+def run_experiment(config):
+    """Train one run of any setting; returns (model, telemetry).
+
+    One loop serves every setting.  Both streams travel as one (2, N, d)
+    stack; the row norms are computed once per step and feed the auxiliary
+    loss and the telemetry row.  UDA adds the unlabeled target batch's
+    auxiliary term, whose encoder gradients accumulate into the same
+    gradient vector as the source terms'; that term sees only encoded
+    target features, never labels (the target batch object has none), and
+    without a feature-level auxiliary loss (``none``, ``batchnorm-only``)
+    target data is never touched.  With ``iterations == 0`` the freshly
+    initialized model is returned unchanged (and evaluated as-is).
+    """
     config.validate()
     domains = resolve_domains(config)
     source, target_train, target_test = _split(config, domains)
@@ -414,7 +396,7 @@ def _train(config):
     # that, so they are silenced for the loop's duration
     with np.errstate(over="ignore", invalid="ignore"):
         for it, idx in zip(range(config.iterations), source_indices):
-            fused, _, _, cache = model_forward(
+            fused, cache = model_forward(
                 model, source.visual[idx], source.audio[idx], training=True,
                 update_running=True)
             norms = row_norms(cache.features)
@@ -451,11 +433,11 @@ def _train(config):
     return _finish(model, list(snapshots), telemetry, target_test)
 
 
-def run_experiment(config):
-    """Dispatch to the setting's trainer."""
-    if config.setting == "uda":
-        return train_uda(config)
-    return train_dg(config)
+def _check_labeled(batch):
+    if batch.n == 0:
+        raise ConfigurationError("cannot evaluate on an empty dataset")
+    if not batch.labeled:
+        raise ConfigurationError("evaluation needs a labeled dataset")
 
 
 def evaluate(model, batch, mode="fused"):
@@ -467,17 +449,25 @@ def evaluate(model, batch, mode="fused"):
     """
     if mode not in EVAL_MODES:
         raise ConfigurationError(f"unknown evaluation mode: {mode!r}")
-    if batch.n == 0:
-        raise ConfigurationError("cannot evaluate on an empty dataset")
-    if not batch.labeled:
-        raise ConfigurationError("evaluation needs a labeled dataset")
-    if mode == "fused":
-        pred = predict(model, batch)
-    else:
-        features, _ = encode_pair(model, batch.visual, batch.audio)
-        logits = modality_logits(model, mode, features)
-        pred = np.argmax(logits, axis=1)
+    _check_labeled(batch)
+    logits = eval_logits(model, batch.visual, batch.audio)
+    pred = np.argmax(logits[EVAL_MODES.index(mode)], axis=1)
     return float(np.mean(pred == batch.labels))
+
+
+def _snapshot_accuracies(snapshots, batch):
+    """The accuracy of each mode in ``EVAL_MODES``: fused under snapshot
+    averaging, each stream alone from the last snapshot.  Encodes each
+    snapshot once."""
+    _check_labeled(batch)
+    total = None
+    for snap in snapshots:
+        logits = eval_logits(snap, batch.visual, batch.audio)
+        scores = softmax(logits[0])
+        total = scores if total is None else total + scores
+    preds = (np.argmax(total / len(snapshots), axis=1),
+             *np.argmax(logits[1:], axis=2))
+    return [float(np.mean(pred == batch.labels)) for pred in preds]
 
 
 def average_checkpoint_scores(snapshots, batch):
@@ -485,16 +475,7 @@ def average_checkpoint_scores(snapshots, batch):
     the given model snapshots sample-by-sample, then takes the argmax."""
     if not snapshots:
         raise ConfigurationError("need at least one snapshot")
-    if batch.n == 0:
-        raise ConfigurationError("cannot evaluate on an empty dataset")
-    if not batch.labeled:
-        raise ConfigurationError("evaluation needs a labeled dataset")
-    total = None
-    for snap in snapshots:
-        scores = predict_scores(snap, batch.visual, batch.audio)
-        total = scores if total is None else total + scores
-    pred = np.argmax(total / len(snapshots), axis=1)
-    return float(np.mean(pred == batch.labels))
+    return _snapshot_accuracies(snapshots, batch)[0]
 
 
 def headline_accuracy(telemetry):
@@ -635,6 +616,9 @@ def read_results_csv(path):
         if len(row) != len(header):
             raise ParseError(
                 f"{path}: line {lineno}: expected {len(header)} fields")
+        if row[0] in rows:
+            raise ParseError(
+                f"{path}: line {lineno}: duplicate method {row[0]!r}")
         try:
             rows[row[0]] = [float(x) for x in row[1:]]
         except ValueError as exc:

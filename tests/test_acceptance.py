@@ -167,7 +167,7 @@ def test_c1_gradients_match_finite_differences():
         x_v = rng_m.normal(size=(4, 4))
         x_a = rng_m.normal(size=(4, 3))
         labels = rng_m.integers(0, 3, size=4)
-        fused, _, _, cache = model_forward(model, x_v, x_a, training=True)
+        fused, cache = model_forward(model, x_v, x_a, training=True)
         _, grad_logits = softmax_cross_entropy(fused, labels)
         bundle = model_backward(cache, grad_logits)
         for name, p in model.parameters().items():
@@ -175,7 +175,7 @@ def test_c1_gradients_match_finite_differences():
             def f(t, p=p):
                 old = p.copy()
                 p[...] = t
-                out, _, _, _ = model_forward(model, x_v, x_a, training=True)
+                out, _ = model_forward(model, x_v, x_a, training=True)
                 value, _ = softmax_cross_entropy(out, labels)
                 p[...] = old
                 return value

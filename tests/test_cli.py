@@ -6,11 +6,17 @@ as a shell user would see them.
 """
 
 import json
+import re
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rnalign.cli import _atomic, main
+from rnalign.config import load_config_file, parse_experiment_config
+from rnalign.errors import ParseError
 from rnalign.data import load_feature_file
 from rnalign.losses import norm_stats
 from rnalign.model import load_checkpoint, predict
@@ -279,6 +285,21 @@ def test_train_bad_experiment_value_exits_2(tmp_path, capsys):
     assert "lambda" in err
 
 
+def test_train_non_finite_setting_exits_2_naming_the_key(tmp_path, capsys):
+    for line, key in (("learning_rate = nan", "learning_rate"),
+                      ("weight_decay = inf", "weight_decay"),
+                      ("noise_sigma = inf", "noise_sigma")):
+        text = (TRAIN_INI.replace("seed = 5", f"seed = 5\n{line}")
+                if key == "noise_sigma" else TRAIN_INI + line + "\n")
+        config = write_config(tmp_path, text)
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(capsys, ["train", "--config", config,
+                                        "--out", str(out_dir), "--quiet"])
+        assert code == 2, line
+        assert key in err, err
+        assert not (out_dir / "checkpoint.rna").exists()
+
+
 # ---------------------------------------------------------------------------
 # matrix
 
@@ -346,6 +367,18 @@ def test_matrix_unknown_method_exits_2(tmp_path, capsys):
                                     "--out", str(tmp_path / "grid")])
     assert code == 2
     assert "sota" in err
+
+
+def test_matrix_duplicate_method_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path,
+                          MATRIX_INI.replace("source-only, rna",
+                                             "rna, source-only, rna"))
+    out_dir = tmp_path / "grid"
+    code, _, err = run_cli(capsys, ["matrix", "--config", config,
+                                    "--out", str(out_dir)])
+    assert code == 2
+    assert "[matrix] methods names 'rna' twice" in err
+    assert not (out_dir / "results.csv").exists()
 
 
 def test_matrix_bad_pair_exits_2(tmp_path, capsys):
@@ -585,3 +618,88 @@ def test_non_ascii_telemetry_and_config_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["train", "--config", str(config),
                                     "--out", str(tmp_path / "run")])
     assert code == 2 and f"byte {len(TRAIN_INI) + 5}" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the config reader
+
+# a config error names a line, a byte, or the section the bad value is in
+CONFIG_LOCATION = re.compile(
+    r"line\W*\d+|byte \d+|\[(benchmark|experiment|matrix)\]|"
+    r"unknown section \[")
+
+# inserted text: raw bytes, or printable text that decodes and parses further
+CHUNKS = st.one_of(st.binary(min_size=1, max_size=3),
+                   st.text(string.printable, min_size=1,
+                           max_size=3).map(str.encode))
+
+VALID_CONFIG_BYTES = TRAIN_INI.encode("ascii")
+
+
+def load_experiment(path):
+    return parse_experiment_config(load_config_file(path), path)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(
+    st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+              st.integers(min_value=0,
+                          max_value=len(VALID_CONFIG_BYTES) - 1),
+              CHUNKS),
+    min_size=1, max_size=4))
+def test_config_corruption_parses_or_is_a_located_parse_error(tmp_path,
+                                                             edits):
+    blob = bytearray(VALID_CONFIG_BYTES)
+    for kind, at, chunk in edits:
+        at = min(at, len(blob))
+        if kind == "replace":
+            blob[at:at + len(chunk)] = chunk
+        elif kind == "insert":
+            blob[at:at] = chunk
+        else:
+            del blob[at:at + len(chunk)]
+    path = tmp_path / "fuzz.ini"
+    path.write_bytes(bytes(blob))
+    try:
+        load_experiment(str(path))
+    except ParseError as exc:
+        assert CONFIG_LOCATION.search(str(exc)), exc
+
+
+# (config-file key, ExperimentConfig or BenchmarkSpec field, values)
+_FLOAT_KEYS = (
+    ("experiment", "lambda", "lambda_weight", st.floats(0.0, 1e9)),
+    ("experiment", "hna_target_norm", "hna_target_norm",
+     st.floats(1e-300, 1e9)),
+    ("experiment", "learning_rate", "learning_rate", st.floats(0.0, 1e9)),
+    ("experiment", "momentum", "momentum",
+     st.floats(0.0, 1.0, exclude_max=True)),
+    ("experiment", "weight_decay", "weight_decay", st.floats(0.0, 1e9)),
+    ("benchmark", "prototype_scale", "prototype_scale",
+     st.floats(1e-300, 1e9)),
+    ("benchmark", "noise_sigma", "noise_sigma", st.floats(0.0, 1e9)),
+    ("benchmark", "train_fraction", "train_fraction",
+     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    ("benchmark", "class_skew", "class_skew", st.floats(0.0, 1e9)),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.tuples(*(values for *_, values in _FLOAT_KEYS)),
+       seed=st.integers(0, 2 ** 63), iterations=st.integers(0, 10 ** 9))
+def test_config_round_trip_is_bitwise(tmp_path, values, seed, iterations):
+    sections = {"benchmark": [], "experiment": [f"seed = {seed}",
+                                                f"iterations = {iterations}"]}
+    for (section, key, _, _), value in zip(_FLOAT_KEYS, values):
+        sections[section].append(f"{key} = {value!r}")
+    path = tmp_path / "round.ini"
+    path.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                            for name, lines in sections.items()),
+                    encoding="ascii")
+    config = load_experiment(str(path))
+    assert (config.seed, config.iterations) == (seed, iterations)
+    for (section, _, field, _), value in zip(_FLOAT_KEYS, values):
+        owner = config.benchmark if section == "benchmark" else config
+        assert repr(getattr(owner, field)) == repr(value), field

@@ -16,7 +16,7 @@ from rnalign.data import (
     save_feature_file,
 )
 from rnalign.errors import ConfigurationError, ParseError
-from rnalign.training import ExperimentConfig, train_dg
+from rnalign.training import ExperimentConfig, run_experiment
 
 
 def small_spec(**overrides):
@@ -108,7 +108,7 @@ def test_generate_no_shift_limit_makes_domains_interchangeable():
     cfg = ExperimentConfig(benchmark=spec, aux_loss="none", iterations=400,
                            learning_rate=0.05, weight_decay=0.0,
                            source_index=0, target_index=1, seed=0)
-    _, telemetry = train_dg(cfg)
+    _, telemetry = run_experiment(cfg)
     assert telemetry.eval_accuracy("target_test", "fused") == 1.0
 
 
@@ -161,6 +161,15 @@ def test_generate_rejects_invalid_spec():
         BenchmarkSpec(audio_norm_scale=0.0)
     with pytest.raises(ConfigurationError):
         BenchmarkSpec(train_fraction=1.5)
+
+
+def test_spec_rejects_non_finite_floats_naming_the_field():
+    # a nan or infinite class_skew used to hang the class-count rounding
+    for name in ("prototype_scale", "transform_strength", "noise_sigma",
+                 "audio_norm_scale", "train_fraction", "class_skew"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError, match=name):
+                BenchmarkSpec(**{name: value})
 
 
 def test_generate_class_skew_unbalances_counts():

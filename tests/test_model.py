@@ -15,21 +15,19 @@ from rnalign.model import (
     batchnorm_forward,
     encode_pair,
     encode_pair_backward,
-    fuse_late,
-    fused_eval_logits,
+    eval_logits,
     init_model,
     load_checkpoint,
-    modality_logits,
     model_backward,
     model_forward,
     predict,
-    predict_scores,
     save_checkpoint,
 )
 from rnalign.data import MultiModalBatch
 from rnalign.numerics import (
     finite_difference_grad,
     relative_error,
+    softmax,
     softmax_cross_entropy,
 )
 
@@ -52,12 +50,12 @@ def set_layer(model, name, weight, bias=0.0):
     params[name + ".bias"][...] = bias
 
 
-def make_identity_encoder_model(dim=3, num_classes=2):
+def make_identity_encoder_model(dim=3, num_classes=2, fusion_mode="late"):
     """All-equal dims with identity weights: both encoders map positive x
     to x."""
     cfg = ModelConfig(input_dim_visual=dim, input_dim_audio=dim,
                       hidden_dim=dim, feature_dim=dim,
-                      num_classes=num_classes)
+                      num_classes=num_classes, fusion_mode=fusion_mode)
     model = init_model(cfg, seed=0)
     for name in ENCODER_LAYERS:
         set_layer(model, name, np.eye(dim))
@@ -194,18 +192,16 @@ def test_encode_backward_add_accumulates_into_the_gradient():
 def test_classify_zero_weights_give_uniform_softmax():
     model = init_model(tiny_config(), seed=0)
     set_layer(model, "classifier_visual", 0.0)
-    logits = modality_logits(model, VISUAL, np.ones((2, 4, 5)))
-    assert np.array_equal(logits, np.zeros((4, 3)))
+    logits = eval_logits(model, np.ones((4, 3)), np.ones((4, 4)))
+    assert np.array_equal(logits[1], np.zeros((4, 3)))
 
 
 def test_classify_identity_reproduces_one_hot_features():
-    cfg = tiny_config(feature_dim=3, num_classes=3)
-    model = init_model(cfg, seed=0)
+    model = make_identity_encoder_model(dim=3, num_classes=3)
     set_layer(model, "classifier_visual", np.eye(3))
     feats = np.eye(3)
-    logits = modality_logits(model, VISUAL,
-                             np.stack([feats, np.zeros((3, 3))]))
-    assert np.array_equal(logits, feats)
+    logits = eval_logits(model, feats, np.zeros((3, 3)))
+    assert np.array_equal(logits[1], feats)
 
 
 def test_batchnorm_training_mode_standardizes_batch():
@@ -245,62 +241,67 @@ def test_batchnorm_forward_is_pure_unless_update_requested():
 # fusion
 
 
+def late_logits(visual_bias, audio_bias):
+    """eval_logits of a late-fusion model whose heads output only their
+    biases."""
+    classes = len(visual_bias)
+    model = init_model(tiny_config(num_classes=classes), seed=0)
+    set_layer(model, "classifier_visual", 0.0, visual_bias)
+    set_layer(model, "classifier_audio", 0.0, audio_bias)
+    return eval_logits(model, np.ones((1, 3)), np.ones((1, 4)))
+
+
 def test_fuse_late_zero_audio_equals_visual():
-    v = np.array([[1.0, -2.0, 0.5]])
-    assert np.array_equal(fuse_late(v, np.zeros_like(v)), v)
+    v = [1.0, -2.0, 0.5]
+    fused, visual, audio = late_logits(v, [0.0] * 3)
+    assert np.array_equal(fused, visual)
+    assert np.array_equal(fused, [v])
 
 
 def test_fuse_late_opposite_logits_cancel():
-    v = np.array([[2.0, -1.0]])
-    assert np.array_equal(fuse_late(v, -v), np.zeros((1, 2)))
+    fused, _, _ = late_logits([2.0, -1.0], [-2.0, 1.0])
+    assert np.array_equal(fused, np.zeros((1, 2)))
 
 
 def test_fuse_late_small_example():
-    out = fuse_late(np.array([[1.0, 2.0]]), np.array([[3.0, -1.0]]))
-    assert np.array_equal(out, [[4.0, 1.0]])
+    fused, _, _ = late_logits([1.0, 2.0], [3.0, -1.0])
+    assert np.array_equal(fused, [[4.0, 1.0]])
 
 
 def test_fuse_late_is_commutative():
     rng = np.random.default_rng(9)
-    a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-    assert np.array_equal(fuse_late(a, b), fuse_late(b, a))
-
-
-def test_fuse_late_rejects_shape_mismatch():
-    with pytest.raises(ConfigurationError):
-        fuse_late(np.zeros((2, 3)), np.zeros((2, 4)))
+    model = init_model(tiny_config(num_classes=4), seed=9)
+    logits = eval_logits(model, rng.normal(size=(3, 3)),
+                         rng.normal(size=(3, 4)))
+    assert np.array_equal(logits[0], logits[1] + logits[2])
+    assert np.array_equal(logits[0], logits[2] + logits[1])
 
 
 def test_fuse_mid_zero_weights_give_uniform_prediction():
     cfg = tiny_config(fusion_mode="mid")
     model = init_model(cfg, seed=0)
     set_layer(model, "classifier_mid", 0.0)
-    for modality in (VISUAL, AUDIO):
-        logits = modality_logits(model, modality, np.ones((2, 2, 5)))
-        assert np.array_equal(logits, np.zeros((2, 3)))
+    logits = eval_logits(model, np.ones((2, 3)), np.ones((2, 4)))
+    assert np.array_equal(logits, np.zeros((3, 2, 3)))
 
 
 def test_fuse_mid_visual_block_matches_visual_only_late_model():
     rng = np.random.default_rng(10)
-    mid_model = init_model(tiny_config(fusion_mode="mid"), seed=4)
+    mid_model = make_identity_encoder_model(dim=5, num_classes=3,
+                                            fusion_mode="mid")
     wv = rng.normal(size=(3, 5))
     set_layer(mid_model, "classifier_mid", np.hstack([wv, np.zeros((3, 5))]))
-    features = rng.normal(size=(2, 4, 5))
-    kept = features.copy()
-    logits = modality_logits(mid_model, VISUAL, features)
-    assert np.allclose(logits, features[0] @ wv.T)
+    # non-negative inputs pass the identity encoders unchanged
+    visual = np.abs(rng.normal(size=(4, 5)))
+    audio = np.abs(rng.normal(size=(4, 5)))
+    kept = visual.copy(), audio.copy()
+    fused, alone_v, alone_a = eval_logits(mid_model, visual, audio)
+    assert np.allclose(alone_v, visual @ wv.T)
+    assert np.allclose(fused, alone_v)
     # the audio half of the concatenation meets the zero block
-    assert np.array_equal(modality_logits(mid_model, AUDIO, features),
-                          np.zeros((4, 3)))
-    # the caller's stack is left as it was
-    assert np.array_equal(features, kept)
-
-
-def test_modality_logits_rejects_a_malformed_stack():
-    model = init_model(tiny_config(fusion_mode="mid"), seed=0)
-    for shape in ((4, 5), (3, 4, 5), (2, 4, 6)):
-        with pytest.raises(ConfigurationError):
-            modality_logits(model, VISUAL, np.zeros(shape))
+    assert np.array_equal(alone_a, np.zeros((4, 3)))
+    # the caller's inputs are left as they were
+    assert np.array_equal(visual, kept[0]) and np.array_equal(audio, kept[1])
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +341,7 @@ def test_zeroed_audio_classifier_makes_fusion_visual_only():
     set_layer(model, "classifier_audio", 0.0)
     v = rng.normal(size=(10, 3))
     a = rng.normal(size=(10, 4))
-    fused = fused_eval_logits(model, v, a)
-    feats, _ = encode_pair(model, v, a)
-    visual_only = modality_logits(model, VISUAL, feats)
+    fused, visual_only, _ = eval_logits(model, v, a)
     assert np.allclose(fused, visual_only)
     assert np.array_equal(np.argmax(fused, axis=1),
                           np.argmax(visual_only, axis=1))
@@ -351,8 +350,8 @@ def test_zeroed_audio_classifier_makes_fusion_visual_only():
 def test_predict_scores_are_probabilities():
     rng = np.random.default_rng(13)
     model = init_model(tiny_config(), seed=8)
-    scores = predict_scores(model, rng.normal(size=(5, 3)),
-                            rng.normal(size=(5, 4)))
+    scores = softmax(eval_logits(model, rng.normal(size=(5, 3)),
+                                 rng.normal(size=(5, 4)))[0])
     assert scores.shape == (5, 3)
     assert np.allclose(scores.sum(axis=1), 1.0)
 
@@ -371,7 +370,7 @@ def full_model_grad_check(fusion_mode, batchnorm, seed, tol=1e-4):
     x_a = rng.normal(size=(4, 3))
     labels = rng.integers(0, 3, size=4)
 
-    fused, _, _, cache = model_forward(model, x_v, x_a, training=True)
+    fused, cache = model_forward(model, x_v, x_a, training=True)
     _, grad_logits = softmax_cross_entropy(fused, labels)
     bundle = model_backward(cache, grad_logits)
 
@@ -381,7 +380,7 @@ def full_model_grad_check(fusion_mode, batchnorm, seed, tol=1e-4):
         def f(t, p=p):
             old = p.copy()
             p[...] = t
-            out, _, _, _ = model_forward(model, x_v, x_a, training=True)
+            out, _ = model_forward(model, x_v, x_a, training=True)
             loss, _ = softmax_cross_entropy(out, labels)
             p[...] = old
             return loss
@@ -576,7 +575,7 @@ def test_model_backward_overwrites_every_gradient_entry():
                                            batchnorm=batchnorm), seed=6)
             vector, _, _ = model.gradient()
             vector[...] = np.nan  # leftovers of an earlier step
-            fused, _, _, cache = model_forward(
+            fused, cache = model_forward(
                 model, rng.normal(size=(4, 3)), rng.normal(size=(4, 4)),
                 training=True)
             _, grad_logits = softmax_cross_entropy(fused, [0, 1, 2, 0])

@@ -2,19 +2,29 @@
 experiment matrix."""
 
 import dataclasses
+import re
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import rnalign.model
+import rnalign.training
 
 from rnalign.data import (BenchmarkSpec, MultiModalBatch, generate_benchmark,
                           save_feature_file)
 from rnalign.errors import ConfigurationError, NumericalError, ParseError
-from rnalign.model import ModelConfig, init_model
+from rnalign.model import ModelConfig, encode_pair, init_model
 from rnalign.training import (
     TELEMETRY_HEADER,
     ExperimentConfig,
     IterationRecord,
+    MatrixCell,
+    MatrixResult,
     NormTelemetry,
+    _finish,
     average_checkpoint_scores,
     default_pairs,
     domain_ids,
@@ -25,8 +35,6 @@ from rnalign.training import (
     resolve_domains,
     run_experiment,
     run_experiment_matrix,
-    train_dg,
-    train_uda,
     write_results_csv,
 )
 
@@ -72,6 +80,14 @@ def test_config_validation_errors():
         short_config(hna_target_norm=-3.0).validate()
 
 
+def test_config_rejects_non_finite_floats_naming_the_field():
+    for name in ("lambda_weight", "hna_target_norm", "learning_rate",
+                 "momentum", "weight_decay"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match=name):
+                short_config(**{name: value}).validate()
+
+
 # ---------------------------------------------------------------------------
 # telemetry object
 
@@ -95,7 +111,7 @@ def test_telemetry_rejects_inconsistent_delta():
 
 
 def test_telemetry_csv_round_trip(tmp_path):
-    _, telemetry = train_dg(short_config(iterations=20))
+    _, telemetry = run_experiment(short_config(iterations=20))
     path = tmp_path / "telemetry.csv"
     telemetry.to_csv(str(path))
     assert path.read_text().splitlines()[0] == TELEMETRY_HEADER
@@ -109,7 +125,7 @@ def test_telemetry_csv_round_trip(tmp_path):
 
 
 def test_telemetry_delta_identity_on_real_run():
-    _, telemetry = train_dg(short_config(iterations=40))
+    _, telemetry = run_experiment(short_config(iterations=40))
     assert len(telemetry.iterations) == 40
     for rec in telemetry.iterations:
         assert abs(rec.delta - (rec.mean_norm_v - rec.mean_norm_a)) < 1e-12
@@ -121,20 +137,20 @@ def test_telemetry_delta_identity_on_real_run():
 
 def test_train_dg_is_deterministic():
     cfg = short_config()
-    a, _ = train_dg(cfg)
-    b, _ = train_dg(cfg)
+    a, _ = run_experiment(cfg)
+    b, _ = run_experiment(cfg)
     assert models_equal(a, b)
 
 
 def test_train_dg_seed_changes_model():
-    a, _ = train_dg(short_config(seed=0))
-    b, _ = train_dg(short_config(seed=1))
+    a, _ = run_experiment(short_config(seed=0))
+    b, _ = run_experiment(short_config(seed=1))
     assert not models_equal(a, b)
 
 
 def test_train_dg_zero_iterations_returns_initialized_model():
     cfg = short_config(iterations=0)
-    model, telemetry = train_dg(cfg)
+    model, telemetry = run_experiment(cfg)
     assert telemetry.iterations == []
     # weights still at their init scale, biases untouched
     for name, p in model.parameters().items():
@@ -147,8 +163,8 @@ def test_train_dg_zero_iterations_returns_initialized_model():
 def test_train_dg_lambda_zero_equals_aux_none():
     base = short_config(aux_loss="none")
     zeroed = short_config(aux_loss="rna", lambda_weight=0.0)
-    model_a, tel_a = train_dg(base)
-    model_b, tel_b = train_dg(zeroed)
+    model_a, tel_a = run_experiment(base)
+    model_b, tel_b = run_experiment(zeroed)
     assert models_equal(model_a, model_b)
     assert tel_a.eval_accuracy("target_test", "fused") == \
         tel_b.eval_accuracy("target_test", "fused")
@@ -156,14 +172,14 @@ def test_train_dg_lambda_zero_equals_aux_none():
 
 def test_train_dg_multi_source_pools_remaining_domains():
     cfg = short_config(setting="dg-multi", source_index=None, target_index=2)
-    model, telemetry = train_dg(cfg)
+    model, telemetry = run_experiment(cfg)
     assert 0.0 <= telemetry.eval_accuracy("target_test", "fused") <= 1.0
 
 
 def test_train_dg_aborts_on_divergence_with_numerical_error():
     cfg = short_config(learning_rate=1e12, iterations=200)
     with pytest.raises(NumericalError):
-        train_dg(cfg)
+        run_experiment(cfg)
 
 
 def test_divergence_error_names_iteration_and_last_record():
@@ -172,13 +188,13 @@ def test_divergence_error_names_iteration_and_last_record():
     cfg = short_config(learning_rate=1e3, momentum=0.0, iterations=200)
     with pytest.raises(NumericalError,
                        match=r"iteration \d+.*last record: IterationRecord"):
-        train_dg(cfg)
+        run_experiment(cfg)
 
 
 def test_train_dg_rna_improves_norm_ratio():
     cfg = short_config(aux_loss="rna", iterations=300,
                        benchmark=small_benchmark(samples_per_class=30))
-    _, telemetry = train_dg(cfg)
+    _, telemetry = run_experiment(cfg)
     first = abs(telemetry.iterations[0].rho - 1.0)
     last = abs(telemetry.iterations[-1].rho - 1.0)
     assert last < first
@@ -187,12 +203,12 @@ def test_train_dg_rna_improves_norm_ratio():
 def test_train_dg_hna_explicit_target_norm():
     cfg = short_config(aux_loss="hna", hna_target_norm=2.0,
                        lambda_weight=0.01, iterations=40)
-    model, telemetry = train_dg(cfg)
+    model, telemetry = run_experiment(cfg)
     assert len(telemetry.iterations) == 40
 
 
 def test_headline_accuracy_matches_fused_eval():
-    _, telemetry = train_dg(short_config(iterations=30))
+    _, telemetry = run_experiment(short_config(iterations=30))
     assert headline_accuracy(telemetry) == \
         telemetry.eval_accuracy("target_test", "fused")
 
@@ -203,10 +219,10 @@ def test_headline_accuracy_matches_fused_eval():
 
 def test_train_uda_lambda_zero_is_target_independent():
     cfg = short_config(setting="uda", aux_loss="rna", lambda_weight=0.0)
-    model_a, _ = train_uda(cfg)
+    model_a, _ = run_experiment(cfg)
     # changing the target domain entirely cannot matter at lambda 0
     cfg_other_target = dataclasses.replace(cfg, target_index=2)
-    model_b, _ = train_uda(cfg_other_target)
+    model_b, _ = run_experiment(cfg_other_target)
     pa, pb = model_a.parameters(), model_b.parameters()
     assert all(np.array_equal(pa[k], pb[k]) for k in pa)
 
@@ -214,7 +230,7 @@ def test_train_uda_lambda_zero_is_target_independent():
 def test_train_uda_converges_target_rho(tmp_path):
     cfg = short_config(setting="uda", aux_loss="rna", iterations=300,
                        benchmark=small_benchmark(samples_per_class=30))
-    model, telemetry = train_uda(cfg)
+    model, telemetry = run_experiment(cfg)
     # telemetry tracks the source batch; the run must complete and evaluate
     assert len(telemetry.iterations) == 300
     assert 0.0 <= headline_accuracy(telemetry) <= 1.0
@@ -222,7 +238,7 @@ def test_train_uda_converges_target_rho(tmp_path):
 
 def test_train_uda_baseline_aux_applies_symmetrically():
     cfg = short_config(setting="uda", aux_loss="cosine-align", iterations=40)
-    model, telemetry = train_uda(cfg)
+    model, telemetry = run_experiment(cfg)
     assert len(telemetry.iterations) == 40
 
 
@@ -326,6 +342,34 @@ def test_checkpoint_average_rejects_zero_snapshots():
         average_checkpoint_scores([], balanced_batch())
 
 
+def test_finish_encodes_each_snapshot_once(monkeypatch):
+    calls = []
+
+    def counting(model, visual, audio):
+        calls.append(model)
+        return encode_pair(model, visual, audio)
+
+    for module in (rnalign.model, rnalign.training):
+        monkeypatch.setattr(module, "encode_pair", counting)
+    model = init_model(ModelConfig(6, 5, 16, 8, 4), seed=0)
+    snapshots = []
+    for i in range(9):
+        snapshots.append(model.clone())
+        model.flat += 0.05 * np.sin(np.arange(model.flat.size) + i)
+    final = snapshots[-1].clone()
+    batch = generate_benchmark(small_benchmark())[1].test
+    _, telemetry = _finish(final, snapshots, NormTelemetry(), batch)
+    assert len(calls) == 9
+    monkeypatch.undo()
+    # the same numbers as the snapshot average and the final model alone
+    assert [rec.mode for rec in telemetry.evals] == ["fused", "visual",
+                                                     "audio"]
+    assert telemetry.evals[0].accuracy == \
+        average_checkpoint_scores(snapshots, batch)
+    for rec in telemetry.evals[1:]:
+        assert rec.accuracy == evaluate(final, batch, rec.mode)
+
+
 # ---------------------------------------------------------------------------
 # experiment matrix
 
@@ -353,7 +397,7 @@ def test_matrix_single_cell_matches_single_run():
     cfg = short_config(iterations=40)
     matrix = run_experiment_matrix(cfg, pairs=[(0, 1)], seeds=[5])
     single = dataclasses.replace(cfg, source_index=0, target_index=1, seed=5)
-    _, telemetry = train_dg(single)
+    _, telemetry = run_experiment(single)
     assert matrix.cells[0].accuracies == [headline_accuracy(telemetry)]
     assert matrix.cells[0].mean == headline_accuracy(telemetry)
 
@@ -463,3 +507,149 @@ def test_telemetry_and_results_readers_report_bad_bytes_and_rows(tmp_path):
     path.write_bytes(head + b"\x80\n")
     with pytest.raises(ParseError, match=f"byte {len(head)}"):
         read_results_csv(path)
+
+
+def test_results_reader_rejects_a_duplicate_method(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("method,D1->D2,mean\nrna,0.5,0.5\nrna,0.9,0.9\n")
+    with pytest.raises(ParseError, match="line 3: duplicate method 'rna'"):
+        read_results_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the telemetry and results readers
+
+# a reader's error names where the input went wrong
+LOCATION = re.compile(r"line \d+|byte \d+")
+
+
+# inserted text: raw bytes, or printable text that decodes and parses further
+CHUNKS = st.one_of(st.binary(min_size=1, max_size=3),
+                   st.text(string.printable, min_size=1,
+                           max_size=3).map(str.encode))
+
+def corrupt(blob, edits):
+    blob = bytearray(blob)
+    for kind, at, chunk in edits:
+        at = min(at, len(blob))
+        if kind == "replace":
+            blob[at:at + len(chunk)] = chunk
+        elif kind == "insert":
+            blob[at:at] = chunk
+        else:
+            del blob[at:at + len(chunk)]
+    return bytes(blob)
+
+
+def edits_within(blob):
+    return st.lists(
+        st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                  st.integers(min_value=0, max_value=len(blob) - 1),
+                  CHUNKS),
+        min_size=1, max_size=4)
+
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+VALID_TELEMETRY_BYTES = (TELEMETRY_HEADER.encode() + b"\n"
+                         b"0,2.0,1.0,1.0,2.0,0.5,0.25\n"
+                         b"1,1.5,0.5,1.0,3.0,0.125,0.0\n"
+                         b"2,0.75,1.5,-0.75,0.5,1e-07,2.5\n")
+
+
+def telemetry_bytes(telemetry, path):
+    telemetry.to_csv(path)
+    return path.read_bytes()
+
+
+@FUZZ
+@given(edits=edits_within(VALID_TELEMETRY_BYTES))
+def test_telemetry_corruption_loads_or_is_a_located_parse_error(tmp_path,
+                                                                edits):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(corrupt(VALID_TELEMETRY_BYTES, edits))
+    try:
+        telemetry = NormTelemetry.from_csv(path)
+    except ParseError as exc:
+        assert LOCATION.search(str(exc)), exc
+        return
+    # whatever loads re-saves to a file that reads back to the same bytes
+    saved = telemetry_bytes(telemetry, tmp_path / "saved.csv")
+    again = NormTelemetry.from_csv(tmp_path / "saved.csv")
+    assert telemetry_bytes(again, tmp_path / "again.csv") == saved
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def telemetry_records(draw):
+    steps = draw(st.lists(st.integers(1, 10 ** 6), max_size=6))
+    records = []
+    it = draw(st.integers(-5, 5))
+    for step in steps:
+        it += step
+        v = draw(st.floats(0.0, 1e6))
+        a = draw(st.floats(1e-6, 1e6))
+        records.append(IterationRecord(it, v, a, v - a, v / a,
+                                       draw(finite), draw(finite)))
+    return records
+
+
+@FUZZ
+@given(records=telemetry_records())
+def test_telemetry_round_trip_is_bitwise(tmp_path, records):
+    telemetry = NormTelemetry()
+    for record in records:
+        telemetry.add_iteration(record)
+    saved = telemetry_bytes(telemetry, tmp_path / "t.csv")
+    loaded = NormTelemetry.from_csv(tmp_path / "t.csv")
+    assert [dataclasses.astuple(r) for r in loaded.iterations] == \
+        [dataclasses.astuple(r) for r in records]
+    assert telemetry_bytes(loaded, tmp_path / "again.csv") == saved
+
+
+VALID_RESULTS_BYTES = (b'method,D1->D2,"D1,D2->D3",mean\n'
+                       b"source-only,0.5,0.25,0.375\n"
+                       b"rna,0.75,1.0,0.875\n")
+
+
+@FUZZ
+@given(edits=edits_within(VALID_RESULTS_BYTES))
+def test_results_corruption_loads_or_is_a_located_parse_error(tmp_path,
+                                                              edits):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(corrupt(VALID_RESULTS_BYTES, edits))
+    try:
+        labels, rows = read_results_csv(path)
+    except ParseError as exc:
+        assert LOCATION.search(str(exc)), exc
+        return
+    assert all(len(row) == len(labels) + 1 for row in rows.values())
+
+
+names = st.text(alphabet=string.ascii_letters + string.digits + ',"->_ ',
+                min_size=1, max_size=8)
+
+
+@FUZZ
+@given(labels=st.lists(names, min_size=1, max_size=4),
+       methods=st.lists(names, min_size=1, max_size=4, unique=True),
+       data=st.data())
+def test_results_round_trip_is_bitwise(tmp_path, labels, methods, data):
+    results = {}
+    for method in methods:
+        means = data.draw(st.lists(st.floats(), min_size=len(labels),
+                                   max_size=len(labels)))
+        results[method] = MatrixResult(
+            [MatrixCell(label, [m], m, 0.0) for label, m in zip(labels, means)])
+    path = tmp_path / "results.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        write_results_csv(path, results)
+        expected = {method: [repr(m) for m in result.means + [result.mean]]
+                    for method, result in results.items()}
+    got_labels, rows = read_results_csv(path)
+    assert got_labels == labels
+    assert {method: [repr(x) for x in row] for method, row in rows.items()} \
+        == expected
