@@ -8,7 +8,7 @@ shows exactly the imbalance the ratio loss is meant to repair.
 Run:  python3 demos/benchmark_report.py
 """
 
-from rnalign.data import BenchmarkSpec, generate_benchmark, make_dg_split
+from rnalign.data import BenchmarkSpec, generate_benchmark, split_domains
 from rnalign.losses import norm_stats, top_k_norm_share
 
 SPEC = BenchmarkSpec(num_domains=3, num_classes=8, samples_per_class=50,
@@ -39,11 +39,12 @@ def main():
         share_a = top_k_norm_share(train.audio, k)
         print(f"  k={k:<3} visual {share_v:.3f}   audio {share_a:.3f}")
 
-    split = make_dg_split(domains, target_index=2)
-    sources = ", ".join(s.domain_id for s in split.sources)
+    pool, _, target_test = split_domains(domains, "dg-multi", None, 2)
+    sources = ", ".join(d.domain_id for d in domains[:2])
     print("\na generalization split holds one domain out entirely:")
-    print(f"  sources: {sources}  ->  target: {split.target_id} "
-          f"({split.target_test.n} evaluation samples)")
+    print(f"  sources: {sources} ({pool.n} pooled training samples)  ->  "
+          f"target: {domains[2].domain_id} "
+          f"({target_test.n} evaluation samples)")
 
 
 if __name__ == "__main__":

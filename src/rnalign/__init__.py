@@ -5,8 +5,8 @@ a desk-scale numpy stack."""
 __version__ = "0.1.0"
 
 from .data import (BenchmarkSpec, DomainData, MultiModalBatch,
-                   generate_benchmark, load_feature_file, make_dg_split,
-                   make_uda_split, save_feature_file)
+                   generate_benchmark, load_feature_file, save_feature_file,
+                   split_domains)
 from .errors import (ConfigurationError, DegenerateInputError, NumericalError,
                      ParseError, RnalignError)
 from .losses import (FeatureBatch, LossResult, NormStats,

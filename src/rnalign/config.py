@@ -169,6 +169,15 @@ def _parse_pair(token, setting, ids, path):
     return (domain_index(left), domain_index(right))
 
 
+def _no_repeats(path, key, values, shown):
+    """A ParseError naming the first entry of ``[matrix] key`` that repeats
+    an earlier one (``shown`` holds how each entry is named)."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ParseError(
+                f"{path}: [matrix] {key} names {shown[i]!r} twice")
+
+
 def parse_matrix_options(parser, setting, ids, path="<config>"):
     """(methods, seeds, pairs-or-None) from [matrix]; ``ids`` are the
     domain ids the pair tokens name.
@@ -186,14 +195,12 @@ def parse_matrix_options(parser, setting, ids, path="<config>"):
                        if m.strip()]
             if not methods:
                 raise ParseError(f"{path}: [matrix] methods is empty")
-            for i, m in enumerate(methods):
+            for m in methods:
                 if m not in METHODS:
                     raise ParseError(
                         f"{path}: unknown method {m!r} (expected one of "
                         f"{', '.join(METHODS)})")
-                if m in methods[:i]:
-                    raise ParseError(
-                        f"{path}: [matrix] methods names {m!r} twice")
+            _no_repeats(path, "methods", methods, methods)
         if "seeds" in section:
             try:
                 seeds = [int(s) for s in section["seeds"].split(",")
@@ -202,11 +209,14 @@ def parse_matrix_options(parser, setting, ids, path="<config>"):
                 raise ParseError(f"{path}: [matrix] seeds: {exc}") from exc
             if not seeds:
                 raise ParseError(f"{path}: [matrix] seeds is empty")
+            _no_repeats(path, "seeds", seeds, seeds)
         if "pairs" in section:
-            pairs = [_parse_pair(tok.strip(), setting, ids, path)
-                     for tok in section["pairs"].split(",") if tok.strip()]
+            tokens = [tok.strip() for tok in section["pairs"].split(",")
+                      if tok.strip()]
+            pairs = [_parse_pair(tok, setting, ids, path) for tok in tokens]
             if not pairs:
                 raise ParseError(f"{path}: [matrix] pairs is empty")
+            _no_repeats(path, "pairs", pairs, tokens)
     return methods, seeds, pairs
 
 

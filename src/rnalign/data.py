@@ -1,6 +1,6 @@
-"""Synthetic multimodal domain-shifted benchmark, split construction for
-generalization and adaptation experiments, and a plain-text feature file
-format for externally computed features.
+"""Synthetic multimodal domain-shifted benchmark, the one split rule of the
+generalization and adaptation settings, and a plain-text feature file format
+for externally computed features.
 
 The generator plants one visual and one audio prototype per class on spheres
 of a configurable radius; every domain sees the same prototypes (shared
@@ -9,6 +9,10 @@ semantics) through its own random orthogonal transform and bias per modality
 are multiplied by a norm-imbalance factor ``audio_norm_scale`` — this changes
 magnitudes only, never angles, and is what gives the norm-alignment losses a
 measurable job.
+
+``split_domains`` is the split rule of every setting: training sees labeled
+source train splits only, uda adds the target's train split without its
+labels, and every run is tested on the target's held-out test split.
 
 Feature file format (RNAFEAT v1): a header line
 
@@ -257,57 +261,31 @@ def generate_benchmark(spec):
     return domains
 
 
-class DgSplit:
-    """Domain-generalization split: labeled source train batches only; the
-    target domain contributes nothing but a held-out labeled test batch for
-    the final evaluation."""
+def split_domains(domains, setting, source_index, target_index):
+    """(labeled source pool, target train batch with its labels removed or
+    None, labeled target test batch) for a run of ``setting``.
 
-    def __init__(self, sources, target_test, target_id):
-        self.sources = list(sources)
-        self.target_test = target_test
-        self.target_id = target_id
-
-    def pooled_sources(self):
-        return MultiModalBatch.concatenate(self.sources)
-
-
-class UdaSplit:
-    """Adaptation split: one labeled source train batch, the target's train
-    batch with labels structurally removed, and the target's labeled test
-    batch reserved for the evaluator."""
-
-    def __init__(self, source, target_train, target_test):
-        if target_train.labeled:
-            raise ConfigurationError(
-                "the unlabeled target train batch must carry no labels")
-        self.source = source
-        self.target_train = target_train
-        self.target_test = target_test
-
-
-def make_dg_split(domains, target_index):
-    """Hold out domain ``target_index``; every other domain is a labeled
-    source.  No part of the target (including its train split) is exposed
-    to training."""
+    dg-multi pools the train splits of every domain except the target;
+    dg-single and uda train on the one source domain.  Only uda gets the
+    target's train split, and never its labels; every setting is tested on
+    the target's held-out test split.
+    """
     if len(domains) < 2:
-        raise ConfigurationError("need at least 2 domains for a DG split")
-    if not 0 <= target_index < len(domains):
-        raise ConfigurationError(f"target index {target_index} out of range")
-    sources = [d.train for i, d in enumerate(domains) if i != target_index]
-    target = domains[target_index]
-    return DgSplit(sources, target.test, target.domain_id)
-
-
-def make_uda_split(domains, source_index, target_index):
-    """One labeled source plus the unlabeled train split of the target."""
-    if source_index == target_index:
+        raise ConfigurationError("need at least 2 domains")
+    single = setting != "dg-multi"
+    if single and source_index == target_index:
         raise ConfigurationError("source and target domains must differ")
-    for idx in (source_index, target_index):
+    for idx in (source_index, target_index) if single else (target_index,):
         if not 0 <= idx < len(domains):
             raise ConfigurationError(f"domain index {idx} out of range")
-    source = domains[source_index].train
     target = domains[target_index]
-    return UdaSplit(source, target.train.without_labels(), target.test)
+    if single:
+        pool = domains[source_index].train
+    else:
+        pool = MultiModalBatch.concatenate(
+            [d.train for i, d in enumerate(domains) if i != target_index])
+    target_train = target.train.without_labels() if setting == "uda" else None
+    return pool, target_train, target.test
 
 
 def save_feature_file(batch, path):

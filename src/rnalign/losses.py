@@ -50,14 +50,6 @@ class FeatureBatch:
         self.modality = modality
         self.domain = domain
 
-    @property
-    def n(self):
-        return self.features.shape[0]
-
-    @property
-    def dim(self):
-        return self.features.shape[1]
-
 
 class LossResult:
     """Scalar loss value plus analytic gradients w.r.t. both feature batches."""

@@ -34,8 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .data import (BenchmarkSpec, DomainData, generate_benchmark,
-                   generated_domain_ids, load_feature_file, make_dg_split,
-                   make_uda_split, read_text)
+                   generated_domain_ids, load_feature_file, read_text,
+                   split_domains)
 from .errors import ConfigurationError, NumericalError, ParseError
 from .losses import (cosine_alignment_stacked, hna_stacked, mean_norms,
                      orthogonality_stacked, rna_stacked, row_norms)
@@ -72,8 +72,7 @@ class EvalRecord:
 class NormTelemetry:
     """Per-iteration norm/loss records plus final evaluation records."""
 
-    def __init__(self, aux_loss_name=None):
-        self.aux_loss_name = aux_loss_name
+    def __init__(self):
         self.iterations = []
         self.evals = []
 
@@ -111,8 +110,8 @@ class NormTelemetry:
                                  repr(float(r.aux_loss))])
 
     @classmethod
-    def from_csv(cls, path, aux_loss_name=None):
-        telemetry = cls(aux_loss_name)
+    def from_csv(cls, path):
+        telemetry = cls()
         rows = _csv_rows(path)
         header = next(rows, None)
         if header is None:
@@ -248,15 +247,6 @@ def resolve_domains(config):
     return domains
 
 
-def _num_classes(config, domains):
-    """The benchmark's class count, or one more than the largest label in
-    any train or test file of a ``data_dir``."""
-    if config.data_dir is None:
-        return config.benchmark.num_classes
-    return 1 + max(int(batch.labels.max(initial=-1)) for d in domains
-                   for batch in (d.train, d.test))
-
-
 def _model_config(config, domains, num_classes):
     sample = domains[0].train
     return ModelConfig(
@@ -319,25 +309,6 @@ def _finish(model, snapshots, telemetry, target_test):
     return model, telemetry
 
 
-def _split(config, domains):
-    """(labeled source pool, unlabeled target train batch or None, labeled
-    target test batch) for the run's setting."""
-    s, t = config.source_index, config.target_index
-    if config.setting == "uda":
-        split = make_uda_split(domains, s, t)
-        return split.source, split.target_train, split.target_test
-    if config.setting == "dg-single":
-        if s == t:
-            raise ConfigurationError("source and target domains must differ")
-        for idx in (s, t):
-            if not 0 <= idx < len(domains):
-                raise ConfigurationError(f"domain index {idx} out of range")
-        # the single source is the whole pool of a two-domain DG split
-        domains, t = [domains[s], domains[t]], 1
-    split = make_dg_split(domains, t)
-    return split.pooled_sources(), None, split.target_test
-
-
 def _index_blocks(rng, pool_size, config, block=256):
     """Each iteration's minibatch indices.  One ``integers`` call draws up to
     ``block`` iterations' worth; the generator keeps its spare 32-bit half
@@ -364,11 +335,14 @@ def run_experiment(config):
     """
     config.validate()
     domains = resolve_domains(config)
-    source, target_train, target_test = _split(config, domains)
+    source, target_train, target_test = split_domains(
+        domains, config.setting, config.source_index, config.target_index)
 
     model_seed, source_seed, target_seed = \
         np.random.SeedSequence(config.seed).spawn(3)
-    num_classes = _num_classes(config, domains)
+    # generated data holds every class in both splits of every domain
+    num_classes = 1 + max(int(batch.labels.max(initial=-1))
+                          for d in domains for batch in (d.train, d.test))
     if source.labels.min() < 0 or source.labels.max() >= num_classes:
         raise ConfigurationError(
             f"training labels outside [0, {num_classes})")
@@ -378,7 +352,7 @@ def run_experiment(config):
     aux_args = ()
     if config.aux_loss == "hna":
         aux_args = (_resolve_hna_target(config, model, source),)
-    telemetry = NormTelemetry(config.aux_loss)
+    telemetry = NormTelemetry()
     grad, grads, _ = model.gradient()
     velocity = np.zeros_like(model.flat)
     snapshots = deque(maxlen=config.checkpoint_average)
@@ -555,16 +529,11 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     failures = []
     for pair in pairs:
         label = pair_label(base_config.setting, pair, ids)
+        pair = pair if isinstance(pair, tuple) else (pair,)
         accuracies = []
         for seed in seeds:
-            if base_config.setting == "dg-multi":
-                (t,) = pair if isinstance(pair, tuple) else (pair,)
-                config = replace(base_config, source_index=None,
-                                 target_index=t, seed=seed)
-            else:
-                s, t = pair
-                config = replace(base_config, source_index=s,
-                                 target_index=t, seed=seed)
+            config = replace(base_config, target_index=pair[-1], seed=seed,
+                             source_index=pair[0] if len(pair) == 2 else None)
             try:
                 _, telemetry = run_experiment(config)
                 accuracies.append(headline_accuracy(telemetry))

@@ -37,6 +37,8 @@ from rnalign.numerics import (finite_difference_grad, relative_error,
 from rnalign.training import (ExperimentConfig, default_pairs, run_experiment,
                               run_experiment_matrix)
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = (0, 1, 2, 3, 4)
 
 

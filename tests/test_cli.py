@@ -381,6 +381,21 @@ def test_matrix_duplicate_method_exits_2(tmp_path, capsys):
     assert not (out_dir / "results.csv").exists()
 
 
+@pytest.mark.parametrize("key, old, new, named", [
+    ("seeds", "seeds = 0, 1", "seeds = 0, 0, 1", "0"),
+    ("pairs", "D1->D2, D2->D1", "D1->D2, D2->D1, D1 -> D2", "'D1 -> D2'"),
+], ids=["seeds", "pairs"])
+def test_matrix_repeated_seed_or_pair_exits_2(tmp_path, capsys, key, old,
+                                              new, named):
+    config = write_config(tmp_path, MATRIX_INI.replace(old, new))
+    out_dir = tmp_path / "grid"
+    code, _, err = run_cli(capsys, ["matrix", "--config", config,
+                                    "--out", str(out_dir)])
+    assert code == 2
+    assert f"[matrix] {key} names {named} twice" in err
+    assert not (out_dir / "results.csv").exists()
+
+
 def test_matrix_bad_pair_exits_2(tmp_path, capsys):
     config = write_config(tmp_path,
                           MATRIX_INI.replace("D2->D1", "D9->D1"))

@@ -1,5 +1,5 @@
-"""Unit tests for benchmark generation, DG/UDA splits, and the feature-file
-format."""
+"""Unit tests for benchmark generation, the DG/UDA split rule, and the
+feature-file format."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,8 @@ from rnalign.data import (
     MultiModalBatch,
     generate_benchmark,
     load_feature_file,
-    make_dg_split,
-    make_uda_split,
     save_feature_file,
+    split_domains,
 )
 from rnalign.errors import ConfigurationError, ParseError
 from rnalign.training import ExperimentConfig, run_experiment
@@ -185,58 +184,98 @@ def test_generate_class_skew_unbalances_counts():
 # splits
 
 
+def rows(batch):
+    return {tuple(r) for r in batch.visual}
+
+
 def test_dg_split_multi_source_pools_all_but_target():
     domains = generate_benchmark(small_spec())
-    split = make_dg_split(domains, target_index=2)
-    assert split.target_id == "D3"
-    assert [s.domain_id for s in split.sources] == ["D1", "D2"]
-    pooled = split.pooled_sources()
-    assert pooled.n == domains[0].train.n + domains[1].train.n
-    assert pooled.labeled
+    pool, target_train, target_test = split_domains(domains, "dg-multi",
+                                                    None, 2)
+    assert batches_equal(pool, MultiModalBatch.concatenate(
+        [domains[0].train, domains[1].train]))
+    assert target_train is None
+    assert batches_equal(target_test, domains[2].test)
+    assert pool.n == domains[0].train.n + domains[1].train.n
+    assert pool.labeled
 
 
 def test_dg_split_two_domains_is_single_source():
     domains = generate_benchmark(small_spec(num_domains=2))
-    split = make_dg_split(domains, target_index=1)
-    assert len(split.sources) == 1
-    assert split.sources[0].domain_id == "D1"
+    pool, _, _ = split_domains(domains, "dg-multi", None, 1)
+    assert batches_equal(pool, domains[0].train)
+    single, _, _ = split_domains(domains, "dg-single", 0, 1)
+    assert batches_equal(single, pool)
 
 
 def test_dg_split_never_exposes_target_training_rows():
     domains = generate_benchmark(small_spec())
-    split = make_dg_split(domains, target_index=0)
-    target_rows = {tuple(r) for r in domains[0].train.visual}
-    source_rows = {tuple(r) for s in split.sources for r in s.visual}
-    assert not target_rows & source_rows
-    assert split.target_test.labeled  # evaluator needs labels
+    pool, target_train, target_test = split_domains(domains, "dg-multi",
+                                                    None, 0)
+    assert not rows(domains[0].train) & rows(pool)
+    assert target_train is None
+    assert target_test.labeled  # evaluator needs labels
 
 
 def test_uda_split_target_train_is_unlabeled():
     domains = generate_benchmark(small_spec())
-    split = make_uda_split(domains, source_index=0, target_index=2)
-    assert split.source.labeled
-    assert not split.target_train.labeled
-    assert split.target_test.labeled
+    source, target_train, target_test = split_domains(domains, "uda", 0, 2)
+    assert source.labeled
+    assert not target_train.labeled
+    assert target_test.labeled
 
 
 def test_uda_split_train_test_disjoint():
     domains = generate_benchmark(small_spec())
-    split = make_uda_split(domains, source_index=1, target_index=0)
-    train_rows = {tuple(r) for r in split.target_train.visual}
-    test_rows = {tuple(r) for r in split.target_test.visual}
-    assert not train_rows & test_rows
+    _, target_train, target_test = split_domains(domains, "uda", 1, 0)
+    assert not rows(target_train) & rows(target_test)
 
 
 def test_uda_split_rejects_source_equal_target():
     domains = generate_benchmark(small_spec())
     with pytest.raises(ConfigurationError):
-        make_uda_split(domains, source_index=1, target_index=1)
+        split_domains(domains, "uda", 1, 1)
 
 
 def test_split_rejects_bad_target_index():
     domains = generate_benchmark(small_spec())
     with pytest.raises(ConfigurationError):
-        make_dg_split(domains, target_index=5)
+        split_domains(domains, "dg-multi", None, 5)
+
+
+@pytest.mark.parametrize("setting", ["dg-single", "dg-multi", "uda"])
+def test_split_domains_keeps_target_labels_out_of_training(setting):
+    domains = generate_benchmark(small_spec())
+    pool, target_train, target_test = split_domains(domains, setting, 0, 2)
+    assert not rows(domains[2].train) & rows(pool)
+    assert pool.labeled and target_test.labeled
+    assert batches_equal(target_test, domains[2].test)
+    if setting == "uda":
+        assert not target_train.labeled
+        assert rows(target_train) == rows(domains[2].train)
+    else:
+        assert target_train is None
+    if setting != "dg-multi":
+        assert batches_equal(pool, domains[0].train)
+        with pytest.raises(ConfigurationError, match="must differ"):
+            split_domains(domains, setting, 1, 1)
+        with pytest.raises(ConfigurationError, match="index 3 out of range"):
+            split_domains(domains, setting, 3, 1)
+    with pytest.raises(ConfigurationError, match="index -1 out of range"):
+        split_domains(domains, setting, 0, -1)
+    with pytest.raises(ConfigurationError, match="index 3 out of range"):
+        split_domains(domains, setting, 0, 3)
+
+
+def test_skewed_generated_spec_trains_every_class():
+    spec = small_spec(num_classes=20, samples_per_class=4, class_skew=50.0)
+    counts = [np.bincount(d.train.labels, minlength=20).min()
+              for d in generate_benchmark(spec)]
+    assert min(counts) >= 1
+    model, _ = run_experiment(ExperimentConfig(
+        benchmark=spec, iterations=2, batch_size=4, checkpoint_average=1,
+        hidden_dim=8, feature_dim=4))
+    assert model.config.num_classes == spec.num_classes
 
 
 # ---------------------------------------------------------------------------

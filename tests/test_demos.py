@@ -1,0 +1,19 @@
+"""The quick demos run end to end, so an API they use cannot be renamed or
+removed without a failing test."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("benchmark_report.py", "sources: D1, D2 (608 pooled training samples)"
+                            "  ->  target: D3 (96 evaluation samples)"),
+    ("loss_geometry.py", "ratio loss       : 5.444444444444"),
+], ids=["benchmark_report", "loss_geometry"])
+def test_demo_runs(capsys, name, expected):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert expected in capsys.readouterr().out
