@@ -139,7 +139,7 @@ def parse_experiment_config(parser, path="<config>"):
         for key, value in parser["experiment"].items():
             target_field, caster = _EXPERIMENT_KEYS[key]
             if value == "":
-                continue
+                raise ParseError(f"{path}: [experiment] {key} is empty")
             kwargs[target_field] = _convert(path, "experiment", key, value,
                                             caster)
     config = ExperimentConfig(**kwargs)
@@ -166,7 +166,11 @@ def _parse_pair(token, setting, ids, path):
         raise ParseError(
             f"{path}: pair {token!r} must look like 'D1->D2' for {setting}")
     left, right = token.split("->", 1)
-    return (domain_index(left), domain_index(right))
+    pair = (domain_index(left), domain_index(right))
+    if pair[0] == pair[1]:
+        raise ParseError(f"{path}: [matrix] pairs: {token!r} has the same "
+                         f"source and target domain ({setting})")
+    return pair
 
 
 def _no_repeats(path, key, values, shown):

@@ -103,8 +103,10 @@ def batchnorm_forward(state, x, training, update_running=False):
         mean = state.running_mean
         var = state.running_var
     inv_std = (1.0 / np.sqrt(var + BATCHNORM_EPS))[..., None, :]
-    xhat = (x - mean[..., None, :]) * inv_std
-    y = state.gamma[..., None, :] * xhat + state.beta[..., None, :]
+    xhat = x - mean[..., None, :]
+    xhat *= inv_std
+    y = state.gamma[..., None, :] * xhat
+    y += state.beta[..., None, :]
     return y, (state, inv_std, xhat, training)
 
 
@@ -274,7 +276,8 @@ def _linear_grads(weight, bias, x, g, add=False):
         g.sum(axis=-2, out=bias)
 
 
-EncoderCache = namedtuple("EncoderCache", "model inputs hidden active")
+# active is the ReLU output: active > 0 is exactly hidden > 0, NaN included
+EncoderCache = namedtuple("EncoderCache", "model inputs active")
 
 
 def encode_pair(model, visual_inputs, audio_inputs):
@@ -298,27 +301,27 @@ def encode_pair(model, visual_inputs, audio_inputs):
             f"modalities must be paired: {n} visual rows vs "
             f"{inputs[1].shape[0]} audio rows")
     p = model.pairs
-    hidden = np.empty((2, n, model.config.hidden_dim))
+    active = np.empty((2, n, model.config.hidden_dim))
     for s in (0, 1):
-        np.matmul(inputs[s], weights[s].T, out=hidden[s])
-    hidden += p["encoder.0.bias"][:, None]
-    active = np.maximum(hidden, 0.0)
+        np.matmul(inputs[s], weights[s].T, out=active[s])
+    active += p["encoder.0.bias"][:, None]
+    np.maximum(active, 0.0, out=active)
     features = active @ np.swapaxes(p["encoder.1.weight"], 1, 2)
     features += p["encoder.1.bias"][:, None]
-    return features, EncoderCache(model, inputs, hidden, active)
+    return features, EncoderCache(model, inputs, active)
 
 
 def encode_pair_backward(cache, grad_features, add=True):
     """Backward through both encoders for a (2, N, feature_dim) feature
     gradient: adds their parameter gradients into the model's gradient
     vector (writes them over it unless ``add``)."""
-    model, inputs, hidden, active = cache
+    model, inputs, active = cache
     _, grads, pairs = model.gradient()
     g = grad_features
     _linear_grads(pairs["encoder.1.weight"], pairs["encoder.1.bias"],
                   active, g, add)
     g = g @ model.pairs["encoder.1.weight"]
-    g *= hidden > 0.0
+    g *= active > 0.0
     for s, modality in enumerate((VISUAL, AUDIO)):
         weight = grads[f"encoder_{modality}.0.weight"]
         if add:
@@ -428,16 +431,19 @@ def eval_logits(model, visual_inputs, audio_inputs):
     [h_v || h_a], and on that concatenation with the other stream's half
     zeroed.
     """
-    features, _ = encode_pair(model, visual_inputs, audio_inputs)
-    h, _ = _normalize(model, features, training=False, update_running=False)
+    # the caches are dropped at once, so their buffers are free for the heads
+    features = encode_pair(model, visual_inputs, audio_inputs)[0]
+    h = _normalize(model, features, training=False, update_running=False)[0]
     if model.config.fusion_mode == LATE:
         streams = _stream_logits(model, h)
         return np.concatenate([(streams[0] + streams[1])[None], streams])
     d = model.config.feature_dim
-    concat = np.zeros((3, h.shape[1], 2 * d))
-    concat[0, :, :d] = concat[1, :, :d] = h[0]
-    concat[0, :, d:] = concat[2, :, d:] = h[1]
-    return _mid_logits(model, concat)
+    concat = np.concatenate(h, axis=1)  # one (N, 2d) buffer for all three
+    fused = _mid_logits(model, concat)
+    concat[:, d:] = 0.0
+    visual = _mid_logits(model, concat)
+    concat[:, :d], concat[:, d:] = 0.0, h[1]
+    return np.stack([fused, visual, _mid_logits(model, concat)])
 
 
 def predict(model, batch):

@@ -23,7 +23,9 @@ serialize with one row per method and one column per domain pair plus "mean".
 All accuracies are fractions in [0, 1].
 """
 
+import copy
 import csv
+import hashlib
 import io
 import math
 import re
@@ -230,21 +232,44 @@ def domain_ids(config):
     return [domain_id for domain_id, _, _ in _domain_files(config.data_dir)]
 
 
+def _load_domain(domain_id, train_path, test_path):
+    train = load_feature_file(train_path, domain_id)
+    test = load_feature_file(test_path, domain_id)
+    if not train.labeled or not test.labeled:
+        raise ConfigurationError(
+            f"domain files for {domain_id} must be labeled")
+    return DomainData(domain_id, train, test)
+
+
+# the last domain set resolve_domains built, under the key that identifies it
+_resolved = {}
+
+
 def resolve_domains(config):
     """The run's domains: generated from the benchmark spec, or loaded from
     ``<data_dir>/<id>_train.rnafeat`` / ``<id>_test.rnafeat`` file pairs,
-    in the order of the numbers in their ids."""
+    in the order of the numbers in their ids.  The last set is kept, its
+    arrays read-only, and shared by a call for the same data (equal spec
+    field values, or files with the same ids and bytes); each call returns
+    fresh DomainData and MultiModalBatch wrappers."""
     if config.data_dir is None:
-        return generate_benchmark(config.benchmark)
-    domains = []
-    for domain_id, train_path, test_path in _domain_files(config.data_dir):
-        train = load_feature_file(train_path, domain_id)
-        test = load_feature_file(test_path, domain_id)
-        if not train.labeled or not test.labeled:
-            raise ConfigurationError(
-                f"domain files for {domain_id} must be labeled")
-        domains.append(DomainData(domain_id, train, test))
-    return domains
+        key = repr(vars(config.benchmark))
+    else:
+        files = _domain_files(config.data_dir)
+        key = tuple((domain_id, *(hashlib.sha256(path.read_bytes()).digest()
+                                  for path in paths))
+                    for domain_id, *paths in files)
+    if key not in _resolved:
+        _resolved.clear()
+        _resolved[key] = (generate_benchmark(config.benchmark)
+                          if config.data_dir is None
+                          else [_load_domain(*f) for f in files])
+        for d in _resolved[key]:
+            for batch in (d.train, d.test):
+                for array in (batch.visual, batch.audio, batch.labels):
+                    array.flags.writeable = False
+    return [DomainData(d.domain_id, copy.copy(d.train), copy.copy(d.test))
+            for d in _resolved[key]]
 
 
 def _model_config(config, domains, num_classes):
@@ -557,6 +582,8 @@ def write_results_csv(path, results):
         raise ConfigurationError("no results to write")
     items = list(results.items())
     labels = items[0][1].labels
+    if len(set(labels)) < len(labels):
+        raise ConfigurationError(f"a pair label repeats in {labels}")
     for method, result in items:
         if result.labels != labels:
             raise ConfigurationError(
@@ -580,6 +607,9 @@ def read_results_csv(path):
         raise ParseError(
             f"{path}: line 1: expected 'method,<pairs...>,mean' header")
     labels = header[1:-1]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ParseError(f"{path}: line 1: pair {label!r} named twice")
     rows = {}
     for lineno, row in enumerate(rows_in, start=2):
         if len(row) != len(header):

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import rnalign.training
+
 from rnalign.cli import _atomic, main
 from rnalign.config import load_config_file, parse_experiment_config
 from rnalign.errors import ParseError
@@ -300,6 +302,23 @@ def test_train_non_finite_setting_exits_2_naming_the_key(tmp_path, capsys):
         assert not (out_dir / "checkpoint.rna").exists()
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("iterations = 40", "iterations =", "iterations"),
+    ("seed = 2", "seed = 2\nlearning_rate =", "learning_rate"),
+    ("seed = 2", "seed = 2\ndata_dir =", "data_dir"),
+], ids=["iterations", "learning_rate", "data_dir"])
+def test_train_empty_experiment_value_exits_2_naming_the_key(tmp_path,
+                                                            capsys, old,
+                                                            new, key):
+    config = write_config(tmp_path, TRAIN_INI.replace(old, new))
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, ["train", "--config", config,
+                                    "--out", str(out_dir), "--quiet"])
+    assert code == 2
+    assert f"{config}: [experiment] {key} is empty" in err
+    assert not (out_dir / "checkpoint.rna").exists()
+
+
 # ---------------------------------------------------------------------------
 # matrix
 
@@ -403,6 +422,29 @@ def test_matrix_bad_pair_exits_2(tmp_path, capsys):
                                     "--out", str(tmp_path / "grid")])
     assert code == 2
     assert "D9" in err
+
+
+@pytest.mark.parametrize("setting", ["dg-single", "uda"])
+def test_matrix_pair_from_a_domain_to_itself_exits_2_before_training(
+        tmp_path, capsys, monkeypatch, setting):
+    trained = []
+    original = rnalign.training.run_experiment
+
+    def recording(config):
+        trained.append(config)
+        return original(config)
+
+    monkeypatch.setattr(rnalign.training, "run_experiment", recording)
+    config = write_config(tmp_path, MATRIX_INI.replace(
+        "setting = dg-single", f"setting = {setting}").replace(
+        "D1->D2, D2->D1", "D1->D2, D2->D2"))
+    out_dir = tmp_path / "grid"
+    code, _, err = run_cli(capsys, ["matrix", "--config", config,
+                                    "--out", str(out_dir)])
+    assert code == 2
+    assert f"{config}: [matrix] pairs: 'D2->D2'" in err
+    assert trained == []
+    assert not (out_dir / "results.csv").exists()
 
 
 # ---------------------------------------------------------------------------

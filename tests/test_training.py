@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import rnalign.model
 import rnalign.training
 
-from rnalign.data import (BenchmarkSpec, MultiModalBatch, generate_benchmark,
+from rnalign.data import (BenchmarkSpec, DomainData, MultiModalBatch,
+                          generate_benchmark, load_feature_file,
                           save_feature_file)
 from rnalign.errors import ConfigurationError, NumericalError, ParseError
 from rnalign.model import ModelConfig, encode_pair, init_model
@@ -494,6 +495,112 @@ def test_data_dir_class_count_covers_test_labels(tmp_path):
     assert 5 < model.config.num_classes
 
 
+# ---------------------------------------------------------------------------
+# the last resolved domain set is kept
+
+
+def domain_arrays(domains):
+    return [array for d in domains for batch in (d.train, d.test)
+            for array in (batch.visual, batch.audio, batch.labels)]
+
+
+def same_data(domains, expected):
+    return ([d.domain_id for d in domains]
+            == [d.domain_id for d in expected]
+            and all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                    for a, b in zip(domain_arrays(domains),
+                                    domain_arrays(expected))))
+
+
+def test_resolved_arrays_are_read_only_behind_fresh_wrappers():
+    config = short_config()
+    first, second = resolve_domains(config), resolve_domains(config)
+    for array in domain_arrays(first):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    for a, b in zip(first, second):
+        assert a is not b and a.train is not b.train and a.test is not b.test
+    assert all(x is y for x, y in zip(domain_arrays(first),
+                                      domain_arrays(second)))
+    # rebinding a wrapper's split does not reach the next call's domains
+    first[1].test = first[0].test
+    assert resolve_domains(config)[1].test.domain_id == "D2"
+
+
+def test_resolved_arrays_are_shared_by_an_equal_spec_only():
+    config = short_config()
+    first = resolve_domains(config)
+    equal = resolve_domains(dataclasses.replace(config,
+                                                benchmark=small_benchmark()))
+    assert equal[0].train.visual is first[0].train.visual
+    for changed in (small_benchmark(seed=8), small_benchmark(noise_sigma=0.25),
+                    small_benchmark(num_domains=4)):
+        domains = resolve_domains(dataclasses.replace(config,
+                                                      benchmark=changed))
+        assert domains[0].train.visual is not first[0].train.visual
+        assert same_data(domains, generate_benchmark(changed))
+    # a spec edited in place is keyed by its values at call time
+    spec = small_benchmark()
+    resolve_domains(dataclasses.replace(config, benchmark=spec))
+    spec.seed = 9
+    assert same_data(resolve_domains(dataclasses.replace(config,
+                                                         benchmark=spec)),
+                     generate_benchmark(small_benchmark(seed=9)))
+
+
+def test_resolved_data_dir_is_reread_only_when_its_bytes_change(tmp_path):
+    spec = small_benchmark(num_domains=2, samples_per_class=4)
+    save_domains(generate_benchmark(spec), tmp_path, ["D1", "D2"])
+    config = short_config(benchmark=spec, data_dir=str(tmp_path))
+    first = resolve_domains(config)
+    # the same bytes written again: a newer mtime, the same arrays
+    save_domains(generate_benchmark(spec), tmp_path, ["D1", "D2"])
+    assert resolve_domains(config)[1].test.visual is first[1].test.visual
+    other = generate_benchmark(small_benchmark(num_domains=2,
+                                               samples_per_class=4, seed=8))
+    save_feature_file(other[1].test, tmp_path / "D2_test.rnafeat")
+    again = resolve_domains(config)
+    assert again[1].test.visual is not first[1].test.visual
+    assert same_data(again[1:], [DomainData(
+        "D2", load_feature_file(tmp_path / "D2_train.rnafeat"),
+        load_feature_file(tmp_path / "D2_test.rnafeat"))])
+    assert again[1].test.visual.tobytes() == other[1].test.visual.tobytes()
+
+
+def test_matrix_over_a_data_dir_parses_each_file_once(tmp_path,
+                                                       monkeypatch):
+    spec = small_benchmark(num_domains=2, samples_per_class=4)
+    save_domains(generate_benchmark(spec), tmp_path, ["D1", "D2"])
+    resolve_domains(short_config())  # the kept set is now another one
+    parsed = []
+
+    def counting(path, domain_id=None):
+        parsed.append(path.name)
+        return load_feature_file(path, domain_id)
+
+    monkeypatch.setattr(rnalign.training, "load_feature_file", counting)
+    config = short_config(benchmark=spec, data_dir=str(tmp_path),
+                          iterations=3)
+    matrix = run_experiment_matrix(config, pairs=[(0, 1), (1, 0)],
+                                   seeds=[0, 1])
+    assert [len(cell.accuracies) for cell in matrix.cells] == [2, 2]
+    assert sorted(parsed) == ["D1_test.rnafeat", "D1_train.rnafeat",
+                              "D2_test.rnafeat", "D2_train.rnafeat"]
+
+
+def test_generated_and_loaded_arrays_stay_writable(tmp_path):
+    config = short_config()
+    resolve_domains(config)
+    domains = generate_benchmark(config.benchmark)
+    save_feature_file(domains[0].test, tmp_path / "D1_test.rnafeat")
+    loaded = load_feature_file(tmp_path / "D1_test.rnafeat")
+    for array in domain_arrays(domains) + [loaded.visual, loaded.audio,
+                                           loaded.labels]:
+        assert array.flags.writeable
+        array[0] = 1
+
+
 def test_telemetry_and_results_readers_report_bad_bytes_and_rows(tmp_path):
     path = tmp_path / "t.csv"
     head = TELEMETRY_HEADER.encode() + b"\n0,1.0,1.0,0.0,1.0,"
@@ -507,6 +614,21 @@ def test_telemetry_and_results_readers_report_bad_bytes_and_rows(tmp_path):
     path.write_bytes(head + b"\x80\n")
     with pytest.raises(ParseError, match=f"byte {len(head)}"):
         read_results_csv(path)
+
+
+def test_results_reader_rejects_a_pair_named_twice(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("method,D1->D2,D1->D2,mean\nrna,0.5,0.5,0.5\n")
+    with pytest.raises(ParseError, match="line 1: pair 'D1->D2' named twice"):
+        read_results_csv(path)
+
+
+def test_results_writer_rejects_a_pair_named_twice(tmp_path):
+    cell = MatrixCell("D1->D2", [0.5], 0.5, 0.0)
+    with pytest.raises(ConfigurationError, match="repeats"):
+        write_results_csv(tmp_path / "results.csv",
+                          {"rna": MatrixResult([cell, cell])})
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_results_reader_rejects_a_duplicate_method(tmp_path):
@@ -634,7 +756,7 @@ names = st.text(alphabet=string.ascii_letters + string.digits + ',"->_ ',
 
 
 @FUZZ
-@given(labels=st.lists(names, min_size=1, max_size=4),
+@given(labels=st.lists(names, min_size=1, max_size=4, unique=True),
        methods=st.lists(names, min_size=1, max_size=4, unique=True),
        data=st.data())
 def test_results_round_trip_is_bitwise(tmp_path, labels, methods, data):
