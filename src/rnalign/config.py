@@ -17,7 +17,7 @@ from dataclasses import replace
 
 from .data import BenchmarkSpec, read_text
 from .errors import ConfigurationError, ParseError
-from .training import ExperimentConfig
+from .training import ExperimentConfig, no_repeats
 
 # method-row names accepted in [matrix] and what they change on the base run
 METHODS = {
@@ -173,15 +173,6 @@ def _parse_pair(token, setting, ids, path):
     return pair
 
 
-def _no_repeats(path, key, values, shown):
-    """A ParseError naming the first entry of ``[matrix] key`` that repeats
-    an earlier one (``shown`` holds how each entry is named)."""
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ParseError(
-                f"{path}: [matrix] {key} names {shown[i]!r} twice")
-
-
 def parse_matrix_options(parser, setting, ids, path="<config>"):
     """(methods, seeds, pairs-or-None) from [matrix]; ``ids`` are the
     domain ids the pair tokens name.
@@ -204,7 +195,7 @@ def parse_matrix_options(parser, setting, ids, path="<config>"):
                     raise ParseError(
                         f"{path}: unknown method {m!r} (expected one of "
                         f"{', '.join(METHODS)})")
-            _no_repeats(path, "methods", methods, methods)
+            no_repeats(f"{path}: [matrix] methods", methods, methods)
         if "seeds" in section:
             try:
                 seeds = [int(s) for s in section["seeds"].split(",")
@@ -213,14 +204,14 @@ def parse_matrix_options(parser, setting, ids, path="<config>"):
                 raise ParseError(f"{path}: [matrix] seeds: {exc}") from exc
             if not seeds:
                 raise ParseError(f"{path}: [matrix] seeds is empty")
-            _no_repeats(path, "seeds", seeds, seeds)
+            no_repeats(f"{path}: [matrix] seeds", seeds, seeds)
         if "pairs" in section:
             tokens = [tok.strip() for tok in section["pairs"].split(",")
                       if tok.strip()]
             pairs = [_parse_pair(tok, setting, ids, path) for tok in tokens]
             if not pairs:
                 raise ParseError(f"{path}: [matrix] pairs is empty")
-            _no_repeats(path, "pairs", pairs, tokens)
+            no_repeats(f"{path}: [matrix] pairs", pairs, tokens)
     return methods, seeds, pairs
 
 

@@ -103,10 +103,8 @@ def batchnorm_forward(state, x, training, update_running=False):
         mean = state.running_mean
         var = state.running_var
     inv_std = (1.0 / np.sqrt(var + BATCHNORM_EPS))[..., None, :]
-    xhat = x - mean[..., None, :]
-    xhat *= inv_std
-    y = state.gamma[..., None, :] * xhat
-    y += state.beta[..., None, :]
+    xhat = (x - mean[..., None, :]) * inv_std
+    y = state.gamma[..., None, :] * xhat + state.beta[..., None, :]
     return y, (state, inv_std, xhat, training)
 
 
@@ -431,19 +429,16 @@ def eval_logits(model, visual_inputs, audio_inputs):
     [h_v || h_a], and on that concatenation with the other stream's half
     zeroed.
     """
-    # the caches are dropped at once, so their buffers are free for the heads
-    features = encode_pair(model, visual_inputs, audio_inputs)[0]
-    h = _normalize(model, features, training=False, update_running=False)[0]
+    features, _ = encode_pair(model, visual_inputs, audio_inputs)
+    h, _ = _normalize(model, features, training=False, update_running=False)
     if model.config.fusion_mode == LATE:
         streams = _stream_logits(model, h)
         return np.concatenate([(streams[0] + streams[1])[None], streams])
     d = model.config.feature_dim
-    concat = np.concatenate(h, axis=1)  # one (N, 2d) buffer for all three
-    fused = _mid_logits(model, concat)
-    concat[:, d:] = 0.0
-    visual = _mid_logits(model, concat)
-    concat[:, :d], concat[:, d:] = 0.0, h[1]
-    return np.stack([fused, visual, _mid_logits(model, concat)])
+    concat = np.zeros((3, h.shape[1], 2 * d))
+    concat[0, :, :d] = concat[1, :, :d] = h[0]
+    concat[0, :, d:] = concat[2, :, d:] = h[1]
+    return _mid_logits(model, concat)
 
 
 def predict(model, batch):

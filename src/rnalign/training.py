@@ -25,7 +25,6 @@ All accuracies are fractions in [0, 1].
 
 import copy
 import csv
-import hashlib
 import io
 import math
 import re
@@ -144,6 +143,14 @@ def _csv_rows(path):
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
+def no_repeats(where, values, shown):
+    """A ParseError naming the first entry of ``values`` that repeats an
+    earlier one (``shown`` holds how each entry is named)."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ParseError(f"{where} names {shown[i]!r} twice")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a single training run depends on."""
@@ -232,44 +239,37 @@ def domain_ids(config):
     return [domain_id for domain_id, _, _ in _domain_files(config.data_dir)]
 
 
-def _load_domain(domain_id, train_path, test_path):
-    train = load_feature_file(train_path, domain_id)
-    test = load_feature_file(test_path, domain_id)
-    if not train.labeled or not test.labeled:
-        raise ConfigurationError(
-            f"domain files for {domain_id} must be labeled")
-    return DomainData(domain_id, train, test)
-
-
-# the last domain set resolve_domains built, under the key that identifies it
-_resolved = {}
+# the generated domain set resolve_domains built last, under its spec's values
+_generated = {}
 
 
 def resolve_domains(config):
     """The run's domains: generated from the benchmark spec, or loaded from
     ``<data_dir>/<id>_train.rnafeat`` / ``<id>_test.rnafeat`` file pairs,
-    in the order of the numbers in their ids.  The last set is kept, its
-    arrays read-only, and shared by a call for the same data (equal spec
-    field values, or files with the same ids and bytes); each call returns
-    fresh DomainData and MultiModalBatch wrappers."""
+    in the order of the numbers in their ids.  The last generated set is
+    kept, its arrays read-only, and shared by a call whose spec has equal
+    field values; each such call returns fresh DomainData and
+    MultiModalBatch wrappers."""
     if config.data_dir is None:
         key = repr(vars(config.benchmark))
-    else:
-        files = _domain_files(config.data_dir)
-        key = tuple((domain_id, *(hashlib.sha256(path.read_bytes()).digest()
-                                  for path in paths))
-                    for domain_id, *paths in files)
-    if key not in _resolved:
-        _resolved.clear()
-        _resolved[key] = (generate_benchmark(config.benchmark)
-                          if config.data_dir is None
-                          else [_load_domain(*f) for f in files])
-        for d in _resolved[key]:
-            for batch in (d.train, d.test):
-                for array in (batch.visual, batch.audio, batch.labels):
-                    array.flags.writeable = False
-    return [DomainData(d.domain_id, copy.copy(d.train), copy.copy(d.test))
-            for d in _resolved[key]]
+        if key not in _generated:
+            _generated.clear()
+            _generated[key] = generate_benchmark(config.benchmark)
+            for d in _generated[key]:
+                for batch in (d.train, d.test):
+                    for array in (batch.visual, batch.audio, batch.labels):
+                        array.flags.writeable = False
+        return [DomainData(d.domain_id, copy.copy(d.train), copy.copy(d.test))
+                for d in _generated[key]]
+    domains = []
+    for domain_id, train_path, test_path in _domain_files(config.data_dir):
+        train = load_feature_file(train_path, domain_id)
+        test = load_feature_file(test_path, domain_id)
+        if not train.labeled or not test.labeled:
+            raise ConfigurationError(
+                f"domain files for {domain_id} must be labeled")
+        domains.append(DomainData(domain_id, train, test))
+    return domains
 
 
 def _model_config(config, domains, num_classes):
@@ -582,8 +582,6 @@ def write_results_csv(path, results):
         raise ConfigurationError("no results to write")
     items = list(results.items())
     labels = items[0][1].labels
-    if len(set(labels)) < len(labels):
-        raise ConfigurationError(f"a pair label repeats in {labels}")
     for method, result in items:
         if result.labels != labels:
             raise ConfigurationError(
@@ -607,9 +605,7 @@ def read_results_csv(path):
         raise ParseError(
             f"{path}: line 1: expected 'method,<pairs...>,mean' header")
     labels = header[1:-1]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ParseError(f"{path}: line 1: pair {label!r} named twice")
+    no_repeats(f"{path}: line 1: header", labels, labels)
     rows = {}
     for lineno, row in enumerate(rows_in, start=2):
         if len(row) != len(header):

@@ -285,31 +285,6 @@ def test_fuse_mid_zero_weights_give_uniform_prediction():
     assert np.array_equal(logits, np.zeros((3, 2, 3)))
 
 
-@pytest.mark.parametrize("batchnorm", [False, True])
-def test_mid_eval_logits_are_the_fusion_head_on_each_concatenation(
-        batchnorm):
-    rng = np.random.default_rng(11)
-    model = init_model(tiny_config(fusion_mode="mid", batchnorm=batchnorm),
-                       seed=11)
-    model.flat += rng.normal(scale=0.3, size=model.flat.size)
-    if batchnorm:
-        model.batchnorm_pair.running_mean[...] = rng.normal(size=(2, 5))
-        model.batchnorm_pair.running_var[...] = rng.uniform(0.5, 2, (2, 5))
-    visual, audio = rng.normal(size=(37, 3)), rng.normal(size=(37, 4))
-    features, _ = encode_pair(model, visual, audio)
-    h = (batchnorm_forward(model.batchnorm_pair, features, training=False)[0]
-         if batchnorm else features)
-    params = model.parameters()
-    zeros = np.zeros_like(h[0])
-    expected = [np.concatenate(halves, axis=1) @ params[
-        "classifier_mid.weight"].T + params["classifier_mid.bias"]
-        for halves in ((h[0], h[1]), (h[0], zeros), (zeros, h[1]))]
-    logits = eval_logits(model, visual, audio)
-    assert logits.tobytes() == np.stack(expected).tobytes()
-    assert logits[0].tobytes() == model_forward(model, visual,
-                                                audio)[0].tobytes()
-
-
 def test_fuse_mid_visual_block_matches_visual_only_late_model():
     rng = np.random.default_rng(10)
     mid_model = make_identity_encoder_model(dim=5, num_classes=3,

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 import rnalign.model
 import rnalign.training
 
-from rnalign.data import (BenchmarkSpec, DomainData, MultiModalBatch,
-                          generate_benchmark, load_feature_file,
-                          save_feature_file)
+from rnalign.data import (BenchmarkSpec, MultiModalBatch, generate_benchmark,
+                          load_feature_file, save_feature_file)
 from rnalign.errors import ConfigurationError, NumericalError, ParseError
 from rnalign.model import ModelConfig, encode_pair, init_model
 from rnalign.training import (
@@ -496,7 +495,7 @@ def test_data_dir_class_count_covers_test_labels(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the last resolved domain set is kept
+# the last generated domain set is kept
 
 
 def domain_arrays(domains):
@@ -549,30 +548,9 @@ def test_resolved_arrays_are_shared_by_an_equal_spec_only():
                      generate_benchmark(small_benchmark(seed=9)))
 
 
-def test_resolved_data_dir_is_reread_only_when_its_bytes_change(tmp_path):
+def test_data_dir_domains_are_parsed_on_every_call(tmp_path, monkeypatch):
     spec = small_benchmark(num_domains=2, samples_per_class=4)
     save_domains(generate_benchmark(spec), tmp_path, ["D1", "D2"])
-    config = short_config(benchmark=spec, data_dir=str(tmp_path))
-    first = resolve_domains(config)
-    # the same bytes written again: a newer mtime, the same arrays
-    save_domains(generate_benchmark(spec), tmp_path, ["D1", "D2"])
-    assert resolve_domains(config)[1].test.visual is first[1].test.visual
-    other = generate_benchmark(small_benchmark(num_domains=2,
-                                               samples_per_class=4, seed=8))
-    save_feature_file(other[1].test, tmp_path / "D2_test.rnafeat")
-    again = resolve_domains(config)
-    assert again[1].test.visual is not first[1].test.visual
-    assert same_data(again[1:], [DomainData(
-        "D2", load_feature_file(tmp_path / "D2_train.rnafeat"),
-        load_feature_file(tmp_path / "D2_test.rnafeat"))])
-    assert again[1].test.visual.tobytes() == other[1].test.visual.tobytes()
-
-
-def test_matrix_over_a_data_dir_parses_each_file_once(tmp_path,
-                                                       monkeypatch):
-    spec = small_benchmark(num_domains=2, samples_per_class=4)
-    save_domains(generate_benchmark(spec), tmp_path, ["D1", "D2"])
-    resolve_domains(short_config())  # the kept set is now another one
     parsed = []
 
     def counting(path, domain_id=None):
@@ -580,13 +558,15 @@ def test_matrix_over_a_data_dir_parses_each_file_once(tmp_path,
         return load_feature_file(path, domain_id)
 
     monkeypatch.setattr(rnalign.training, "load_feature_file", counting)
-    config = short_config(benchmark=spec, data_dir=str(tmp_path),
-                          iterations=3)
-    matrix = run_experiment_matrix(config, pairs=[(0, 1), (1, 0)],
-                                   seeds=[0, 1])
-    assert [len(cell.accuracies) for cell in matrix.cells] == [2, 2]
-    assert sorted(parsed) == ["D1_test.rnafeat", "D1_train.rnafeat",
-                              "D2_test.rnafeat", "D2_train.rnafeat"]
+    config = short_config(benchmark=spec, data_dir=str(tmp_path))
+    first = resolve_domains(config)
+    other = generate_benchmark(small_benchmark(num_domains=2,
+                                               samples_per_class=4, seed=8))
+    save_feature_file(other[1].test, tmp_path / "D2_test.rnafeat")
+    again = resolve_domains(config)
+    assert len(parsed) == 8
+    assert all(array.flags.writeable for array in domain_arrays(first))
+    assert again[1].test.visual.tobytes() == other[1].test.visual.tobytes()
 
 
 def test_generated_and_loaded_arrays_stay_writable(tmp_path):
@@ -619,16 +599,8 @@ def test_telemetry_and_results_readers_report_bad_bytes_and_rows(tmp_path):
 def test_results_reader_rejects_a_pair_named_twice(tmp_path):
     path = tmp_path / "results.csv"
     path.write_text("method,D1->D2,D1->D2,mean\nrna,0.5,0.5,0.5\n")
-    with pytest.raises(ParseError, match="line 1: pair 'D1->D2' named twice"):
+    with pytest.raises(ParseError, match="line 1: header names 'D1->D2' twice"):
         read_results_csv(path)
-
-
-def test_results_writer_rejects_a_pair_named_twice(tmp_path):
-    cell = MatrixCell("D1->D2", [0.5], 0.5, 0.0)
-    with pytest.raises(ConfigurationError, match="repeats"):
-        write_results_csv(tmp_path / "results.csv",
-                          {"rna": MatrixResult([cell, cell])})
-    assert not (tmp_path / "results.csv").exists()
 
 
 def test_results_reader_rejects_a_duplicate_method(tmp_path):
