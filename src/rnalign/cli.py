@@ -23,7 +23,8 @@ from . import __version__
 from .config import (METHODS, apply_method, load_config_file,
                      parse_benchmark_spec, parse_experiment_config,
                      parse_matrix_options)
-from .data import generate_benchmark, load_feature_file, save_feature_file
+from .data import (BenchmarkSpec, generate_benchmark, load_feature_file,
+                   save_feature_file)
 from .errors import (ConfigurationError, DegenerateInputError, NumericalError,
                      ParseError)
 from .losses import norm_stats, top_k_norm_share
@@ -91,7 +92,7 @@ def cmd_generate(args):
     parser = load_config_file(args.config)
     spec = parse_benchmark_spec(parser, args.config)
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = BenchmarkSpec(**dict(vars(spec), seed=args.seed))
     out_dir = _ensure_outdir(args.out)
     domains = generate_benchmark(spec)
     artifacts = []
@@ -223,6 +224,18 @@ def cmd_norms(args):
     return 0
 
 
+def _seed(text):
+    """A --seed value: an integer >= 0, the seeds numpy's generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="rnalign",
@@ -239,8 +252,9 @@ def build_parser():
         if needs_out:
             p.add_argument("--out", required=True,
                            help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the seed from the config file")
+        p.add_argument("--seed", type=_seed, default=None,
+                       help="override the seed from the config file "
+                            "(an integer >= 0)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
 

@@ -204,6 +204,9 @@ def parse_matrix_options(parser, setting, ids, path="<config>"):
                 raise ParseError(f"{path}: [matrix] seeds: {exc}") from exc
             if not seeds:
                 raise ParseError(f"{path}: [matrix] seeds is empty")
+            if min(seeds) < 0:
+                raise ParseError(f"{path}: [matrix] seeds must be >= 0, "
+                                 f"got {min(seeds)}")
             no_repeats(f"{path}: [matrix] seeds", seeds, seeds)
         if "pairs" in section:
             tokens = [tok.strip() for tok in section["pairs"].split(",")

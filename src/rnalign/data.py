@@ -25,6 +25,7 @@ Floats are written with ``repr`` so a save/load round-trip is lossless at
 """
 
 import math
+from array import array
 
 import numpy as np
 from scipy.linalg import expm
@@ -144,6 +145,8 @@ class BenchmarkSpec:
             raise ConfigurationError("train_fraction must be in (0, 1)")
         if self.class_skew < 0:
             raise ConfigurationError("class_skew must be >= 0")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 class DomainData:
@@ -292,12 +295,16 @@ def save_feature_file(batch, path):
     """Write a MultiModalBatch as an RNAFEAT v1 text file (lossless floats)."""
     lines = [f"RNAFEAT v1 {batch.n} {batch.visual.shape[1]} "
              f"{batch.audio.shape[1]} {1 if batch.labeled else 0}"]
+    labels = batch.labels.tolist() if batch.labeled else None
+    # one row at a time: the values as Python floats, whose repr is the
+    # shortest round-tripping text; a whole-matrix tolist would hold every
+    # value as a Python float at once
     for i in range(batch.n):
-        fields = [repr(float(x)) for x in batch.visual[i]]
-        fields += [repr(float(x)) for x in batch.audio[i]]
-        if batch.labeled:
-            fields.append(str(int(batch.labels[i])))
-        lines.append(" ".join(fields))
+        line = " ".join(map(repr, batch.visual[i].tolist()
+                            + batch.audio[i].tolist()))
+        if labels is not None:
+            line += f" {labels[i]}"
+        lines.append(line)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -317,6 +324,16 @@ def read_text(path, encoding="ascii", newline=None):
     if newline is None:  # universal newlines
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+def _first_non_finite_row(values, width):
+    """Index of the first complete ``width``-float row of ``values`` that
+    holds a non-finite value, or None."""
+    flat = np.frombuffer(values, dtype=np.float64)
+    finite = np.isfinite(flat[:len(flat) // width * width].reshape(-1, width))
+    if finite.all():
+        return None
+    return int(np.argmin(finite.all(axis=1)))
 
 
 def load_feature_file(path, domain_id=None):
@@ -352,43 +369,47 @@ def load_feature_file(path, domain_id=None):
             f"{path}: line {n + 2}: trailing data beyond the {n} "
             f"declared rows")
     labeled = labeled_flag == 1
-    expected = dim_v + dim_a + (1 if labeled else 0)
+    width = dim_v + dim_a
+    expected = width + (1 if labeled else 0)
+    values = array("d")  # the rows' floats, row after row
+    labels = array("q") if labeled else None
 
-    def fields(i):
-        row = raw_lines[i + 1].split()
+    def row_error(lineno, message):
+        """The error of a parse stopped at ``lineno``.  Rows are checked in
+        file order (field count, numbers, finiteness, label), so a
+        non-finite value among the rows whose floats are all read, this
+        one's included, is the error the file reports."""
+        bad = _first_non_finite_row(values, width)
+        if bad is not None:
+            lineno, message = bad + 2, "non-finite value"
+        return ParseError(f"{path}: line {lineno}: {message}")
+
+    for lineno, line in enumerate(raw_lines[1:], start=2):
+        row = line.split()
         if len(row) != expected:
-            raise ParseError(
-                f"{path}: line {i + 2}: expected {expected} fields "
-                f"({dim_v} visual + {dim_a} audio"
-                f"{' + 1 label' if labeled else ''}), got {len(row)} — "
-                f"visual/audio pairing broken")
-        return row
-
-    # the first row vouches for the header's dims before anything is sized
-    # by them
-    fields(0)
-    visual = np.empty((n, dim_v), dtype=np.float64)
-    audio = np.empty((n, dim_a), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64) if labeled else None
-    for i in range(n):
-        lineno = i + 2
-        row_fields = fields(i)
+            raise row_error(
+                lineno, f"expected {expected} fields ({dim_v} visual + "
+                f"{dim_a} audio{' + 1 label' if labeled else ''}), got "
+                f"{len(row)} — visual/audio pairing broken")
+        label = row.pop() if labeled else None
         try:
-            row = [float(x) for x in row_fields[:dim_v + dim_a]]
+            values.extend(map(float, row))
         except ValueError as exc:
-            raise ParseError(
-                f"{path}: line {lineno}: non-numeric value") from exc
-        if not all(np.isfinite(row)):
-            raise ParseError(f"{path}: line {lineno}: non-finite value")
-        visual[i] = row[:dim_v]
-        audio[i] = row[dim_v:]
+            raise row_error(lineno, "non-numeric value") from exc
         if labeled:
             try:
-                labels[i] = int(row_fields[-1])
+                labels.append(int(label))
             except (ValueError, OverflowError) as exc:
-                raise ParseError(
-                    f"{path}: line {lineno}: invalid label "
-                    f"{row_fields[-1][:20]!r}") from exc
+                raise row_error(
+                    lineno, f"invalid label {label[:20]!r}") from exc
+    bad = _first_non_finite_row(values, width)
+    if bad is not None:
+        raise ParseError(f"{path}: line {bad + 2}: non-finite value")
+    rows = np.frombuffer(values, dtype=np.float64).reshape(n, width)
+    visual = rows[:, :dim_v].copy()
+    audio = rows[:, dim_v:].copy()
+    if labeled:
+        labels = np.frombuffer(labels, dtype=np.int64).copy()
     if domain_id is None:
         name = str(path)
         stem = name[name.rfind("/") + 1:]

@@ -199,6 +199,8 @@ class ExperimentConfig:
             raise ConfigurationError("learning_rate and weight_decay must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError("momentum must be in [0, 1)")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.setting in ("dg-single", "uda") and self.source_index is None:
             raise ConfigurationError(
                 f"setting {self.setting} needs a source_index")
@@ -262,12 +264,21 @@ def resolve_domains(config):
         return [DomainData(d.domain_id, copy.copy(d.train), copy.copy(d.test))
                 for d in _generated[key]]
     domains = []
+    widths = None  # the first file's (Dv, Da), which every file must share
     for domain_id, train_path, test_path in _domain_files(config.data_dir):
         train = load_feature_file(train_path, domain_id)
         test = load_feature_file(test_path, domain_id)
         if not train.labeled or not test.labeled:
             raise ConfigurationError(
                 f"domain files for {domain_id} must be labeled")
+        for path, batch in ((train_path, train), (test_path, test)):
+            found = (batch.visual.shape[1], batch.audio.shape[1])
+            if widths is None:
+                widths, first_path = found, path
+            elif found != widths:
+                raise ConfigurationError(
+                    f"{path}: (Dv, Da) = {found} differs from {widths} "
+                    f"in {first_path}; every domain file must share them")
         domains.append(DomainData(domain_id, train, test))
     return domains
 

@@ -448,6 +448,60 @@ def test_matrix_pair_from_a_domain_to_itself_exits_2_before_training(
 
 
 # ---------------------------------------------------------------------------
+# seeds
+
+
+def record_training(monkeypatch):
+    """The list every model initialization of a training run appends to."""
+    started = []
+    original = rnalign.training.init_model
+
+    def recording(*args):
+        started.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rnalign.training, "init_model", recording)
+    return started
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "matrix"])
+def test_negative_seed_flag_exits_2_before_any_work(tmp_path, capsys,
+                                                    monkeypatch, command):
+    started = record_training(monkeypatch)
+    config = write_config(tmp_path, MATRIX_INI)
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--config", config, "--out", str(out_dir),
+              "--seed", "-1"])
+    assert excinfo.value.code == 2
+    assert ("argument --seed: expected an integer >= 0, got '-1'"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+    assert started == []
+
+
+@pytest.mark.parametrize("command, old, new, message", [
+    ("generate", "seed = 5", "seed = -2",
+     "invalid [benchmark]: seed must be >= 0, got -2"),
+    ("train", "seed = 2", "seed = -2",
+     "invalid [experiment]: seed must be >= 0, got -2"),
+    ("matrix", "seeds = 0, 1", "seeds = 0, -1",
+     "[matrix] seeds must be >= 0, got -1"),
+], ids=["benchmark", "experiment", "matrix"])
+def test_negative_seed_key_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                             command, old, new, message):
+    started = record_training(monkeypatch)
+    config = write_config(tmp_path, MATRIX_INI.replace(old, new))
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, [command, "--config", config,
+                                    "--out", str(out_dir)])
+    assert code == 2
+    assert f"{config}: {message}" in err
+    assert not out_dir.exists()
+    assert started == []
+
+
+# ---------------------------------------------------------------------------
 # norms
 
 
@@ -645,6 +699,35 @@ def test_matrix_pairs_name_data_dir_domains_by_their_ids(tmp_path, capsys):
 def config_text(path):
     with open(path, encoding="ascii") as fh:
         return fh.read()
+
+
+@pytest.mark.parametrize("setting, target", [("dg-multi", 0),
+                                             ("dg-single", 2)])
+def test_data_dir_widths_must_agree_across_files(tmp_path, capsys, setting,
+                                                 target):
+    # D1 and D2 at Dv = 6, D3 at Dv = 4
+    data_dir, narrow = tmp_path / "data", tmp_path / "narrow"
+    for out_dir, dim in ((data_dir, 6), (narrow, 4)):
+        spec = write_config(tmp_path, BENCHMARK_INI.replace(
+            "input_dim_visual = 6", f"input_dim_visual = {dim}"),
+            name="spec.ini")
+        assert run_cli(capsys, ["generate", "--config", spec,
+                                "--out", str(out_dir), "--quiet"])[0] == 0
+    for split in ("train", "test"):
+        (narrow / f"D3_{split}.rnafeat").replace(
+            data_dir / f"D3_{split}.rnafeat")
+    config = write_config(
+        tmp_path,
+        TRAIN_INI.replace("setting = dg-single", f"setting = {setting}")
+        .replace("target = 1", f"target = {target}")
+        + f"data_dir = {data_dir}\n", name="files.ini")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, ["train", "--config", config,
+                                    "--out", str(out_dir), "--quiet"])
+    assert code == 2
+    assert (f"{data_dir / 'D3_train.rnafeat'}: (Dv, Da) = (4, 5) differs "
+            f"from (6, 5) in {data_dir / 'D1_train.rnafeat'}") in err
+    assert not (out_dir / "checkpoint.rna").exists()
 
 
 def test_train_on_non_ascii_feature_file_exits_2(tmp_path, capsys):

@@ -317,10 +317,67 @@ def test_feature_file_round_trip_is_lossless_at_64_bits(tmp_path):
     assert np.array_equal(loaded.audio, audio)
 
 
-def test_feature_file_header_names_format():
-    header_line = "RNAFEAT v1 2 3 4 1"
-    parts = header_line.split()
-    assert parts[0] == "RNAFEAT" and parts[1] == "v1"
+def test_feature_file_header_names_format(tmp_path):
+    # signed zero, the smallest subnormal, a non-terminating binary fraction,
+    # the last exactly spaced integer and two decimal-exponent switch points
+    visual = np.array([[-0.0, 5e-324], [2.0 ** 52, 1e16]])
+    audio = np.array([[0.1], [1e22]])
+    path = tmp_path / "pinned.rnafeat"
+    save_feature_file(MultiModalBatch(visual, audio, labels=[3, 0]), path)
+    assert path.read_bytes() == (b"RNAFEAT v1 2 2 1 1\n"
+                                 b"-0.0 5e-324 0.1 3\n"
+                                 b"4503599627370496.0 1e+16 1e+22 0\n")
+    save_feature_file(MultiModalBatch(visual, audio), path)
+    assert path.read_bytes() == (b"RNAFEAT v1 2 2 1 0\n"
+                                 b"-0.0 5e-324 0.1\n"
+                                 b"4503599627370496.0 1e+16 1e+22\n")
+
+
+def repr_per_element_line(visual_row, audio_row, label=None):
+    """One RNAFEAT data line by the reference formula: ``repr(float(x))``
+    of every value, then the label."""
+    fields = [repr(float(x)) for x in visual_row]
+    fields += [repr(float(x)) for x in audio_row]
+    if label is not None:
+        fields.append(str(int(label)))
+    return " ".join(fields)
+
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False,
+                          allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(1, 6), dim_v=st.integers(1, 4),
+       dim_a=st.integers(1, 4), labeled=st.booleans())
+def test_feature_file_lines_match_repr_per_element(tmp_path, data, n, dim_v,
+                                                   dim_a, labeled):
+    def matrix(dim):
+        return np.array(data.draw(st.lists(
+            st.lists(FINITE_FLOATS, min_size=dim, max_size=dim),
+            min_size=n, max_size=n)), dtype=np.float64).reshape(n, dim)
+
+    visual, audio = matrix(dim_v), matrix(dim_a)
+    labels = (np.array(data.draw(st.lists(
+        st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n, max_size=n)),
+        dtype=np.int64) if labeled else None)
+    path = tmp_path / "prop.rnafeat"
+    save_feature_file(MultiModalBatch(visual, audio, labels), path)
+    lines = path.read_text(encoding="ascii").split("\n")
+    assert lines[0] == f"RNAFEAT v1 {n} {dim_v} {dim_a} {int(labeled)}"
+    assert lines[-1] == ""
+    assert lines[1:-1] == [
+        repr_per_element_line(visual[i], audio[i],
+                              labels[i] if labeled else None)
+        for i in range(n)]
+    loaded = load_feature_file(path)
+    assert loaded.visual.tobytes() == visual.tobytes()
+    assert loaded.audio.tobytes() == audio.tobytes()
+    if labeled:
+        assert loaded.labels.tobytes() == labels.tobytes()
+    else:
+        assert loaded.labels is None
 
 
 def test_feature_file_rejects_truncation(tmp_path):
@@ -344,9 +401,35 @@ def test_feature_file_rejects_modality_pairing_mismatch(tmp_path):
 
 def test_feature_file_rejects_non_finite_values(tmp_path):
     path = tmp_path / "inf.rnafeat"
-    path.write_text("RNAFEAT v1 1 1 1 0\n1.0 inf\n")
-    with pytest.raises(ParseError):
+    path.write_text("RNAFEAT v1 2 1 1 0\n1.0 2.0\n1.0 inf\n")
+    with pytest.raises(ParseError, match="line 3: non-finite value"):
         load_feature_file(str(path))
+
+
+# a parse stops at the first line with an error; within a line the field
+# count comes first, then the numbers, then their finiteness, then the label
+@pytest.mark.parametrize("labeled, rows, line, message", [
+    (0, ["1.0 inf", "1.0"], 2, "non-finite value"),
+    (0, ["1.0 nan", "x 1.0"], 2, "non-finite value"),
+    (1, ["1.0 -inf 0", "1.0 1.0 z"], 2, "non-finite value"),
+    (1, ["1.0 1.0 z", "1.0 inf 0"], 2, "invalid label 'z'"),
+    (1, ["1.0 1.0 0", "1.0 inf z"], 3, "non-finite value"),
+    (1, ["1.0 1.0 0", "1.0 inf"], 3,
+     "expected 3 fields (1 visual + 1 audio + 1 label), got 2 — "
+     "visual/audio pairing broken"),
+    (1, ["1.0 1e999 0", "inf x 0"], 2, "non-finite value"),
+    (1, ["1.0 1.0 0", "inf x 0"], 3, "non-numeric value"),
+], ids=["before-field-count", "before-non-numeric", "before-label",
+        "label-before", "same-line-label", "same-line-field-count",
+        "overflow-before-non-numeric", "same-line-non-numeric"])
+def test_feature_file_reports_the_first_error_in_file_order(
+        tmp_path, labeled, rows, line, message):
+    path = tmp_path / "mixed.rnafeat"
+    path.write_text(f"RNAFEAT v1 {len(rows)} 1 1 {labeled}\n"
+                    + "".join(row + "\n" for row in rows))
+    with pytest.raises(ParseError) as excinfo:
+        load_feature_file(path)
+    assert str(excinfo.value) == f"{path}: line {line}: {message}"
 
 
 def test_feature_file_rejects_bad_header(tmp_path):
