@@ -9,17 +9,12 @@ Run:  python3 demos/loss_geometry.py
 
 import numpy as np
 
-from rnalign.losses import (FeatureBatch, cosine_alignment_loss, hna_loss,
-                            norm_stats, rna_loss)
-
-
-def batch(features, modality):
-    return FeatureBatch(features, modality)
+from rnalign.losses import cosine_alignment_loss, hna_loss, norm_stats, rna_loss
 
 
 def main():
-    visual = batch([[3.0, 4.0], [0.0, 5.0]], "visual")   # row norms 5, 5
-    audio = batch([[1.0, 0.0], [0.0, 2.0]], "audio")     # row norms 1, 2
+    visual = np.array([[3.0, 4.0], [0.0, 5.0]])   # row norms 5, 5
+    audio = np.array([[1.0, 0.0], [0.0, 2.0]])    # row norms 1, 2
 
     stats = norm_stats(visual, audio)
     print("hand-computable fixture")
@@ -31,27 +26,26 @@ def main():
 
     rng = np.random.default_rng(0)
     q, r = np.linalg.qr(rng.normal(size=(2, 2)))
-    rotated = batch(visual.features @ (q * np.sign(np.diag(r))), "visual")
+    rotated = visual @ (q * np.sign(np.diag(r)))
     print("\nrotating a modality changes nothing (norms are preserved):")
     print(f"  loss after rotation: {rna_loss(rotated, audio).value}")
 
     print("\nscaling both modalities together changes nothing either:")
-    doubled = rna_loss(batch(2.0 * visual.features, "visual"),
-                       batch(2.0 * audio.features, "audio"))
+    doubled = rna_loss(2.0 * visual, 2.0 * audio)
     print(f"  loss at 2x scale   : {doubled.value}")
 
     print("\nthe angle penalties react to direction, not scale:")
-    aligned = batch([[1.0, 0.0], [0.0, 1.0]], "audio")
+    aligned = np.array([[1.0, 0.0], [0.0, 1.0]])
     print(f"  cosine-align, parallel rows : "
-          f"{cosine_alignment_loss(visual, batch(visual.features, 'audio')).value:.6f}")
+          f"{cosine_alignment_loss(visual, visual).value:.6f}")
     print(f"  cosine-align, mixed rows    : "
           f"{cosine_alignment_loss(visual, aligned).value:.6f}")
 
     print("\ngradient size as the feature scale grows (the stability story):")
     print(f"  {'scale':>8} {'ratio-loss grad':>16} {'hard-norm grad':>16}")
     for scale in (1.0, 10.0, 100.0):
-        fv = batch(scale * visual.features, "visual")
-        fa = batch(scale * audio.features, "audio")
+        fv = scale * visual
+        fa = scale * audio
         ratio = rna_loss(fv, fa)
         hard = hna_loss(fv, fa, target_norm=scale * 3.25)
         grad_ratio = np.max(np.abs(ratio.grad_audio))

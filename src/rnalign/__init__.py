@@ -9,13 +9,12 @@ from .data import (BenchmarkSpec, DomainData, MultiModalBatch,
                    split_domains)
 from .errors import (ConfigurationError, DegenerateInputError, NumericalError,
                      ParseError, RnalignError)
-from .losses import (FeatureBatch, LossResult, NormStats,
-                     cosine_alignment_loss, dot_product_decomposition,
-                     feature_norms, hna_loss, norm_stats, orthogonality_loss,
-                     rna_loss, rna_loss_uda, top_k_norm_share)
+from .losses import (LossResult, NormStats, cosine_alignment_loss,
+                     dot_product_decomposition, hna_loss, norm_stats,
+                     orthogonality_loss, rna_loss, rna_loss_uda,
+                     top_k_norm_share)
 from .model import (BatchNormState, ModelConfig, TwoStreamModel, encode_pair,
-                    eval_logits, init_model, load_checkpoint, predict,
+                    eval_logits, init_model, load_checkpoint,
                     save_checkpoint)
-from .training import (ExperimentConfig, NormTelemetry,
-                       average_checkpoint_scores, evaluate,
-                       run_experiment, run_experiment_matrix)
+from .training import (ExperimentConfig, NormTelemetry, run_experiment,
+                       run_experiment_matrix, snapshot_accuracies)

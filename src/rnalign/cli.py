@@ -182,6 +182,8 @@ def _sniff_input(path):
 def cmd_norms(args):
     """Report norm statistics of a telemetry CSV (final iteration) or of a
     feature file (plus the top-k norm-share concentration diagnostic)."""
+    if args.out:
+        _ensure_outdir(Path(args.out).parent)
     kind = _sniff_input(args.input)
     rows = []
     if kind == "telemetry":

@@ -17,6 +17,7 @@ batches; every gradient is verified against central finite differences in
 the test suite.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -26,29 +27,6 @@ from .numerics import as_matrix
 
 VISUAL = "visual"
 AUDIO = "audio"
-
-
-class FeatureBatch:
-    """A batch of N encoded feature rows for one modality.
-
-    Parameters
-    ----------
-    features : array (N, D)
-        One feature vector per row; all entries must be finite, N >= 1.
-    modality : str
-        "visual" or "audio".
-    domain : str, optional
-        Free-form domain tag ("source", "target", a domain id, ...).
-    """
-
-    def __init__(self, features, modality, domain=None):
-        self.features = as_matrix(features)
-        if self.features.shape[0] < 1:
-            raise ConfigurationError("a feature batch needs at least one row")
-        if modality not in (VISUAL, AUDIO):
-            raise ConfigurationError(f"unknown modality: {modality!r}")
-        self.modality = modality
-        self.domain = domain
 
 
 class LossResult:
@@ -66,13 +44,6 @@ NormStats = namedtuple(
     "NormStats", ["mean_norm_visual", "mean_norm_audio", "delta", "rho"])
 
 
-def _rows(batch):
-    """Accept a FeatureBatch or a bare (N, D) array."""
-    if isinstance(batch, FeatureBatch):
-        return batch.features
-    return as_matrix(batch)
-
-
 def row_norms(features):
     """L2 norm of every feature row: (N,) for an (N, D) batch, (2, N) for
     a stacked visual/audio pair."""
@@ -84,11 +55,6 @@ def mean_norms(norms):
     return norms.sum(axis=-1) / norms.shape[-1]
 
 
-def feature_norms(batch):
-    """Per-sample L2 norms: element i is the norm of feature row i."""
-    return row_norms(_rows(batch))
-
-
 def _unit_rows(features, norms):
     """Rows scaled to unit norm; rows of norm 0 map to zero (their norm has
     no gradient there, by convention)."""
@@ -97,13 +63,15 @@ def _unit_rows(features, norms):
 
 
 def _paired(visual, audio):
-    """Both batches as validated arrays with the same number of rows."""
-    fv = _rows(visual)
-    fa = _rows(audio)
+    """Both (N, D) batches as validated arrays with the same N >= 1."""
+    fv = as_matrix(visual)
+    fa = as_matrix(audio)
     if fv.shape[0] != fa.shape[0]:
         raise ConfigurationError(
             f"modalities must be paired: {fv.shape[0]} visual rows vs "
             f"{fa.shape[0]} audio rows")
+    if fv.shape[0] == 0:
+        raise ConfigurationError("a feature batch needs at least one row")
     return fv, fa
 
 
@@ -238,29 +206,30 @@ def rna_loss_uda(source_visual, source_audio, target_visual, target_audio):
 
 
 def _same_dims(visual, audio):
-    dim_v, dim_a = _rows(visual).shape[1], _rows(audio).shape[1]
-    if dim_v != dim_a:
+    fv, fa = _paired(visual, audio)
+    if fv.shape[1] != fa.shape[1]:
         raise ConfigurationError(
-            f"cosines need equal feature dims, got {dim_v} and {dim_a}")
+            f"cosines need equal feature dims, got {fv.shape[1]} and "
+            f"{fa.shape[1]}")
+    return fv, fa
 
 
 def cosine_alignment_loss(visual, audio):
     """``cosine_alignment_stacked`` on a visual and an audio batch."""
-    _same_dims(visual, audio)
-    return _pair_loss(cosine_alignment_stacked, visual, audio)
+    return _pair_loss(cosine_alignment_stacked, *_same_dims(visual, audio))
 
 
 def orthogonality_loss(visual, audio):
     """``orthogonality_stacked`` on a visual and an audio batch."""
-    _same_dims(visual, audio)
-    return _pair_loss(orthogonality_stacked, visual, audio)
+    return _pair_loss(orthogonality_stacked, *_same_dims(visual, audio))
 
 
 def hna_loss(visual, audio, target_norm):
-    """``hna_stacked`` on a visual and an audio batch, for target R > 0."""
+    """``hna_stacked`` on a visual and an audio batch, for finite R > 0."""
     r = float(target_norm)
-    if r <= 0.0:
-        raise ConfigurationError(f"target norm R must be positive, got {r}")
+    if not (math.isfinite(r) and r > 0.0):
+        raise ConfigurationError(
+            f"target norm R must be positive and finite, got {r}")
     return _pair_loss(hna_stacked, visual, audio, r)
 
 
@@ -271,7 +240,7 @@ def top_k_norm_share(features, k):
 
     k is clamped to the feature dimensionality.
     """
-    f = _rows(features)
+    f = as_matrix(features)
     k = int(k)
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")

@@ -441,13 +441,6 @@ def eval_logits(model, visual_inputs, audio_inputs):
     return _mid_logits(model, concat)
 
 
-def predict(model, batch):
-    """Predicted class indices for a MultiModalBatch (or any object with
-    ``visual`` and ``audio`` input arrays).  Argmax of the fused logits;
-    ties break toward the lowest class index."""
-    return np.argmax(eval_logits(model, batch.visual, batch.audio)[0], axis=1)
-
-
 def save_checkpoint(model, path):
     """Serialize a model to the flat binary checkpoint format (see module
     docstring)."""

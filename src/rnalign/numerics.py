@@ -1,14 +1,11 @@
-"""Dense float64 numerics: validated linear/ReLU layer primitives with
-hand-derived backward passes, softmax cross-entropy, an SGD-with-momentum
-optimizer over flat parameter vectors, and a central finite-difference
-gradient oracle used by the test suites.
+"""Dense float64 numerics: matrix validation, softmax cross-entropy, an
+SGD-with-momentum optimizer over flat parameter vectors, and a central
+finite-difference gradient oracle used by the test suites.
 
 Everything operates on plain numpy arrays (row-major, 64-bit floats).  There
-is no autodiff graph: each forward returns an explicit cache and each backward
-consumes it.  The single-layer primitives are the validated reference for
-one stream; the model runs the same arithmetic on both streams at once,
-stacked on a leading axis.  All computations are deterministic for fixed
-inputs.
+is no autodiff graph: the model's layers (``rnalign.model``) pair each
+forward with a hand-derived backward.  All computations are deterministic
+for fixed inputs.
 """
 
 import numpy as np
@@ -16,98 +13,15 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 
 
-def as_matrix(values, rows=None, cols=None):
-    """Coerce ``values`` to a 2-D float64 array, validating shape and finiteness.
-
-    Parameters
-    ----------
-    values : array-like
-        Anything numpy can turn into a 2-D array.
-    rows, cols : int, optional
-        If given, the corresponding dimension must match exactly.
-
-    Returns
-    -------
-    numpy.ndarray of shape (rows, cols), dtype float64.
-    """
+def as_matrix(values):
+    """Coerce ``values`` (anything numpy can turn into a 2-D array) to a 2-D
+    float64 array, validating its rank and finiteness."""
     a = np.asarray(values, dtype=np.float64)
     if a.ndim != 2:
         raise ConfigurationError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if rows is not None and a.shape[0] != rows:
-        raise ConfigurationError(f"expected {rows} rows, got {a.shape[0]}")
-    if cols is not None and a.shape[1] != cols:
-        raise ConfigurationError(f"expected {cols} columns, got {a.shape[1]}")
     if not np.all(np.isfinite(a)):
         raise NumericalError("matrix contains non-finite entries")
     return a
-
-
-class LinearLayerParams:
-    """Parameters of one fully connected layer: weight (out x in), bias (out,)."""
-
-    def __init__(self, weight, bias):
-        self.weight = np.asarray(weight, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64)
-        if self.weight.ndim != 2:
-            raise ConfigurationError("weight must be 2-D (out x in)")
-        if self.bias.shape != (self.weight.shape[0],):
-            raise ConfigurationError(
-                f"bias shape {self.bias.shape} does not match weight rows "
-                f"{self.weight.shape[0]}")
-
-    @property
-    def out_dim(self):
-        return self.weight.shape[0]
-
-    @property
-    def in_dim(self):
-        return self.weight.shape[1]
-
-
-def linear_forward(params, x):
-    """Affine map y = x @ W.T + b.
-
-    Returns (output, cache); the cache feeds ``linear_backward``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.in_dim:
-        raise ConfigurationError(
-            f"linear_forward: input shape {x.shape}, expected (N, {params.in_dim})")
-    y = x @ params.weight.T
-    y += params.bias
-    return y, (params, x)
-
-
-def linear_backward(cache, grad_output):
-    """Backward pass of ``linear_forward``.
-
-    Returns ({'weight': grad, 'bias': grad}, grad_input).
-    """
-    params, x = cache
-    g = np.asarray(grad_output, dtype=np.float64)
-    if g.shape != (x.shape[0], params.out_dim):
-        raise ConfigurationError(
-            f"linear_backward: grad_output shape {g.shape} does not match the "
-            f"cached forward call (expected {(x.shape[0], params.out_dim)})")
-    return {"weight": g.T @ x, "bias": g.sum(axis=0)}, g @ params.weight
-
-
-def relu_forward(x):
-    """Elementwise max(0, x).  Returns (output, cache)."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0), x
-
-
-def relu_backward(cache, grad_output):
-    """Mask grad_output by positivity of the cached input.
-
-    The subgradient at exactly 0 is defined as 0.
-    """
-    g = np.asarray(grad_output, dtype=np.float64)
-    if g.shape != cache.shape:
-        raise ConfigurationError(
-            f"relu_backward: grad shape {g.shape} != cached input {cache.shape}")
-    return g * (cache > 0.0)
 
 
 def softmax(logits):

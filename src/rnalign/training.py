@@ -339,7 +339,7 @@ def _finish(model, snapshots, telemetry, target_test):
     """Final evaluation: fused accuracy under the snapshot-averaging protocol
     and single-modality accuracies from the final model.  The final model is
     the last snapshot bit for bit, so each snapshot is encoded once."""
-    for mode, accuracy in zip(EVAL_MODES, _snapshot_accuracies(
+    for mode, accuracy in zip(EVAL_MODES, snapshot_accuracies(
             snapshots or [model], target_test)):
         telemetry.add_eval("target_test", mode, accuracy)
     return model, telemetry
@@ -443,33 +443,18 @@ def run_experiment(config):
     return _finish(model, list(snapshots), telemetry, target_test)
 
 
-def _check_labeled(batch):
+def snapshot_accuracies(snapshots, batch):
+    """Top-1 accuracy on a labeled batch of each mode in ``EVAL_MODES``:
+    fused under snapshot averaging (the mean of the snapshots' softmax
+    scores, then the argmax), each stream alone from the last snapshot (for
+    mid fusion, with the other half of the concatenated features zeroed).
+    Ties break toward the lowest class index.  Encodes each snapshot once."""
+    if not snapshots:
+        raise ConfigurationError("need at least one snapshot")
     if batch.n == 0:
         raise ConfigurationError("cannot evaluate on an empty dataset")
     if not batch.labeled:
         raise ConfigurationError("evaluation needs a labeled dataset")
-
-
-def evaluate(model, batch, mode="fused"):
-    """Top-1 accuracy of the model on a labeled batch.
-
-    mode "fused" uses the full fusion; "visual"/"audio" score that stream
-    alone (for mid fusion: the other half of the concatenated features is
-    zeroed).
-    """
-    if mode not in EVAL_MODES:
-        raise ConfigurationError(f"unknown evaluation mode: {mode!r}")
-    _check_labeled(batch)
-    logits = eval_logits(model, batch.visual, batch.audio)
-    pred = np.argmax(logits[EVAL_MODES.index(mode)], axis=1)
-    return float(np.mean(pred == batch.labels))
-
-
-def _snapshot_accuracies(snapshots, batch):
-    """The accuracy of each mode in ``EVAL_MODES``: fused under snapshot
-    averaging, each stream alone from the last snapshot.  Encodes each
-    snapshot once."""
-    _check_labeled(batch)
     total = None
     for snap in snapshots:
         logits = eval_logits(snap, batch.visual, batch.audio)
@@ -478,14 +463,6 @@ def _snapshot_accuracies(snapshots, batch):
     preds = (np.argmax(total / len(snapshots), axis=1),
              *np.argmax(logits[1:], axis=2))
     return [float(np.mean(pred == batch.labels)) for pred in preds]
-
-
-def average_checkpoint_scores(snapshots, batch):
-    """Accuracy of the ensemble that averages the softmax score vectors of
-    the given model snapshots sample-by-sample, then takes the argmax."""
-    if not snapshots:
-        raise ConfigurationError("need at least one snapshot")
-    return _snapshot_accuracies(snapshots, batch)[0]
 
 
 def headline_accuracy(telemetry):
@@ -561,6 +538,10 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     ids = domain_ids(base_config)
     if pairs is None:
         pairs = default_pairs(base_config.setting, len(ids))
+    pairs, seeds = list(pairs), list(seeds)
+    if not pairs or not seeds:
+        raise ConfigurationError(
+            "an experiment matrix needs at least one domain pair and one seed")
     cells = []
     failures = []
     for pair in pairs:

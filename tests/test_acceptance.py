@@ -27,9 +27,9 @@ import pytest
 from rnalign.cli import main
 from rnalign.config import apply_method
 from rnalign.data import MultiModalBatch, load_feature_file, save_feature_file
-from rnalign.losses import (FeatureBatch, cosine_alignment_loss,
-                            dot_product_decomposition, hna_loss, norm_stats,
-                            orthogonality_loss, rna_loss, rna_loss_uda)
+from rnalign.losses import (cosine_alignment_loss, dot_product_decomposition,
+                            hna_loss, norm_stats, orthogonality_loss, rna_loss,
+                            rna_loss_uda)
 from rnalign.model import (ModelConfig, init_model, load_checkpoint,
                            model_backward, model_forward, save_checkpoint)
 from rnalign.numerics import (finite_difference_grad, relative_error,
@@ -46,14 +46,6 @@ def report(criterion, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"[{criterion}] {status}: {detail}")
     assert ok, f"{criterion} {status}: {detail}"
-
-
-def vb(features):
-    return FeatureBatch(features, "visual")
-
-
-def ab(features):
-    return FeatureBatch(features, "audio")
 
 
 def random_instance(rng):
@@ -120,29 +112,29 @@ def test_c1_gradients_match_finite_differences():
     for _ in range(18):
         fv, fa = random_instance(rng)
 
-        res = rna_loss(vb(fv), ab(fa))
+        res = rna_loss(fv, fa)
         check(res.grad_visual, res.grad_audio,
-              lambda v, a: rna_loss(vb(v), ab(a)).value, fv, fa)
+              lambda v, a: rna_loss(v, a).value, fv, fa)
 
         tv, ta = random_instance(rng)
-        s_term, t_term = rna_loss_uda(vb(fv), ab(fa), vb(tv), ab(ta))
+        s_term, t_term = rna_loss_uda(fv, fa, tv, ta)
         check(s_term.grad_visual, s_term.grad_audio,
-              lambda v, a: rna_loss_uda(vb(v), ab(a), vb(tv), ab(ta))[0].value,
+              lambda v, a: rna_loss_uda(v, a, tv, ta)[0].value,
               fv, fa)
         check(t_term.grad_visual, t_term.grad_audio,
-              lambda v, a: rna_loss_uda(vb(fv), ab(fa), vb(v), ab(a))[1].value,
+              lambda v, a: rna_loss_uda(fv, fa, v, a)[1].value,
               tv, ta)
 
         paired = rng.normal(size=fv.shape)
         for loss in (cosine_alignment_loss, orthogonality_loss):
-            res = loss(vb(fv), ab(paired))
+            res = loss(fv, paired)
             check(res.grad_visual, res.grad_audio,
-                  lambda v, a, loss=loss: loss(vb(v), ab(a)).value, fv, paired)
+                  lambda v, a, loss=loss: loss(v, a).value, fv, paired)
 
         target_norm = float(rng.uniform(0.5, 5.0))
-        res = hna_loss(vb(fv), ab(fa), target_norm)
+        res = hna_loss(fv, fa, target_norm)
         check(res.grad_visual, res.grad_audio,
-              lambda v, a: hna_loss(vb(v), ab(a), target_norm).value, fv, fa)
+              lambda v, a: hna_loss(v, a, target_norm).value, fv, fa)
 
     # cross-entropy w.r.t. the logits
     for seed in range(6):
@@ -209,19 +201,19 @@ def test_c2_norm_geometry_invariances():
         q_v = random_orthogonal(rng, fv.shape[1])
         q_a = random_orthogonal(rng, fa.shape[1])
         target_norm = float(rng.uniform(0.5, 5.0))
-        worst = max(worst, abs(rna_loss(vb(fv @ q_v), ab(fa @ q_a)).value
-                               - rna_loss(vb(fv), ab(fa)).value))
+        worst = max(worst, abs(rna_loss(fv @ q_v, fa @ q_a).value
+                               - rna_loss(fv, fa).value))
         worst = max(worst,
-                    abs(hna_loss(vb(fv @ q_v), ab(fa @ q_a), target_norm).value
-                        - hna_loss(vb(fv), ab(fa), target_norm).value))
+                    abs(hna_loss(fv @ q_v, fa @ q_a, target_norm).value
+                        - hna_loss(fv, fa, target_norm).value))
 
         paired = rng.normal(size=fv.shape)
         scale_v = rng.uniform(0.1, 3.0, size=(fv.shape[0], 1))
         scale_a = rng.uniform(0.1, 3.0, size=(fv.shape[0], 1))
         for loss in (cosine_alignment_loss, orthogonality_loss):
             worst = max(worst,
-                        abs(loss(vb(fv * scale_v), ab(paired * scale_a)).value
-                            - loss(vb(fv), ab(paired)).value))
+                        abs(loss(fv * scale_v, paired * scale_a).value
+                            - loss(fv, paired).value))
 
         v = rng.normal(size=int(rng.integers(1, 17)))
         a = rng.normal(size=v.shape)
@@ -240,14 +232,14 @@ def test_c2_norm_geometry_invariances():
 
 
 def test_c3_exact_fixture_values():
-    visual = vb([[3.0, 4.0], [0.0, 5.0]])   # row norms 5, 5 -> mean 5
-    audio = ab([[1.0, 0.0], [0.0, 2.0]])    # row norms 1, 2 -> mean 1.5
+    visual = [[3.0, 4.0], [0.0, 5.0]]   # row norms 5, 5 -> mean 5
+    audio = [[1.0, 0.0], [0.0, 2.0]]    # row norms 1, 2 -> mean 1.5
     stats = norm_stats(visual, audio)
     value = rna_loss(visual, audio).value
 
-    same = vb([[3.0, 4.0], [0.0, 5.0]])
-    stats_same = norm_stats(same, ab(same.features))
-    value_same = rna_loss(same, ab(same.features)).value
+    same = [[3.0, 4.0], [0.0, 5.0]]
+    stats_same = norm_stats(same, same)
+    value_same = rna_loss(same, same).value
 
     ok = (stats.delta == 3.5
           and stats.rho == pytest.approx(10.0 / 3.0, rel=1e-12)

@@ -21,8 +21,9 @@ from rnalign.config import load_config_file, parse_experiment_config
 from rnalign.errors import ParseError
 from rnalign.data import load_feature_file
 from rnalign.losses import norm_stats
-from rnalign.model import load_checkpoint, predict
-from rnalign.training import TELEMETRY_HEADER, NormTelemetry
+from rnalign.model import eval_logits, load_checkpoint
+from rnalign.training import (TELEMETRY_HEADER, NormTelemetry,
+                              snapshot_accuracies)
 
 BENCHMARK_INI = """\
 [benchmark]
@@ -204,9 +205,10 @@ def test_train_checkpoint_is_usable(tmp_path, capsys):
                             "--out", str(run_dir)])[0] == 0
     model = load_checkpoint(run_dir / "checkpoint.rna")
     batch = load_feature_file(data_dir / "D2_test.rnafeat")
-    labels = predict(model, batch)
-    assert labels.shape == (batch.n,)
-    assert set(np.unique(labels)) <= {0, 1, 2}
+    assert eval_logits(model, batch.visual, batch.audio).shape == \
+        (3, batch.n, 3)
+    assert all(0.0 <= acc <= 1.0
+               for acc in snapshot_accuracies([model], batch))
 
 
 def test_train_same_seed_reproduces_run(tmp_path, capsys):
@@ -567,6 +569,26 @@ def test_norms_out_csv_mirrors_stdout(feature_file, tmp_path, capsys):
     for line in lines[1:]:
         key, _, value = line.partition(",")
         assert report[key] == value
+
+
+def test_norms_out_creates_missing_parent_dirs(feature_file, tmp_path,
+                                               capsys):
+    csv_path = tmp_path / "new" / "dir" / "report.csv"
+    code, _, _ = run_cli(capsys, ["norms", str(feature_file),
+                                  "--out", str(csv_path)])
+    assert code == 0
+    assert csv_path.read_text(encoding="ascii").startswith("metric,value\n")
+
+
+def test_norms_out_under_a_file_exits_2_naming_it(feature_file, tmp_path,
+                                                  capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="ascii")
+    code, out, err = run_cli(capsys, ["norms", str(feature_file), "--out",
+                                      str(blocker / "report.csv")])
+    assert code == 2
+    assert str(blocker) in err
+    assert out == ""
 
 
 def test_norms_rejects_unrecognized_input(tmp_path, capsys):

@@ -5,28 +5,17 @@ import pytest
 
 from rnalign.errors import ConfigurationError, DegenerateInputError
 from rnalign.losses import (
-    AUDIO,
-    VISUAL,
-    FeatureBatch,
     cosine_alignment_loss,
     dot_product_decomposition,
-    feature_norms,
     hna_loss,
     norm_stats,
     orthogonality_loss,
     rna_loss,
     rna_loss_uda,
+    row_norms,
     top_k_norm_share,
 )
 from rnalign.numerics import finite_difference_grad, relative_error
-
-
-def vb(rows):
-    return FeatureBatch(np.asarray(rows, dtype=np.float64), VISUAL)
-
-
-def ab(rows):
-    return FeatureBatch(np.asarray(rows, dtype=np.float64), AUDIO)
 
 
 # The hand-computable fixture: visual norms (5, 5), audio norms (1, 2).
@@ -41,11 +30,11 @@ def random_orthogonal(rng, d):
 
 def check_grads_against_fd(loss_fn, visual, audio, tol=1e-5):
     """Both analytic gradients of a paired loss match central differences."""
-    res = loss_fn(vb(visual), ab(audio))
+    res = loss_fn(visual, audio)
     fd_v = finite_difference_grad(
-        lambda t: loss_fn(vb(t), ab(audio)).value, np.asarray(visual, float))
+        lambda t: loss_fn(t, audio).value, np.asarray(visual, float))
     fd_a = finite_difference_grad(
-        lambda t: loss_fn(vb(visual), ab(t)).value, np.asarray(audio, float))
+        lambda t: loss_fn(visual, t).value, np.asarray(audio, float))
     assert relative_error(res.grad_visual, fd_v) < tol
     assert relative_error(res.grad_audio, fd_a) < tol
 
@@ -55,19 +44,19 @@ def check_grads_against_fd(loss_fn, visual, audio, tol=1e-5):
 
 
 def test_feature_norms_fixture():
-    assert np.allclose(feature_norms(vb(FIX_V)), [5.0, 5.0])
+    assert np.allclose(row_norms(np.asarray(FIX_V)), [5.0, 5.0])
 
 
 def test_feature_norms_identity_rows():
-    assert np.allclose(feature_norms(vb(np.eye(3))), [1.0, 1.0, 1.0])
+    assert np.allclose(row_norms(np.eye(3)), [1.0, 1.0, 1.0])
 
 
 def test_feature_norms_zero_batch():
-    assert np.array_equal(feature_norms(vb(np.zeros((4, 3)))), np.zeros(4))
+    assert np.array_equal(row_norms(np.zeros((4, 3))), np.zeros(4))
 
 
 def test_norm_stats_fixture():
-    stats = norm_stats(vb(FIX_V), ab(FIX_A))
+    stats = norm_stats(FIX_V, FIX_A)
     assert stats.mean_norm_visual == 5.0
     assert stats.mean_norm_audio == 1.5
     assert stats.delta == 3.5
@@ -75,7 +64,7 @@ def test_norm_stats_fixture():
 
 
 def test_norm_stats_identical_batches():
-    stats = norm_stats(vb(FIX_V), ab(FIX_V))
+    stats = norm_stats(FIX_V, FIX_V)
     assert stats.delta == 0.0
     assert stats.rho == 1.0
 
@@ -83,18 +72,36 @@ def test_norm_stats_identical_batches():
 def test_norm_stats_rowwise_doubling_halves_rho():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 4))
-    stats = norm_stats(vb(x), ab(2.0 * x))
+    stats = norm_stats(x, 2.0 * x)
     assert abs(stats.rho - 0.5) < 1e-12
 
 
 def test_norm_stats_zero_audio_is_degenerate():
     with pytest.raises(DegenerateInputError):
-        norm_stats(vb(FIX_V), ab(np.zeros((2, 2))))
+        norm_stats(FIX_V, np.zeros((2, 2)))
 
 
 def test_norm_stats_requires_equal_batch_sizes():
     with pytest.raises(ConfigurationError):
-        norm_stats(vb(FIX_V), ab([[1.0, 0.0]]))
+        norm_stats(FIX_V, [[1.0, 0.0]])
+
+
+# every function that takes a visual and an audio batch, as f(visual, audio)
+PAIR_FUNCTIONS = {
+    "rna_loss": rna_loss,
+    "hna_loss": lambda v, a: hna_loss(v, a, 1.0),
+    "cosine_alignment_loss": cosine_alignment_loss,
+    "orthogonality_loss": orthogonality_loss,
+    "rna_loss_uda": lambda v, a: rna_loss_uda(v, a, v, a),
+    "norm_stats": norm_stats,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_FUNCTIONS))
+def test_pair_functions_reject_zero_row_batches(name):
+    empty = np.zeros((0, 3))
+    with pytest.raises(ConfigurationError, match="at least one row"):
+        PAIR_FUNCTIONS[name](empty, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +109,12 @@ def test_norm_stats_requires_equal_batch_sizes():
 
 
 def test_rna_loss_fixture_value():
-    res = rna_loss(vb(FIX_V), ab(FIX_A))
+    res = rna_loss(FIX_V, FIX_A)
     assert abs(res.value - 49.0 / 9.0) < 1e-12
 
 
 def test_rna_loss_zero_at_minimum():
-    res = rna_loss(vb(FIX_V), ab(FIX_V))
+    res = rna_loss(FIX_V, FIX_V)
     assert res.value == 0.0
     assert np.linalg.norm(res.grad_visual) == 0.0
     assert np.linalg.norm(res.grad_audio) == 0.0
@@ -124,7 +131,7 @@ def test_rna_loss_gradients_match_finite_differences():
 def test_rna_loss_zero_norm_row_gets_zero_gradient():
     v = np.array([[0.0, 0.0], [3.0, 4.0]])
     a = np.array([[1.0, 0.0], [0.0, 2.0]])
-    res = rna_loss(vb(v), ab(a))
+    res = rna_loss(v, a)
     assert np.array_equal(res.grad_visual[0], [0.0, 0.0])
     assert np.linalg.norm(res.grad_visual[1]) > 0.0
 
@@ -134,20 +141,20 @@ def test_rna_loss_descent_step_decreases_value():
     for _ in range(10):
         v = rng.normal(size=(3, 5))
         a = rng.normal(size=(3, 5)) * 3.0
-        res = rna_loss(vb(v), ab(a))
+        res = rna_loss(v, a)
         if res.value < 1e-8:
             continue
         step = 1e-4
-        after = rna_loss(vb(v - step * res.grad_visual),
-                         ab(a - step * res.grad_audio))
+        after = rna_loss(v - step * res.grad_visual,
+                         a - step * res.grad_audio)
         assert after.value < res.value
 
 
 def test_rna_loss_is_asymmetric_in_rho():
     # rho = 2 on one side of 1, rho = 0.5 on the other: (2-1)^2 != (0.5-1)^2
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    res_two = rna_loss(vb(2.0 * x), ab(x))
-    res_half = rna_loss(vb(x), ab(2.0 * x))
+    res_two = rna_loss(2.0 * x, x)
+    res_half = rna_loss(x, 2.0 * x)
     assert abs(res_two.value - 1.0) < 1e-12
     assert abs(res_half.value - 0.25) < 1e-12
 
@@ -158,8 +165,8 @@ def test_rna_loss_joint_scale_invariance():
         v = rng.normal(size=(3, 4))
         a = rng.normal(size=(3, 4)) * 2.0
         c = rng.uniform(0.1, 100.0)
-        base = rna_loss(vb(v), ab(a)).value
-        scaled = rna_loss(vb(c * v), ab(c * a)).value
+        base = rna_loss(v, a).value
+        scaled = rna_loss(c * v, c * a).value
         assert abs(base - scaled) <= 1e-12 * max(1.0, abs(base))
 
 
@@ -171,14 +178,14 @@ def test_rna_loss_orthogonal_invariance():
         a = rng.normal(size=(4, d)) * 2.0
         qv = random_orthogonal(rng, d)
         qa = random_orthogonal(rng, d)
-        base = rna_loss(vb(v), ab(a)).value
-        rotated = rna_loss(vb(v @ qv.T), ab(a @ qa.T)).value
+        base = rna_loss(v, a).value
+        rotated = rna_loss(v @ qv.T, a @ qa.T).value
         assert abs(base - rotated) < 1e-9
 
 
 def test_rna_loss_zero_audio_is_degenerate():
     with pytest.raises(DegenerateInputError):
-        rna_loss(vb(FIX_V), ab(np.zeros((2, 2))))
+        rna_loss(FIX_V, np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +194,14 @@ def test_rna_loss_zero_audio_is_degenerate():
 
 def test_rna_uda_terms_match_per_domain_values():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    src_term, tgt_term = rna_loss_uda(vb(x), ab(x), vb(FIX_V), ab(FIX_A))
+    src_term, tgt_term = rna_loss_uda(x, x, FIX_V, FIX_A)
     assert src_term.value == 0.0
     assert abs(tgt_term.value - 49.0 / 9.0) < 1e-12
 
 
 def test_rna_uda_identical_batches_everywhere():
     x = np.eye(3)
-    src_term, tgt_term = rna_loss_uda(vb(x), ab(x), vb(2 * x), ab(2 * x))
+    src_term, tgt_term = rna_loss_uda(x, x, 2 * x, 2 * x)
     assert src_term.value == 0.0 and tgt_term.value == 0.0
 
 
@@ -202,25 +209,25 @@ def test_rna_uda_gradients_never_mix_domains():
     rng = np.random.default_rng(8)
     sv, sa = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)) * 2.0
     tv, ta = rng.normal(size=(5, 4)), rng.normal(size=(5, 4)) * 0.5
-    src_term, tgt_term = rna_loss_uda(vb(sv), ab(sa), vb(tv), ab(ta))
+    src_term, tgt_term = rna_loss_uda(sv, sa, tv, ta)
     # each term's gradients are exactly the single-domain gradients
-    alone_s = rna_loss(vb(sv), ab(sa))
-    alone_t = rna_loss(vb(tv), ab(ta))
+    alone_s = rna_loss(sv, sa)
+    alone_t = rna_loss(tv, ta)
     assert np.array_equal(src_term.grad_visual, alone_s.grad_visual)
     assert np.array_equal(src_term.grad_audio, alone_s.grad_audio)
     assert np.array_equal(tgt_term.grad_visual, alone_t.grad_visual)
     assert np.array_equal(tgt_term.grad_audio, alone_t.grad_audio)
     # and perturbing the other domain leaves a term untouched
-    src_again, _ = rna_loss_uda(vb(sv), ab(sa), vb(10 * tv), ab(0.3 * ta))
+    src_again, _ = rna_loss_uda(sv, sa, 10 * tv, 0.3 * ta)
     assert src_again.value == src_term.value
 
 
 def test_rna_uda_reports_offending_domain():
     x = np.eye(2)
     with pytest.raises(DegenerateInputError, match="target"):
-        rna_loss_uda(vb(x), ab(x), vb(x), ab(np.zeros((2, 2))))
+        rna_loss_uda(x, x, x, np.zeros((2, 2)))
     with pytest.raises(DegenerateInputError, match="source"):
-        rna_loss_uda(vb(x), ab(np.zeros((2, 2))), vb(x), ab(x))
+        rna_loss_uda(x, np.zeros((2, 2)), x, x)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +237,14 @@ def test_rna_uda_reports_offending_domain():
 def test_cosine_alignment_zero_for_parallel_rows():
     rng = np.random.default_rng(2)
     v = rng.normal(size=(4, 3))
-    res = cosine_alignment_loss(vb(v), ab(3.0 * v))
+    res = cosine_alignment_loss(v, 3.0 * v)
     assert abs(res.value) < 1e-12
 
 
 def test_cosine_alignment_one_for_orthogonal_rows():
     v = np.array([[1.0, 0.0], [0.0, 2.0]])
     a = np.array([[0.0, 3.0], [4.0, 0.0]])
-    res = cosine_alignment_loss(vb(v), ab(a))
+    res = cosine_alignment_loss(v, a)
     assert abs(res.value - 1.0) < 1e-12
 
 
@@ -256,26 +263,26 @@ def test_cosine_alignment_rowwise_scale_invariance():
         a = rng.normal(size=(3, 4))
         sv = rng.uniform(0.1, 10.0, size=(3, 1))
         sa = rng.uniform(0.1, 10.0, size=(3, 1))
-        base = cosine_alignment_loss(vb(v), ab(a)).value
-        scaled = cosine_alignment_loss(vb(sv * v), ab(sa * a)).value
+        base = cosine_alignment_loss(v, a).value
+        scaled = cosine_alignment_loss(sv * v, sa * a).value
         assert abs(base - scaled) < 1e-9
 
 
 def test_cosine_alignment_zero_row_is_degenerate():
     with pytest.raises(DegenerateInputError):
-        cosine_alignment_loss(vb([[0.0, 0.0]]), ab([[1.0, 0.0]]))
+        cosine_alignment_loss([[0.0, 0.0]], [[1.0, 0.0]])
 
 
 def test_orthogonality_zero_for_orthogonal_rows():
     v = np.array([[1.0, 0.0], [0.0, 2.0]])
     a = np.array([[0.0, 3.0], [4.0, 0.0]])
-    assert abs(orthogonality_loss(vb(v), ab(a)).value) < 1e-12
+    assert abs(orthogonality_loss(v, a).value) < 1e-12
 
 
 def test_orthogonality_one_for_parallel_rows():
     rng = np.random.default_rng(14)
     v = rng.normal(size=(3, 4))
-    assert abs(orthogonality_loss(vb(v), ab(2.0 * v)).value - 1.0) < 1e-12
+    assert abs(orthogonality_loss(v, 2.0 * v).value - 1.0) < 1e-12
 
 
 def test_orthogonality_gradients_match_finite_differences():
@@ -292,8 +299,8 @@ def test_orthogonality_rowwise_scale_invariance():
         v = rng.normal(size=(3, 4))
         a = rng.normal(size=(3, 4))
         sv = rng.uniform(0.1, 10.0, size=(3, 1))
-        base = orthogonality_loss(vb(v), ab(a)).value
-        scaled = orthogonality_loss(vb(sv * v), ab(a)).value
+        base = orthogonality_loss(v, a).value
+        scaled = orthogonality_loss(sv * v, a).value
         assert abs(base - scaled) < 1e-9
 
 
@@ -303,12 +310,12 @@ def test_orthogonality_rowwise_scale_invariance():
 
 def test_hna_zero_when_both_means_hit_target():
     x = np.array([[2.0, 0.0], [0.0, 2.0]])  # both mean norms exactly 2
-    res = hna_loss(vb(x), ab(x), target_norm=2.0)
+    res = hna_loss(x, x, target_norm=2.0)
     assert res.value == 0.0
 
 
 def test_hna_fixture_value():
-    res = hna_loss(vb(FIX_V), ab(FIX_A), target_norm=3.25)
+    res = hna_loss(FIX_V, FIX_A, target_norm=3.25)
     assert abs(res.value - 6.125) < 1e-12
 
 
@@ -317,20 +324,26 @@ def test_hna_gradients_match_finite_differences():
     for _ in range(10):
         v = rng.normal(size=(4, 5))
         a = rng.normal(size=(4, 5)) * 2.0
-        res = hna_loss(vb(v), ab(a), target_norm=1.7)
+        res = hna_loss(v, a, target_norm=1.7)
         fd_v = finite_difference_grad(
-            lambda t: hna_loss(vb(t), ab(a), 1.7).value, v)
+            lambda t: hna_loss(t, a, 1.7).value, v)
         fd_a = finite_difference_grad(
-            lambda t: hna_loss(vb(v), ab(t), 1.7).value, a)
+            lambda t: hna_loss(v, t, 1.7).value, a)
         assert relative_error(res.grad_visual, fd_v) < 1e-5
         assert relative_error(res.grad_audio, fd_a) < 1e-5
 
 
 def test_hna_rejects_non_positive_target():
     with pytest.raises(ConfigurationError):
-        hna_loss(vb(FIX_V), ab(FIX_A), target_norm=0.0)
+        hna_loss(FIX_V, FIX_A, target_norm=0.0)
     with pytest.raises(ConfigurationError):
-        hna_loss(vb(FIX_V), ab(FIX_A), target_norm=-1.0)
+        hna_loss(FIX_V, FIX_A, target_norm=-1.0)
+
+
+@pytest.mark.parametrize("target", [np.nan, np.inf])
+def test_hna_rejects_non_finite_target(target):
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        hna_loss(FIX_V, FIX_A, target_norm=target)
 
 
 def test_hna_orthogonal_invariance():
@@ -341,8 +354,8 @@ def test_hna_orthogonal_invariance():
         a = rng.normal(size=(4, d))
         qv = random_orthogonal(rng, d)
         qa = random_orthogonal(rng, d)
-        base = hna_loss(vb(v), ab(a), 2.5).value
-        rotated = hna_loss(vb(v @ qv.T), ab(a @ qa.T), 2.5).value
+        base = hna_loss(v, a, 2.5).value
+        rotated = hna_loss(v @ qv.T, a @ qa.T, 2.5).value
         assert abs(base - rotated) < 1e-9
 
 
@@ -385,23 +398,23 @@ def test_dot_decomposition_zero_vector_has_undefined_angle():
 def test_top_k_share_full_k_is_one():
     rng = np.random.default_rng(31)
     x = rng.normal(size=(5, 8))
-    assert abs(top_k_norm_share(vb(x), k=8) - 1.0) < 1e-12
+    assert abs(top_k_norm_share(x, k=8) - 1.0) < 1e-12
 
 
 def test_top_k_share_concentrated_mass():
     # one dimension carries all the mass -> top-1 share is 1
     x = np.zeros((4, 6))
     x[:, 2] = np.arange(1.0, 5.0)
-    assert abs(top_k_norm_share(vb(x), k=1) - 1.0) < 1e-12
+    assert abs(top_k_norm_share(x, k=1) - 1.0) < 1e-12
 
 
 def test_top_k_share_uniform_mass():
     # equal per-dimension mass -> top-k share is k/D
     x = np.ones((3, 4))
-    assert abs(top_k_norm_share(vb(x), k=1) - 0.25) < 1e-12
-    assert abs(top_k_norm_share(vb(x), k=3) - 0.75) < 1e-12
+    assert abs(top_k_norm_share(x, k=1) - 0.25) < 1e-12
+    assert abs(top_k_norm_share(x, k=3) - 0.75) < 1e-12
 
 
 def test_top_k_share_clamps_oversized_k():
     x = np.ones((2, 3))
-    assert abs(top_k_norm_share(vb(x), k=300) - 1.0) < 1e-12
+    assert abs(top_k_norm_share(x, k=300) - 1.0) < 1e-12

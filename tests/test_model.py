@@ -20,7 +20,6 @@ from rnalign.model import (
     load_checkpoint,
     model_backward,
     model_forward,
-    predict,
     save_checkpoint,
 )
 from rnalign.data import MultiModalBatch
@@ -30,6 +29,7 @@ from rnalign.numerics import (
     softmax,
     softmax_cross_entropy,
 )
+from rnalign.training import snapshot_accuracies
 
 
 def tiny_config(**overrides):
@@ -312,27 +312,30 @@ def test_predict_breaks_ties_toward_lowest_class():
     model = init_model(tiny_config(), seed=0)
     for name in ("classifier_visual", "classifier_audio"):
         set_layer(model, name, 0.0)
-    batch = MultiModalBatch(np.ones((3, 3)), np.ones((3, 4)))
-    assert np.array_equal(predict(model, batch), [0, 0, 0])
+    batch = MultiModalBatch(np.ones((3, 3)), np.ones((3, 4)),
+                            labels=np.zeros(3, int))
+    assert snapshot_accuracies([model], batch) == [1.0, 1.0, 1.0]
 
 
 def test_predict_picks_argmax():
     model = make_identity_encoder_model(dim=3, num_classes=3)
     set_layer(model, "classifier_visual", np.eye(3))
     set_layer(model, "classifier_audio", 0.0)
-    batch = MultiModalBatch(np.array([[1.0, 5.0, 2.0]]), np.zeros((1, 3)))
-    assert np.array_equal(predict(model, batch), [1])
+    batch = MultiModalBatch(np.array([[1.0, 5.0, 2.0]]), np.zeros((1, 3)),
+                            labels=[1])
+    assert snapshot_accuracies([model], batch)[0] == 1.0
 
 
 def test_prediction_invariant_to_constant_logit_shift():
     # shifting every class's bias by the same constant changes no argmax
     rng = np.random.default_rng(11)
     model = init_model(tiny_config(), seed=6)
-    batch = MultiModalBatch(rng.normal(size=(8, 3)), rng.normal(size=(8, 4)))
-    base = predict(model, batch)
+    visual, audio = rng.normal(size=(8, 3)), rng.normal(size=(8, 4))
+    base = np.argmax(eval_logits(model, visual, audio)[0], axis=1)
     model.parameters()["classifier_visual.bias"][...] += 7.5
     model.parameters()["classifier_audio.bias"][...] -= 2.25
-    assert np.array_equal(predict(model, batch), base)
+    assert np.array_equal(
+        np.argmax(eval_logits(model, visual, audio)[0], axis=1), base)
 
 
 def test_zeroed_audio_classifier_makes_fusion_visual_only():

@@ -1,15 +1,16 @@
 """The training loop against an independent per-stream reference.
 
 The reference below is the two-stream network written the plain way, one
-stream at a time, out of the validated single-layer primitives of
-``rnalign.numerics``: ``linear_forward``/``linear_backward`` and the ReLU
-pair for each encoder and head, per-stream batchnorm, the auxiliary losses
-spelled out per modality, a fresh ``MultiModalBatch`` and one ``integers``
-draw per step, and SGD walking the parameter dict.  None of it touches the
-library's stacked (2, N, .) code path.  The library runs both streams as one
-stack on one flat parameter/gradient/velocity vector; the arithmetic per
-element is the same, so parameters, running statistics, every telemetry row
-and every evaluation must agree bit for bit.
+stream at a time, out of validated single-layer primitives defined here:
+``linear_forward``/``linear_backward`` and the ReLU pair for each encoder and
+head, per-stream batchnorm, the auxiliary losses spelled out per modality, a
+fresh ``MultiModalBatch`` and one ``integers`` draw per step, and SGD walking
+the parameter dict.  None of it touches the library's stacked (2, N, .) code
+path.  The library runs both streams as one stack on one flat
+parameter/gradient/velocity vector; the arithmetic per element is the same,
+so parameters, running statistics, every telemetry row and every evaluation
+must agree bit for bit.  The primitives' own unit tests are in
+``test_numerics.py``.
 """
 
 import dataclasses
@@ -18,10 +19,9 @@ import numpy as np
 import pytest
 
 from rnalign.data import BenchmarkSpec, MultiModalBatch, generate_benchmark
+from rnalign.errors import ConfigurationError
 from rnalign.model import ModelConfig, init_model
-from rnalign.numerics import (LinearLayerParams, linear_backward,
-                              linear_forward, relu_backward, relu_forward,
-                              softmax, softmax_cross_entropy)
+from rnalign.numerics import softmax, softmax_cross_entropy
 from rnalign.training import ExperimentConfig, run_experiment
 
 BENCH = BenchmarkSpec(num_domains=3, num_classes=4, input_dim_visual=6,
@@ -33,6 +33,78 @@ BENCH_EQUAL_DIMS = BenchmarkSpec(num_domains=3, num_classes=4,
 
 STREAMS = ("visual", "audio")
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5
+
+
+# ---------------------------------------------------------------------------
+# single-layer primitives, each forward returning the cache its backward reads
+
+
+class LinearLayerParams:
+    """Parameters of one fully connected layer: weight (out x in), bias (out,)."""
+
+    def __init__(self, weight, bias):
+        self.weight = np.asarray(weight, dtype=np.float64)
+        self.bias = np.asarray(bias, dtype=np.float64)
+        if self.weight.ndim != 2:
+            raise ConfigurationError("weight must be 2-D (out x in)")
+        if self.bias.shape != (self.weight.shape[0],):
+            raise ConfigurationError(
+                f"bias shape {self.bias.shape} does not match weight rows "
+                f"{self.weight.shape[0]}")
+
+    @property
+    def out_dim(self):
+        return self.weight.shape[0]
+
+    @property
+    def in_dim(self):
+        return self.weight.shape[1]
+
+
+def linear_forward(params, x):
+    """Affine map y = x @ W.T + b.
+
+    Returns (output, cache); the cache feeds ``linear_backward``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.in_dim:
+        raise ConfigurationError(
+            f"linear_forward: input shape {x.shape}, expected (N, {params.in_dim})")
+    y = x @ params.weight.T
+    y += params.bias
+    return y, (params, x)
+
+
+def linear_backward(cache, grad_output):
+    """Backward pass of ``linear_forward``.
+
+    Returns ({'weight': grad, 'bias': grad}, grad_input).
+    """
+    params, x = cache
+    g = np.asarray(grad_output, dtype=np.float64)
+    if g.shape != (x.shape[0], params.out_dim):
+        raise ConfigurationError(
+            f"linear_backward: grad_output shape {g.shape} does not match the "
+            f"cached forward call (expected {(x.shape[0], params.out_dim)})")
+    return {"weight": g.T @ x, "bias": g.sum(axis=0)}, g @ params.weight
+
+
+def relu_forward(x):
+    """Elementwise max(0, x).  Returns (output, cache)."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.maximum(x, 0.0), x
+
+
+def relu_backward(cache, grad_output):
+    """Mask grad_output by positivity of the cached input.
+
+    The subgradient at exactly 0 is defined as 0.
+    """
+    g = np.asarray(grad_output, dtype=np.float64)
+    if g.shape != cache.shape:
+        raise ConfigurationError(
+            f"relu_backward: grad shape {g.shape} != cached input {cache.shape}")
+    return g * (cache > 0.0)
 
 
 def layer(params, name):

@@ -16,7 +16,8 @@ import rnalign.training
 from rnalign.data import (BenchmarkSpec, MultiModalBatch, generate_benchmark,
                           load_feature_file, save_feature_file)
 from rnalign.errors import ConfigurationError, NumericalError, ParseError
-from rnalign.model import ModelConfig, encode_pair, init_model
+from rnalign.model import (EVAL_MODES, ModelConfig, encode_pair,
+                           eval_logits, init_model)
 from rnalign.training import (
     TELEMETRY_HEADER,
     ExperimentConfig,
@@ -25,16 +26,15 @@ from rnalign.training import (
     MatrixResult,
     NormTelemetry,
     _finish,
-    average_checkpoint_scores,
     default_pairs,
     domain_ids,
-    evaluate,
     headline_accuracy,
     pair_label,
     read_results_csv,
     resolve_domains,
     run_experiment,
     run_experiment_matrix,
+    snapshot_accuracies,
     write_results_csv,
 )
 
@@ -271,6 +271,14 @@ def balanced_batch(n_per_class=5, num_classes=2):
                            labels=labels)
 
 
+def logit_accuracy(model, batch, mode):
+    """Reference accuracy of one model: the argmax of its ``mode`` logits
+    against the labels, with no softmax and no averaging."""
+    logits = eval_logits(model, batch.visual, batch.audio)
+    pred = np.argmax(logits[EVAL_MODES.index(mode)], axis=1)
+    return float(np.mean(pred == batch.labels))
+
+
 def test_evaluate_uniform_zero_model_hits_tie_class_frequency():
     cfg = ModelConfig(input_dim_visual=2, input_dim_audio=2, hidden_dim=2,
                       feature_dim=2, num_classes=4)
@@ -280,7 +288,7 @@ def test_evaluate_uniform_zero_model_hits_tie_class_frequency():
     batch = MultiModalBatch(np.ones((8, 2)), np.ones((8, 2)),
                             labels=np.repeat(np.arange(4), 2))
     # all-zero logits predict class 0 everywhere; accuracy = freq(class 0)
-    assert evaluate(model, batch, "fused") == 0.25
+    assert snapshot_accuracies([model], batch) == [0.25, 0.25, 0.25]
 
 
 def test_evaluate_modes_differ_for_asymmetric_model():
@@ -288,38 +296,34 @@ def test_evaluate_modes_differ_for_asymmetric_model():
     model.parameters()["classifier_audio.bias"][...] = np.log([0.1, 0.9])
     batch = balanced_batch()
     # visual stream says class 0, audio stream says class 1
-    assert evaluate(model, batch, "visual") == 0.5
-    assert evaluate(model, batch, "audio") == 0.5
+    _, visual, audio = snapshot_accuracies([model], batch)
+    assert visual == 0.5
+    assert audio == 0.5
 
 
 def test_evaluate_rejects_unlabeled_or_empty():
     model = rigged_probability_model([0.5, 0.5])
     with pytest.raises(ConfigurationError):
-        evaluate(model, MultiModalBatch(np.ones((2, 2)), np.ones((2, 2))),
-                 "fused")
+        snapshot_accuracies(
+            [model], MultiModalBatch(np.ones((2, 2)), np.ones((2, 2))))
     with pytest.raises(ConfigurationError):
-        evaluate(model, MultiModalBatch(np.zeros((0, 2)), np.zeros((0, 2)),
-                                        labels=np.zeros(0, int)), "fused")
-
-
-def test_evaluate_rejects_unknown_mode():
-    model = rigged_probability_model([0.5, 0.5])
-    with pytest.raises(ConfigurationError):
-        evaluate(model, balanced_batch(), "telepathy")
+        snapshot_accuracies(
+            [model], MultiModalBatch(np.zeros((0, 2)), np.zeros((0, 2)),
+                                     labels=np.zeros(0, int)))
 
 
 def test_checkpoint_average_single_snapshot_equals_evaluate():
     model = rigged_probability_model([0.7, 0.3])
     batch = balanced_batch()
-    assert average_checkpoint_scores([model], batch) == \
-        evaluate(model, batch, "fused")
+    assert snapshot_accuracies([model], batch) == \
+        [logit_accuracy(model, batch, mode) for mode in EVAL_MODES]
 
 
 def test_checkpoint_average_identical_snapshots_equals_evaluate():
     model = rigged_probability_model([0.7, 0.3])
     batch = balanced_batch()
-    acc = average_checkpoint_scores([model, model, model], batch)
-    assert acc == evaluate(model, batch, "fused")
+    acc = snapshot_accuracies([model, model, model], batch)[0]
+    assert acc == logit_accuracy(model, batch, "fused")
 
 
 def test_checkpoint_average_blends_scores():
@@ -330,16 +334,16 @@ def test_checkpoint_average_blends_scores():
                                  labels=np.ones(4, int))
     labels_zero = MultiModalBatch(np.ones((4, 2)), np.ones((4, 2)),
                                   labels=np.zeros(4, int))
-    assert average_checkpoint_scores([snap_a, snap_b], labels_one) == 1.0
-    assert average_checkpoint_scores([snap_a, snap_b], labels_zero) == 0.0
+    assert snapshot_accuracies([snap_a, snap_b], labels_one)[0] == 1.0
+    assert snapshot_accuracies([snap_a, snap_b], labels_zero)[0] == 0.0
     # while each snapshot alone disagrees about one of them
-    assert evaluate(snap_a, labels_one, "fused") == 0.0
-    assert evaluate(snap_b, labels_one, "fused") == 1.0
+    assert snapshot_accuracies([snap_a], labels_one)[0] == 0.0
+    assert snapshot_accuracies([snap_b], labels_one)[0] == 1.0
 
 
 def test_checkpoint_average_rejects_zero_snapshots():
     with pytest.raises(ConfigurationError):
-        average_checkpoint_scores([], balanced_batch())
+        snapshot_accuracies([], balanced_batch())
 
 
 def test_finish_encodes_each_snapshot_once(monkeypatch):
@@ -365,9 +369,9 @@ def test_finish_encodes_each_snapshot_once(monkeypatch):
     assert [rec.mode for rec in telemetry.evals] == ["fused", "visual",
                                                      "audio"]
     assert telemetry.evals[0].accuracy == \
-        average_checkpoint_scores(snapshots, batch)
+        snapshot_accuracies(snapshots, batch)[0]
     for rec in telemetry.evals[1:]:
-        assert rec.accuracy == evaluate(final, batch, rec.mode)
+        assert rec.accuracy == logit_accuracy(final, batch, rec.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +421,13 @@ def test_matrix_failed_cell_recorded_as_nan():
     assert np.isnan(matrix.cells[0].mean)
     assert matrix.failures
     assert "D1->D2" in matrix.failures[0]
+
+
+@pytest.mark.parametrize("grid", [dict(pairs=[(0, 1)], seeds=()),
+                                  dict(pairs=[], seeds=[0])])
+def test_matrix_rejects_an_empty_grid(grid):
+    with pytest.raises(ConfigurationError, match="at least one domain pair"):
+        run_experiment_matrix(short_config(iterations=1), **grid)
 
 
 def test_results_csv_round_trip(tmp_path):
