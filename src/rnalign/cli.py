@@ -17,14 +17,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
 from .config import (METHODS, apply_method, load_config_file,
                      parse_benchmark_spec, parse_experiment_config,
                      parse_matrix_options)
-from .data import (BenchmarkSpec, generate_benchmark, load_feature_file,
-                   save_feature_file)
+from .data import generate_benchmark, load_feature_file, save_feature_file
 from .errors import (ConfigurationError, DegenerateInputError, NumericalError,
                      ParseError)
 from .losses import norm_stats, top_k_norm_share
@@ -36,12 +36,15 @@ from .training import (NormTelemetry, domain_ids, headline_accuracy,
 
 def _atomic(path, writer):
     """Write via a temp file in the same directory, then rename into place.
-    If the writer fails, the temp file is removed and the error re-raised."""
+    Failures remove the temp file; a failed rename is a ConfigurationError."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         writer(tmp)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {path}: {exc}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -56,13 +59,6 @@ def _ensure_outdir(out):
     if not os.access(path, os.W_OK):
         raise ConfigurationError(f"output dir {out} is not writable")
     return path
-
-
-def _config_as_dict(config):
-    d = dict(vars(config))
-    if "benchmark" in d and d["benchmark"] is not None:
-        d["benchmark"] = dict(vars(d["benchmark"]))
-    return d
 
 
 def _write_manifest(out_dir, command, config_dict, artifacts, started):
@@ -92,7 +88,7 @@ def cmd_generate(args):
     parser = load_config_file(args.config)
     spec = parse_benchmark_spec(parser, args.config)
     if args.seed is not None:
-        spec = BenchmarkSpec(**dict(vars(spec), seed=args.seed))
+        spec = replace(spec, seed=args.seed)
     out_dir = _ensure_outdir(args.out)
     domains = generate_benchmark(spec)
     artifacts = []
@@ -103,7 +99,7 @@ def cmd_generate(args):
             _atomic(path, lambda tmp, b=batch: save_feature_file(b, tmp))
             artifacts.append(path)
             _progress(args, f"wrote {path}")
-    artifacts.append(_write_manifest(out_dir, "generate", dict(vars(spec)),
+    artifacts.append(_write_manifest(out_dir, "generate", asdict(spec),
                                      artifacts, started))
     print(f"generated {len(domains)} domains "
           f"({len(artifacts) - 1} files) in {out_dir}")
@@ -117,7 +113,6 @@ def cmd_train(args):
     parser = load_config_file(args.config)
     config = parse_experiment_config(parser, args.config)
     if args.seed is not None:
-        from dataclasses import replace
         config = replace(config, seed=args.seed)
     out_dir = _ensure_outdir(args.out)
     _progress(args, f"training: setting={config.setting} "
@@ -127,7 +122,7 @@ def cmd_train(args):
     telemetry_path = out_dir / "telemetry.csv"
     _atomic(checkpoint_path, lambda tmp: save_checkpoint(model, tmp))
     _atomic(telemetry_path, lambda tmp: telemetry.to_csv(tmp))
-    _write_manifest(out_dir, "train", _config_as_dict(config),
+    _write_manifest(out_dir, "train", asdict(config),
                     [checkpoint_path, telemetry_path], started)
     accuracy = headline_accuracy(telemetry)
     print(f"setting={config.setting} aux={config.aux_loss} "
@@ -156,7 +151,7 @@ def cmd_matrix(args):
         results[method] = result
     results_path = out_dir / "results.csv"
     _atomic(results_path, lambda tmp: write_results_csv(tmp, results))
-    _write_manifest(out_dir, "matrix", _config_as_dict(base),
+    _write_manifest(out_dir, "matrix", asdict(base),
                     [results_path], started)
     for method, result in results.items():
         print(f"{method} mean={repr(float(result.mean))}")

@@ -13,7 +13,7 @@ silently falling back to defaults.
 """
 
 import configparser
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .data import BenchmarkSpec, read_text
 from .errors import ConfigurationError, ParseError
@@ -35,20 +35,8 @@ METHODS = {
     "rna-mid": {"aux_loss": "rna", "fusion_mode": "mid"},
 }
 
-_BENCHMARK_KEYS = {
-    "num_domains": int,
-    "num_classes": int,
-    "input_dim_visual": int,
-    "input_dim_audio": int,
-    "samples_per_class": int,
-    "prototype_scale": float,
-    "transform_strength": float,
-    "noise_sigma": float,
-    "audio_norm_scale": float,
-    "train_fraction": float,
-    "class_skew": float,
-    "seed": int,
-}
+# config-file key -> type: the BenchmarkSpec fields
+_BENCHMARK_KEYS = {f.name: f.type for f in fields(BenchmarkSpec)}
 
 # config-file key -> (ExperimentConfig field, type)
 _EXPERIMENT_KEYS = {
@@ -71,9 +59,10 @@ _EXPERIMENT_KEYS = {
     "data_dir": ("data_dir", str),
 }
 
-_MATRIX_KEYS = ("methods", "seeds", "pairs")
-
-_SECTIONS = ("benchmark", "experiment", "matrix")
+# the keys each section accepts
+_SECTION_KEYS = {"benchmark": _BENCHMARK_KEYS,
+                 "experiment": _EXPERIMENT_KEYS,
+                 "matrix": ("methods", "seeds", "pairs")}
 
 
 def load_config_file(path):
@@ -90,22 +79,16 @@ def load_config_file(path):
     except configparser.Error as exc:
         raise ParseError(f"{path}: {exc}") from exc
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _SECTION_KEYS:
             raise ParseError(
                 f"{path}: unknown section [{section}] "
-                f"(expected one of {', '.join(_SECTIONS)})")
-    if parser.has_section("benchmark"):
-        for key in parser["benchmark"]:
-            if key not in _BENCHMARK_KEYS:
-                raise ParseError(f"{path}: unknown [benchmark] key: {key}")
-    if parser.has_section("experiment"):
-        for key in parser["experiment"]:
-            if key not in _EXPERIMENT_KEYS:
-                raise ParseError(f"{path}: unknown [experiment] key: {key}")
-    if parser.has_section("matrix"):
-        for key in parser["matrix"]:
-            if key not in _MATRIX_KEYS:
-                raise ParseError(f"{path}: unknown [matrix] key: {key}")
+                f"(expected one of {', '.join(_SECTION_KEYS)})")
+    for section, accepted in _SECTION_KEYS.items():
+        if parser.has_section(section):
+            for key in parser[section]:
+                if key not in accepted:
+                    raise ParseError(
+                        f"{path}: unknown [{section}] key: {key}")
     return parser
 
 
@@ -142,12 +125,10 @@ def parse_experiment_config(parser, path="<config>"):
                 raise ParseError(f"{path}: [experiment] {key} is empty")
             kwargs[target_field] = _convert(path, "experiment", key, value,
                                             caster)
-    config = ExperimentConfig(**kwargs)
     try:
-        config.validate()
+        return ExperimentConfig(**kwargs)
     except ConfigurationError as exc:
         raise ParseError(f"{path}: invalid [experiment]: {exc}") from exc
-    return config
 
 
 def _parse_pair(token, setting, ids, path):

@@ -26,6 +26,7 @@ Floats are written with ``repr`` so a save/load round-trip is lossless at
 
 import math
 from array import array
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import expm
@@ -98,32 +99,29 @@ class MultiModalBatch:
         return MultiModalBatch(visual, audio, labels, domain_id)
 
 
+@dataclass(frozen=True)
 class BenchmarkSpec:
-    """Knobs of the synthetic benchmark generator."""
+    """Knobs of the synthetic generator, cast and checked on construction."""
+    num_domains: int = 3
+    num_classes: int = 8
+    input_dim_visual: int = 24
+    input_dim_audio: int = 24
+    samples_per_class: int = 200
+    prototype_scale: float = 1.0
+    transform_strength: float = 0.8
+    noise_sigma: float = 0.5
+    audio_norm_scale: float = 10.0
+    train_fraction: float = 0.75
+    class_skew: float = 0.0
+    seed: int = _DEFAULT_BENCHMARK_SEED
 
-    def __init__(self, num_domains=3, num_classes=8, input_dim_visual=24,
-                 input_dim_audio=24, samples_per_class=200,
-                 prototype_scale=1.0, transform_strength=0.8,
-                 noise_sigma=0.5, audio_norm_scale=10.0,
-                 train_fraction=0.75, class_skew=0.0,
-                 seed=_DEFAULT_BENCHMARK_SEED):
-        self.num_domains = int(num_domains)
-        self.num_classes = int(num_classes)
-        self.input_dim_visual = int(input_dim_visual)
-        self.input_dim_audio = int(input_dim_audio)
-        self.samples_per_class = int(samples_per_class)
-        self.prototype_scale = float(prototype_scale)
-        self.transform_strength = float(transform_strength)
-        self.noise_sigma = float(noise_sigma)
-        self.audio_norm_scale = float(audio_norm_scale)
-        self.train_fraction = float(train_fraction)
-        self.class_skew = float(class_skew)
-        self.seed = int(seed)
-        for name in ("prototype_scale", "transform_strength", "noise_sigma",
-                     "audio_norm_scale", "train_fraction", "class_skew"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+    def __post_init__(self):
+        for f in fields(self):
+            value = f.type(getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+            if f.type is float and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{f.name} must be finite, got {value}")
         if self.num_domains < 2:
             raise ConfigurationError(
                 "need at least 2 domains (one source, one target)")

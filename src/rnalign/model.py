@@ -32,6 +32,7 @@ Checkpoint format (little-endian throughout):
 import math
 import struct
 from collections import namedtuple
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,27 +45,32 @@ LATE = "late"
 MID = "mid"
 
 
+@dataclass(frozen=True)
 class ModelConfig:
-    """Dimensions and structural switches of a two-stream model."""
+    """Dimensions and structural switches of a two-stream model, cast and
+    checked on construction."""
+    input_dim_visual: int
+    input_dim_audio: int
+    hidden_dim: int = 128
+    feature_dim: int = 64
+    num_classes: int = 8
+    fusion_mode: str = LATE
+    batchnorm: bool = False
 
-    def __init__(self, input_dim_visual, input_dim_audio, hidden_dim=128,
-                 feature_dim=64, num_classes=8, fusion_mode=LATE,
-                 batchnorm=False):
-        self.input_dim_visual = int(input_dim_visual)
-        self.input_dim_audio = int(input_dim_audio)
-        self.hidden_dim = int(hidden_dim)
-        self.feature_dim = int(feature_dim)
-        self.num_classes = int(num_classes)
-        self.fusion_mode = fusion_mode
-        self.batchnorm = bool(batchnorm)
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type is not str:  # fusion_mode is checked as given
+                value = f.type(getattr(self, f.name))
+                object.__setattr__(self, f.name, value)
         for name in ("input_dim_visual", "input_dim_audio", "hidden_dim",
                      "feature_dim"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         if self.num_classes < 2:
             raise ConfigurationError("num_classes must be >= 2")
-        if fusion_mode not in (LATE, MID):
-            raise ConfigurationError(f"unknown fusion mode: {fusion_mode!r}")
+        if self.fusion_mode not in (LATE, MID):
+            raise ConfigurationError(
+                f"unknown fusion mode: {self.fusion_mode!r}")
 
 
 # the running statistics' update rate and the variance floor
@@ -359,15 +365,15 @@ def _mid_logits(model, concat):
 ForwardCache = namedtuple("ForwardCache", "encoder features bn head_input")
 
 
-def model_forward(model, visual_inputs, audio_inputs, training=False,
-                  update_running=False):
-    """Full forward pass of both streams up to fused logits.
+def model_forward(model, visual_inputs, audio_inputs, update_running=False):
+    """Training-mode forward pass of both streams up to fused logits, with
+    batchnorm on batch statistics (``eval_logits`` is the evaluation mode).
 
     Returns (fused_logits, cache); ``cache.features`` is the stacked
     (2, N, d) encoder output, visual first.
     """
     features, enc_cache = encode_pair(model, visual_inputs, audio_inputs)
-    h, bn_cache = _normalize(model, features, training, update_running)
+    h, bn_cache = _normalize(model, features, True, update_running)
     if model.config.fusion_mode == LATE:
         logits = _stream_logits(model, h)
         fused = logits[0] + logits[1]

@@ -25,11 +25,12 @@ All accuracies are fractions in [0, 1].
 
 import copy
 import csv
+import functools
 import io
 import math
 import re
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -151,10 +152,10 @@ def no_repeats(where, values, shown):
             raise ParseError(f"{where} names {shown[i]!r} twice")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a single training run depends on."""
-    benchmark: BenchmarkSpec = field(default_factory=BenchmarkSpec)
+    """Everything a single training run depends on, checked on construction."""
+    benchmark: BenchmarkSpec = BenchmarkSpec()
     data_dir: Optional[str] = None
     setting: str = "dg-single"
     aux_loss: str = "rna"
@@ -173,7 +174,7 @@ class ExperimentConfig:
     target_index: int = 1
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("lambda_weight", "hna_target_norm", "learning_rate",
                      "momentum", "weight_decay"):
             value = getattr(self, name)
@@ -241,28 +242,26 @@ def domain_ids(config):
     return [domain_id for domain_id, _, _ in _domain_files(config.data_dir)]
 
 
-# the generated domain set resolve_domains built last, under its spec's values
-_generated = {}
+@functools.lru_cache(maxsize=1)
+def _generated(spec):
+    """``generate_benchmark(spec)`` with read-only arrays; one spec kept."""
+    domains = generate_benchmark(spec)
+    for d in domains:
+        for batch in (d.train, d.test):
+            for array in (batch.visual, batch.audio, batch.labels):
+                array.flags.writeable = False
+    return domains
 
 
 def resolve_domains(config):
     """The run's domains: generated from the benchmark spec, or loaded from
     ``<data_dir>/<id>_train.rnafeat`` / ``<id>_test.rnafeat`` file pairs,
     in the order of the numbers in their ids.  The last generated set is
-    kept, its arrays read-only, and shared by a call whose spec has equal
-    field values; each such call returns fresh DomainData and
-    MultiModalBatch wrappers."""
+    kept, its arrays read-only, and shared by a call with an equal spec;
+    each such call returns fresh DomainData and MultiModalBatch wrappers."""
     if config.data_dir is None:
-        key = repr(vars(config.benchmark))
-        if key not in _generated:
-            _generated.clear()
-            _generated[key] = generate_benchmark(config.benchmark)
-            for d in _generated[key]:
-                for batch in (d.train, d.test):
-                    for array in (batch.visual, batch.audio, batch.labels):
-                        array.flags.writeable = False
         return [DomainData(d.domain_id, copy.copy(d.train), copy.copy(d.test))
-                for d in _generated[key]]
+                for d in _generated(config.benchmark)]
     domains = []
     widths = None  # the first file's (Dv, Da), which every file must share
     for domain_id, train_path, test_path in _domain_files(config.data_dir):
@@ -369,7 +368,6 @@ def run_experiment(config):
     target data is never touched.  With ``iterations == 0`` the freshly
     initialized model is returned unchanged (and evaluated as-is).
     """
-    config.validate()
     domains = resolve_domains(config)
     source, target_train, target_test = split_domains(
         domains, config.setting, config.source_index, config.target_index)
@@ -407,7 +405,7 @@ def run_experiment(config):
     with np.errstate(over="ignore", invalid="ignore"):
         for it, idx in zip(range(config.iterations), source_indices):
             fused, cache = model_forward(
-                model, source.visual[idx], source.audio[idx], training=True,
+                model, source.visual[idx], source.audio[idx],
                 update_running=True)
             norms = row_norms(cache.features)
             ce, grad_logits = cross_entropy(fused, source.labels[idx])
@@ -534,7 +532,6 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     recorded as NaN for that seed and noted in ``failures``; the matrix
     continues.
     """
-    base_config.validate()
     ids = domain_ids(base_config)
     if pairs is None:
         pairs = default_pairs(base_config.setting, len(ids))

@@ -5,9 +5,11 @@ exit codes, stdout contracts, and written artifacts are all checked exactly
 as a shell user would see them.
 """
 
+import dataclasses
 import json
 import re
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 import rnalign.training
 
 from rnalign.cli import _atomic, main
-from rnalign.config import load_config_file, parse_experiment_config
+from rnalign.config import (_SECTION_KEYS, load_config_file,
+                            parse_benchmark_spec, parse_experiment_config)
+from rnalign.data import BenchmarkSpec
 from rnalign.errors import ParseError
 from rnalign.data import load_feature_file
 from rnalign.losses import norm_stats
@@ -652,6 +656,23 @@ def test_atomic_write_removes_temp_file_when_writer_fails(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["norms", "train"])
+def test_output_path_that_is_a_directory_exits_2_naming_it(
+        command, feature_file, tmp_path, capsys):
+    if command == "norms":
+        target = tmp_path / "report.csv"
+        argv = ["norms", str(feature_file), "--out", str(target)]
+    else:
+        target = tmp_path / "run" / "checkpoint.rna"
+        argv = ["train", "--config", write_config(tmp_path, TRAIN_INI),
+                "--out", str(target.parent)]
+    target.mkdir(parents=True)
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert f"cannot write {target}" in err
+    assert list(target.parent.glob("*.tmp")) == []
+
+
 # ---------------------------------------------------------------------------
 # data directories and malformed input
 
@@ -780,6 +801,36 @@ def test_non_ascii_telemetry_and_config_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["train", "--config", str(config),
                                     "--out", str(tmp_path / "run")])
     assert code == 2 and f"byte {len(TRAIN_INI) + 5}" in err
+
+
+# ---------------------------------------------------------------------------
+# the accepted keys
+
+
+def test_benchmark_section_accepts_exactly_the_spec_fields(tmp_path):
+    names = [f.name for f in dataclasses.fields(BenchmarkSpec)]
+    assert list(_SECTION_KEYS["benchmark"]) == names
+    stock = BenchmarkSpec()
+    path = write_config(tmp_path, "[benchmark]\n" + "".join(
+        f"{name} = {getattr(stock, name)!r}\n" for name in names))
+    assert parse_benchmark_spec(load_config_file(path), path) == stock
+
+
+def test_readme_config_example_names_every_accepted_key():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (example,) = re.findall(r"```ini\n(.*?)```",
+                            readme.read_text(encoding="utf-8"), re.S)
+    named = {}
+    for line in example.splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        if header:
+            section = named.setdefault(header.group(1), set())
+        elif re.match(r";?\s*\w+\s*=", line):
+            # a key line, or a "; key = value" line naming an optional key
+            section.add(re.match(r";?\s*(\w+)", line).group(1))
+    assert named.keys() == _SECTION_KEYS.keys()
+    for name, keys in _SECTION_KEYS.items():
+        assert named[name] == set(keys), name
 
 
 # ---------------------------------------------------------------------------

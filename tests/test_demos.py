@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from rnalign.training import ExperimentConfig
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
@@ -17,3 +19,13 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 def test_demo_runs(capsys, name, expected):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert expected in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["training_walkthrough.py",
+                                  "lambda_sweep.py"])
+def test_training_demo_loads(name):
+    """The training demos take minutes, so only their imports and
+    module-level config run here, not ``main()``."""
+    namespace = runpy.run_path(str(DEMOS / name), run_name="demo")
+    assert callable(namespace["main"])
+    assert isinstance(namespace["CONFIG"], ExperimentConfig)

@@ -373,7 +373,7 @@ def full_model_grad_check(fusion_mode, batchnorm, seed, tol=1e-4):
     x_a = rng.normal(size=(4, 3))
     labels = rng.integers(0, 3, size=4)
 
-    fused, cache = model_forward(model, x_v, x_a, training=True)
+    fused, cache = model_forward(model, x_v, x_a)
     _, grad_logits = softmax_cross_entropy(fused, labels)
     bundle = model_backward(cache, grad_logits)
 
@@ -383,7 +383,7 @@ def full_model_grad_check(fusion_mode, batchnorm, seed, tol=1e-4):
         def f(t, p=p):
             old = p.copy()
             p[...] = t
-            out, _ = model_forward(model, x_v, x_a, training=True)
+            out, _ = model_forward(model, x_v, x_a)
             loss, _ = softmax_cross_entropy(out, labels)
             p[...] = old
             return loss
@@ -579,8 +579,7 @@ def test_model_backward_overwrites_every_gradient_entry():
             vector, _, _ = model.gradient()
             vector[...] = np.nan  # leftovers of an earlier step
             fused, cache = model_forward(
-                model, rng.normal(size=(4, 3)), rng.normal(size=(4, 4)),
-                training=True)
+                model, rng.normal(size=(4, 3)), rng.normal(size=(4, 4)))
             _, grad_logits = softmax_cross_entropy(fused, [0, 1, 2, 0])
             grads = model_backward(cache, grad_logits)
             assert list(grads) == list(model.parameters())

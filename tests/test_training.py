@@ -67,17 +67,17 @@ def models_equal(a, b):
 
 def test_config_validation_errors():
     with pytest.raises(ConfigurationError):
-        short_config(setting="dg-quadruple").validate()
+        short_config(setting="dg-quadruple")
     with pytest.raises(ConfigurationError):
-        short_config(aux_loss="mmd").validate()
+        short_config(aux_loss="mmd")
     with pytest.raises(ConfigurationError):
-        short_config(lambda_weight=-0.5).validate()
+        short_config(lambda_weight=-0.5)
     with pytest.raises(ConfigurationError):
-        short_config(iterations=-1).validate()
+        short_config(iterations=-1)
     with pytest.raises(ConfigurationError):
-        short_config(checkpoint_average=0).validate()
+        short_config(checkpoint_average=0)
     with pytest.raises(ConfigurationError):
-        short_config(hna_target_norm=-3.0).validate()
+        short_config(hna_target_norm=-3.0)
 
 
 def test_config_rejects_non_finite_floats_naming_the_field():
@@ -85,7 +85,61 @@ def test_config_rejects_non_finite_floats_naming_the_field():
                  "momentum", "weight_decay"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match=name):
-                short_config(**{name: value}).validate()
+                short_config(**{name: value})
+
+
+# the three config types are values: frozen, cast and checked on
+# construction, and so again by dataclasses.replace
+CONFIG_TYPES = {"BenchmarkSpec": BenchmarkSpec,
+                "ModelConfig": lambda: ModelConfig(4, 3),
+                "ExperimentConfig": ExperimentConfig}
+
+
+@pytest.mark.parametrize("name", list(CONFIG_TYPES))
+def test_config_fields_cannot_be_assigned(name):
+    config = CONFIG_TYPES[name]()
+    for f in dataclasses.fields(config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))
+
+
+@pytest.mark.parametrize("name, key, value, message", [
+    ("BenchmarkSpec", "num_domains", 1,
+     "need at least 2 domains (one source, one target)"),
+    ("BenchmarkSpec", "noise_sigma", float("nan"),
+     "noise_sigma must be finite, got nan"),
+    ("BenchmarkSpec", "train_fraction", 1.5,
+     "train_fraction must be in (0, 1)"),
+    ("BenchmarkSpec", "seed", -1, "seed must be >= 0, got -1"),
+    ("ModelConfig", "hidden_dim", 0, "hidden_dim must be >= 1"),
+    ("ModelConfig", "num_classes", 1, "num_classes must be >= 2"),
+    ("ModelConfig", "fusion_mode", "early", "unknown fusion mode: 'early'"),
+    ("ExperimentConfig", "setting", "dg-quadruple",
+     "unknown setting: 'dg-quadruple'"),
+    ("ExperimentConfig", "momentum", 1.0, "momentum must be in [0, 1)"),
+    ("ExperimentConfig", "source_index", None,
+     "setting dg-single needs a source_index"),
+])
+def test_invalid_config_cannot_be_built_or_replaced(name, key, value,
+                                                    message):
+    valid = CONFIG_TYPES[name]()
+    values = {f.name: getattr(valid, f.name)
+              for f in dataclasses.fields(valid)}
+    with pytest.raises(ConfigurationError) as built:
+        type(valid)(**dict(values, **{key: value}))
+    with pytest.raises(ConfigurationError) as replaced:
+        dataclasses.replace(valid, **{key: value})
+    assert str(built.value) == str(replaced.value) == message
+
+
+def test_spec_and_model_config_cast_their_numbers():
+    spec = dataclasses.replace(BenchmarkSpec(num_domains=4.0, noise_sigma=1),
+                               seed=9.0)
+    assert [type(v) for v in (spec.num_domains, spec.noise_sigma,
+                              spec.seed)] == [int, float, int]
+    assert (spec.num_domains, spec.noise_sigma, spec.seed) == (4, 1.0, 9)
+    model = ModelConfig(4.0, 3, batchnorm=1)
+    assert type(model.input_dim_visual) is int and model.batchnorm is True
 
 
 # ---------------------------------------------------------------------------
@@ -550,12 +604,12 @@ def test_resolved_arrays_are_shared_by_an_equal_spec_only():
                                                       benchmark=changed))
         assert domains[0].train.visual is not first[0].train.visual
         assert same_data(domains, generate_benchmark(changed))
-    # a spec edited in place is keyed by its values at call time
+    # a spec replaced field by field is keyed by its new values
     spec = small_benchmark()
     resolve_domains(dataclasses.replace(config, benchmark=spec))
-    spec.seed = 9
+    reseeded = dataclasses.replace(spec, seed=9)
     assert same_data(resolve_domains(dataclasses.replace(config,
-                                                         benchmark=spec)),
+                                                         benchmark=reseeded)),
                      generate_benchmark(small_benchmark(seed=9)))
 
 
