@@ -9,7 +9,7 @@ Run:  python3 demos/benchmark_report.py
 """
 
 from rnalign.data import BenchmarkSpec, generate_benchmark, split_domains
-from rnalign.losses import norm_stats, top_k_norm_share
+from rnalign.losses import norm_stats
 
 SPEC = BenchmarkSpec(num_domains=3, num_classes=8, samples_per_class=50,
                      seed=7)
@@ -31,13 +31,6 @@ def main():
                   f"{stats.mean_norm_visual:10.3f} "
                   f"{stats.mean_norm_audio:10.3f} "
                   f"{stats.delta:9.3f} {stats.rho:7.4f}")
-
-    print("\nnorm-mass concentration (share held by the top k dimensions):")
-    train = domains[0].train
-    for k in (1, 4, 12, 24):
-        share_v = top_k_norm_share(train.visual, k)
-        share_a = top_k_norm_share(train.audio, k)
-        print(f"  k={k:<3} visual {share_v:.3f}   audio {share_a:.3f}")
 
     pool, _, target_test = split_domains(domains, "dg-multi", None, 2)
     sources = ", ".join(d.domain_id for d in domains[:2])

@@ -11,8 +11,7 @@ from .errors import (ConfigurationError, DegenerateInputError, NumericalError,
                      ParseError, RnalignError)
 from .losses import (LossResult, NormStats, cosine_alignment_loss,
                      dot_product_decomposition, hna_loss, norm_stats,
-                     orthogonality_loss, rna_loss, rna_loss_uda,
-                     top_k_norm_share)
+                     orthogonality_loss, rna_loss, rna_loss_uda)
 from .model import (BatchNormState, ModelConfig, TwoStreamModel, encode_pair,
                     eval_logits, init_model, load_checkpoint,
                     save_checkpoint)

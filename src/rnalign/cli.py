@@ -3,7 +3,7 @@
     rnalign generate --config spec.ini --out data/
     rnalign train    --config run.ini  --out results/
     rnalign matrix   --config grid.ini --out results/
-    rnalign norms    telemetry.csv | features.rnafeat [--k 300]
+    rnalign norms    telemetry.csv | features.rnafeat
 
 Exit codes: 0 success, 1 numerical failure during a run, 2 configuration or
 parse failure.  Every output file is written atomically (write-then-rename)
@@ -27,7 +27,7 @@ from .config import (METHODS, apply_method, load_config_file,
 from .data import generate_benchmark, load_feature_file, save_feature_file
 from .errors import (ConfigurationError, DegenerateInputError, NumericalError,
                      ParseError)
-from .losses import norm_stats, top_k_norm_share
+from .losses import norm_stats
 from .model import save_checkpoint
 from .training import (NormTelemetry, domain_ids, headline_accuracy,
                        run_experiment, run_experiment_matrix,
@@ -36,17 +36,19 @@ from .training import (NormTelemetry, domain_ids, headline_accuracy,
 
 def _atomic(path, writer):
     """Write via a temp file in the same directory, then rename into place.
-    Failures remove the temp file; a failed rename is a ConfigurationError."""
+    A failure removes the temp file, unless it is a directory (which this
+    function never creates); an OSError from the writer or the rename is a
+    ConfigurationError naming the path."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         writer(tmp)
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if not tmp.is_dir():
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
             raise ConfigurationError(f"cannot write {path}: {exc}") from exc
-    except BaseException:
-        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -176,11 +178,10 @@ def _sniff_input(path):
 
 def cmd_norms(args):
     """Report norm statistics of a telemetry CSV (final iteration) or of a
-    feature file (plus the top-k norm-share concentration diagnostic)."""
+    feature file."""
     if args.out:
         _ensure_outdir(Path(args.out).parent)
     kind = _sniff_input(args.input)
-    rows = []
     if kind == "telemetry":
         telemetry = NormTelemetry.from_csv(args.input)
         if not telemetry.iterations:
@@ -191,27 +192,16 @@ def cmd_norms(args):
                 ("mean_norm_a", last.mean_norm_a),
                 ("delta", last.delta),
                 ("rho", last.rho)]
-        note = ("top-k norm share needs per-feature data; "
-                "run on an RNAFEAT file")
     else:
         batch = load_feature_file(args.input)
         stats = norm_stats(batch.visual, batch.audio)
-        k_v = min(args.k, batch.visual.shape[1])
-        k_a = min(args.k, batch.audio.shape[1])
         rows = [("samples", batch.n),
                 ("mean_norm_v", stats.mean_norm_visual),
                 ("mean_norm_a", stats.mean_norm_audio),
                 ("delta", stats.delta),
-                ("rho", stats.rho),
-                (f"top{k_v}_share_v",
-                 top_k_norm_share(batch.visual, k_v)),
-                (f"top{k_a}_share_a",
-                 top_k_norm_share(batch.audio, k_a))]
-        note = None
+                ("rho", stats.rho)]
     for key, value in rows:
         print(f"{key}={repr(float(value)) if isinstance(value, float) else value}")
-    if note and not args.quiet:
-        print(f"note: {note}", file=sys.stderr)
     if args.out:
         lines = ["metric,value"]
         lines += [f"{k},{repr(float(v)) if isinstance(v, float) else v}"
@@ -272,15 +262,10 @@ def build_parser():
     p = sub.add_parser("norms",
                        help="norm report from a telemetry CSV or RNAFEAT file")
     p.add_argument("input", help="telemetry CSV or RNAFEAT feature file")
-    p.add_argument("--k", type=int, default=300,
-                   help="top-k feature dimensions for the norm-share "
-                        "diagnostic, clamped to the feature dim: the default "
-                        "300 covers every dimension of the stock 24-d "
-                        "inputs, so its share reads 1.0 by definition")
     p.add_argument("--out", default=None,
                    help="optionally also write the report as CSV here")
     p.add_argument("--quiet", action="store_true",
-                   help="suppress notes")
+                   help="suppress progress output (norms prints none)")
     p.set_defaults(func=cmd_norms)
     return parser
 

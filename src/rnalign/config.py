@@ -74,8 +74,6 @@ def load_config_file(path):
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(read_text(path, "utf-8"), source=str(path))
-    except OSError as exc:
-        raise ParseError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ParseError(f"{path}: {exc}") from exc
     for section in parser.sections():

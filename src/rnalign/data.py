@@ -309,10 +309,15 @@ def save_feature_file(batch, path):
 
 def read_text(path, encoding="ascii", newline=None):
     """A text file's contents, as ``open(path, encoding=encoding,
-    newline=newline).read()`` returns them, except that a byte sequence the
-    encoding rejects is a ParseError naming its byte offset."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    newline=newline).read()`` returns them, except that a file that cannot
+    be read (missing, a directory, unreadable) is a ParseError naming the
+    path, and a byte sequence the encoding rejects is a ParseError naming its
+    byte offset."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         text = blob.decode(encoding)
     except UnicodeDecodeError as exc:

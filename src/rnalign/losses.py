@@ -233,26 +233,6 @@ def hna_loss(visual, audio, target_norm):
     return _pair_loss(hna_stacked, visual, audio, r)
 
 
-def top_k_norm_share(features, k):
-    """Fraction of total squared norm mass carried by the k largest feature
-    dimensions of a batch (a concentration diagnostic: 1.0 means k dimensions
-    hold everything).
-
-    k is clamped to the feature dimensionality.
-    """
-    f = as_matrix(features)
-    k = int(k)
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
-    k = min(k, f.shape[1])
-    per_dim = np.sum(f * f, axis=0)
-    total = float(per_dim.sum())
-    if total == 0.0:
-        raise DegenerateInputError("all-zero feature batch: norm share undefined")
-    top = np.sort(per_dim)[::-1][:k]
-    return float(top.sum() / total)
-
-
 DotDecomposition = namedtuple(
     "DotDecomposition", ["dot", "norm_v", "norm_a", "cos_theta"])
 

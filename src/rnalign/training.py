@@ -17,9 +17,9 @@ seed is split into independent child streams for model init, source
 minibatch sampling, and target minibatch sampling, so e.g. a lambda=0 UDA run
 is bitwise independent of the target data.
 
-Telemetry serializes to CSV with the exact header
-``iter,mean_norm_v,mean_norm_a,delta,rho,ce_loss,aux_loss``; results tables
-serialize with one row per method and one column per domain pair plus "mean".
+Telemetry serializes to CSV with one column per ``IterationRecord`` field
+(``TELEMETRY_HEADER``); results tables serialize with one row per method and
+one column per domain pair plus "mean".
 All accuracies are fractions in [0, 1].
 """
 
@@ -29,7 +29,7 @@ import functools
 import io
 import math
 import re
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -46,73 +46,49 @@ from .model import (EVAL_MODES, ModelConfig, encode_pair,
                     model_backward, model_forward)
 from .numerics import cross_entropy, sgd_step, softmax
 
-TELEMETRY_HEADER = "iter,mean_norm_v,mean_norm_a,delta,rho,ce_loss,aux_loss"
+# one telemetry row; its fields name the CSV columns, the first as "iter"
+IterationRecord = namedtuple(
+    "IterationRecord",
+    "iteration mean_norm_v mean_norm_a delta rho ce_loss aux_loss")
+EvalRecord = namedtuple("EvalRecord", "mode accuracy")
+
+TELEMETRY_HEADER = ",".join(("iter",) + IterationRecord._fields[1:])
 
 SETTINGS = ("dg-single", "dg-multi", "uda")
 AUX_LOSSES = ("none", "rna", "cosine-align", "orthogonality", "hna",
               "batchnorm-only")
 
 
-@dataclass
-class IterationRecord:
-    iteration: int
-    mean_norm_v: float
-    mean_norm_a: float
-    delta: float
-    rho: float
-    ce_loss: float
-    aux_loss: float
-
-
-@dataclass
-class EvalRecord:
-    split: str
-    mode: str
-    accuracy: float
-
-
 class NormTelemetry:
-    """Per-iteration norm/loss records plus final evaluation records."""
+    """Per-iteration norm/loss records plus the run's target-test
+    evaluation records, one per mode in ``EVAL_MODES`` order."""
 
     def __init__(self):
         self.iterations = []
         self.evals = []
 
     def add_iteration(self, record):
-        if self.iterations and record.iteration <= self.iterations[-1].iteration:
-            raise ConfigurationError(
-                "iteration records must be strictly increasing")
-        if math.isfinite(record.mean_norm_a) and record.mean_norm_a > 0:
-            if abs(record.delta
-                   - (record.mean_norm_v - record.mean_norm_a)) > 1e-9:
-                raise ConfigurationError("delta inconsistent with mean norms")
-            if abs(record.rho
-                   - record.mean_norm_v / record.mean_norm_a) > 1e-9:
-                raise ConfigurationError("rho inconsistent with mean norms")
         self.iterations.append(record)
 
-    def add_eval(self, split, mode, accuracy):
-        self.evals.append(EvalRecord(split, mode, float(accuracy)))
-
-    def eval_accuracy(self, split, mode):
+    def eval_accuracy(self, mode):
         for rec in self.evals:
-            if rec.split == split and rec.mode == mode:
+            if rec.mode == mode:
                 return rec.accuracy
-        raise ConfigurationError(f"no evaluation record for ({split}, {mode})")
+        raise ConfigurationError(f"no evaluation record for mode {mode!r}")
 
     def to_csv(self, path):
         with open(path, "w", encoding="ascii", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(TELEMETRY_HEADER.split(","))
             for r in self.iterations:
-                writer.writerow([r.iteration, repr(float(r.mean_norm_v)),
-                                 repr(float(r.mean_norm_a)),
-                                 repr(float(r.delta)), repr(float(r.rho)),
-                                 repr(float(r.ce_loss)),
-                                 repr(float(r.aux_loss))])
+                writer.writerow([r.iteration, *map(repr, map(float, r[1:]))])
 
     @classmethod
     def from_csv(cls, path):
+        """Read a telemetry CSV.  Each row must have every column, its
+        iteration must exceed the previous row's, and where mean_norm_a is
+        finite and positive its delta and rho must match the two means to
+        1e-9; any other row is a ParseError naming its line."""
         telemetry = cls()
         rows = _csv_rows(path)
         header = next(rows, None)
@@ -121,16 +97,25 @@ class NormTelemetry:
         if ",".join(header) != TELEMETRY_HEADER:
             raise ParseError(
                 f"{path}: line 1: expected header '{TELEMETRY_HEADER}'")
+        width = len(IterationRecord._fields)
         for lineno, row in enumerate(rows, start=2):
-            if len(row) != 7:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected 7 fields, "
-                    f"got {len(row)}")
             try:
-                rec = IterationRecord(int(row[0]), *map(float, row[1:]))
-                telemetry.add_iteration(rec)
-            except (ValueError, ConfigurationError) as exc:
+                if len(row) != width:
+                    raise ValueError(
+                        f"expected {width} fields, got {len(row)}")
+                r = IterationRecord(int(row[0]), *map(float, row[1:]))
+                if (telemetry.iterations
+                        and r.iteration <= telemetry.iterations[-1].iteration):
+                    raise ValueError(
+                        "iteration records must be strictly increasing")
+                if math.isfinite(r.mean_norm_a) and r.mean_norm_a > 0:
+                    if abs(r.delta - (r.mean_norm_v - r.mean_norm_a)) > 1e-9:
+                        raise ValueError("delta inconsistent with mean norms")
+                    if abs(r.rho - r.mean_norm_v / r.mean_norm_a) > 1e-9:
+                        raise ValueError("rho inconsistent with mean norms")
+            except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+            telemetry.iterations.append(r)
         return telemetry
 
 
@@ -317,33 +302,6 @@ def _resolve_hna_target(config, model, probe_batch):
     return 0.5 * (mean_v + mean_a)
 
 
-def _record_for(it, norms, ce, aux_value):
-    """The telemetry row of one step from its (2, N) feature row norms."""
-    mean_v, mean_a = mean_norms(norms).tolist()
-    rho = mean_v / mean_a if mean_a > 0 else float("nan")
-    return IterationRecord(it, mean_v, mean_a, mean_v - mean_a, rho,
-                           float(ce), float(aux_value))
-
-
-def _check_finite(record, telemetry):
-    if math.isfinite(record.ce_loss) and math.isfinite(record.aux_loss):
-        return
-    last = telemetry.iterations[-1] if telemetry.iterations else None
-    raise NumericalError(
-        f"non-finite loss at iteration {record.iteration}: "
-        f"ce={record.ce_loss} aux={record.aux_loss}; last record: {last}")
-
-
-def _finish(model, snapshots, telemetry, target_test):
-    """Final evaluation: fused accuracy under the snapshot-averaging protocol
-    and single-modality accuracies from the final model.  The final model is
-    the last snapshot bit for bit, so each snapshot is encoded once."""
-    for mode, accuracy in zip(EVAL_MODES, snapshot_accuracies(
-            snapshots or [model], target_test)):
-        telemetry.add_eval("target_test", mode, accuracy)
-    return model, telemetry
-
-
 def _index_blocks(rng, pool_size, config, block=256):
     """Each iteration's minibatch indices.  One ``integers`` call draws up to
     ``block`` iterations' worth; the generator keeps its spare 32-bit half
@@ -419,8 +377,17 @@ def run_experiment(config):
                 target_value, target_grad = aux(target, row_norms(target),
                                                 *aux_args)
                 aux_value += target_value
-            record = _record_for(it, norms, ce, aux_value)
-            _check_finite(record, telemetry)
+            mean_v, mean_a = mean_norms(norms).tolist()
+            record = IterationRecord(
+                it, mean_v, mean_a, mean_v - mean_a,
+                mean_v / mean_a if mean_a > 0 else float("nan"),
+                float(ce), float(aux_value))
+            if not (math.isfinite(record.ce_loss)
+                    and math.isfinite(record.aux_loss)):
+                raise NumericalError(
+                    f"non-finite loss at iteration {it}: "
+                    f"ce={record.ce_loss} aux={record.aux_loss}; "
+                    f"last record: {(telemetry.iterations or [None])[-1]}")
             model_backward(cache, grad_logits,
                            lam * aux_grad if use_aux else None)
             if adapt and use_aux:
@@ -433,12 +400,15 @@ def run_experiment(config):
                            if not np.isfinite(g).all())
                 raise NumericalError(
                     f"iteration {it}: {exc} (first at '{bad}'); last record: "
-                    f"{telemetry.iterations[-1] if telemetry.iterations else None}"
-                ) from exc
+                    f"{(telemetry.iterations or [None])[-1]}") from exc
             telemetry.add_iteration(record)
             if config.iterations - it <= config.checkpoint_average:
                 snapshots.append(model.clone())
-    return _finish(model, list(snapshots), telemetry, target_test)
+    # the stream accuracies come from the last snapshot, which is the final
+    # model bit for bit
+    telemetry.evals = list(map(EvalRecord, EVAL_MODES, snapshot_accuracies(
+        list(snapshots) or [model], target_test)))
+    return model, telemetry
 
 
 def snapshot_accuracies(snapshots, batch):
@@ -466,7 +436,7 @@ def snapshot_accuracies(snapshots, batch):
 def headline_accuracy(telemetry):
     """The run's reported number: fused target-test accuracy under the
     snapshot-averaging protocol."""
-    return telemetry.eval_accuracy("target_test", "fused")
+    return telemetry.eval_accuracy("fused")
 
 
 def default_pairs(setting, num_domains):

@@ -108,7 +108,7 @@ def test_generate_no_shift_limit_makes_domains_interchangeable():
                            learning_rate=0.05, weight_decay=0.0,
                            source_index=0, target_index=1, seed=0)
     _, telemetry = run_experiment(cfg)
-    assert telemetry.eval_accuracy("target_test", "fused") == 1.0
+    assert telemetry.eval_accuracy("fused") == 1.0
 
 
 def test_generate_prototypes_shared_across_domains():

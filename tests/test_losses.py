@@ -13,7 +13,6 @@ from rnalign.losses import (
     rna_loss,
     rna_loss_uda,
     row_norms,
-    top_k_norm_share,
 )
 from rnalign.numerics import finite_difference_grad, relative_error
 
@@ -390,31 +389,3 @@ def test_dot_decomposition_zero_vector_has_undefined_angle():
     assert d.dot == 0.0
     assert np.isnan(d.cos_theta)
 
-
-# ---------------------------------------------------------------------------
-# top-k norm share
-
-
-def test_top_k_share_full_k_is_one():
-    rng = np.random.default_rng(31)
-    x = rng.normal(size=(5, 8))
-    assert abs(top_k_norm_share(x, k=8) - 1.0) < 1e-12
-
-
-def test_top_k_share_concentrated_mass():
-    # one dimension carries all the mass -> top-1 share is 1
-    x = np.zeros((4, 6))
-    x[:, 2] = np.arange(1.0, 5.0)
-    assert abs(top_k_norm_share(x, k=1) - 1.0) < 1e-12
-
-
-def test_top_k_share_uniform_mass():
-    # equal per-dimension mass -> top-k share is k/D
-    x = np.ones((3, 4))
-    assert abs(top_k_norm_share(x, k=1) - 0.25) < 1e-12
-    assert abs(top_k_norm_share(x, k=3) - 0.75) < 1e-12
-
-
-def test_top_k_share_clamps_oversized_k():
-    x = np.ones((2, 3))
-    assert abs(top_k_norm_share(x, k=300) - 1.0) < 1e-12

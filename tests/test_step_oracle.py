@@ -13,8 +13,6 @@ must agree bit for bit.  The primitives' own unit tests are in
 ``test_numerics.py``.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -355,8 +353,7 @@ def reference_run(config):
                                   test.visual, test.audio, False)
         scores = softmax(fused)
         total = scores if total is None else total + scores
-    evals = [("target_test", "fused",
-              ref_accuracy(total / len(snapshots), test.labels))]
+    evals = [("fused", ref_accuracy(total / len(snapshots), test.labels))]
     _, feats, _ = ref_forward(params, running, model_config, test.visual,
                               test.audio, False)
     heads_in = dict(feats)
@@ -373,7 +370,7 @@ def reference_run(config):
                       for k in STREAMS]
             logits, _ = linear_forward(layer(params, "classifier_mid"),
                                        np.concatenate(halves, axis=1))
-        evals.append(("target_test", m, ref_accuracy(logits, test.labels)))
+        evals.append((m, ref_accuracy(logits, test.labels)))
     running_bytes = [running[m][0].tobytes() + running[m][1].tobytes()
                      for m in STREAMS] if model_config.batchnorm else []
     return params, running_bytes, rows, evals
@@ -428,8 +425,8 @@ def check_against_reference(setting, fusion, aux, lam, bench=BENCH,
     assert running == ([] if state is None else [
         state.running_mean[s].tobytes() + state.running_var[s].tobytes()
         for s in (0, 1)])
-    assert [dataclasses.astuple(r) for r in telemetry.iterations] == rows
-    assert [(e.split, e.mode, e.accuracy) for e in telemetry.evals] == evals
+    assert [tuple(r) for r in telemetry.iterations] == rows
+    assert [(e.mode, e.accuracy) for e in telemetry.evals] == evals
 
 
 @pytest.mark.parametrize("setting,fusion,aux,lam", CASES)

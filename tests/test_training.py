@@ -18,6 +18,7 @@ from rnalign.data import (BenchmarkSpec, MultiModalBatch, generate_benchmark,
 from rnalign.errors import ConfigurationError, NumericalError, ParseError
 from rnalign.model import (EVAL_MODES, ModelConfig, encode_pair,
                            eval_logits, init_model)
+from rnalign.numerics import softmax
 from rnalign.training import (
     TELEMETRY_HEADER,
     ExperimentConfig,
@@ -25,7 +26,6 @@ from rnalign.training import (
     MatrixCell,
     MatrixResult,
     NormTelemetry,
-    _finish,
     default_pairs,
     domain_ids,
     headline_accuracy,
@@ -151,17 +151,41 @@ def test_telemetry_header_string():
         "iter,mean_norm_v,mean_norm_a,delta,rho,ce_loss,aux_loss"
 
 
-def test_telemetry_rejects_out_of_order_iterations():
-    t = NormTelemetry()
-    t.add_iteration(IterationRecord(0, 2.0, 1.0, 1.0, 2.0, 0.5, 0.1))
-    with pytest.raises(ConfigurationError):
-        t.add_iteration(IterationRecord(0, 2.0, 1.0, 1.0, 2.0, 0.5, 0.1))
+def write_telemetry(tmp_path, *rows):
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join((TELEMETRY_HEADER,) + rows) + "\n",
+                    encoding="ascii")
+    return path
 
 
-def test_telemetry_rejects_inconsistent_delta():
-    t = NormTelemetry()
-    with pytest.raises(ConfigurationError):
-        t.add_iteration(IterationRecord(0, 2.0, 1.0, 0.5, 2.0, 0.5, 0.1))
+GOOD_ROW = "0,2.0,1.0,1.0,2.0,0.5,0.1"
+
+
+def test_telemetry_rejects_out_of_order_iterations(tmp_path):
+    path = write_telemetry(tmp_path, GOOD_ROW, GOOD_ROW)
+    with pytest.raises(ParseError, match="line 3: iteration records must be "
+                                         "strictly increasing"):
+        NormTelemetry.from_csv(path)
+
+
+def test_telemetry_rejects_inconsistent_delta(tmp_path):
+    path = write_telemetry(tmp_path, "0,2.0,1.0,0.5,2.0,0.5,0.1")
+    with pytest.raises(ParseError,
+                       match="line 2: delta inconsistent with mean norms"):
+        NormTelemetry.from_csv(path)
+
+
+def test_telemetry_rejects_inconsistent_rho(tmp_path):
+    path = write_telemetry(tmp_path, GOOD_ROW, "1,2.0,1.0,1.0,3.0,0.5,0.1")
+    with pytest.raises(ParseError,
+                       match="line 3: rho inconsistent with mean norms"):
+        NormTelemetry.from_csv(path)
+
+
+def test_telemetry_rejects_a_wrong_field_count(tmp_path):
+    path = write_telemetry(tmp_path, GOOD_ROW, "1,2.0,1.0,1.0,2.0,0.5")
+    with pytest.raises(ParseError, match="line 3: expected 7 fields, got 6"):
+        NormTelemetry.from_csv(path)
 
 
 def test_telemetry_csv_round_trip(tmp_path):
@@ -211,7 +235,7 @@ def test_train_dg_zero_iterations_returns_initialized_model():
         if name.endswith(".bias"):
             assert np.array_equal(p, np.zeros_like(p))
     # evaluation records still produced
-    assert 0.0 <= telemetry.eval_accuracy("target_test", "fused") <= 1.0
+    assert 0.0 <= telemetry.eval_accuracy("fused") <= 1.0
 
 
 def test_train_dg_lambda_zero_equals_aux_none():
@@ -220,14 +244,13 @@ def test_train_dg_lambda_zero_equals_aux_none():
     model_a, tel_a = run_experiment(base)
     model_b, tel_b = run_experiment(zeroed)
     assert models_equal(model_a, model_b)
-    assert tel_a.eval_accuracy("target_test", "fused") == \
-        tel_b.eval_accuracy("target_test", "fused")
+    assert tel_a.eval_accuracy("fused") == tel_b.eval_accuracy("fused")
 
 
 def test_train_dg_multi_source_pools_remaining_domains():
     cfg = short_config(setting="dg-multi", source_index=None, target_index=2)
     model, telemetry = run_experiment(cfg)
-    assert 0.0 <= telemetry.eval_accuracy("target_test", "fused") <= 1.0
+    assert 0.0 <= telemetry.eval_accuracy("fused") <= 1.0
 
 
 def test_train_dg_aborts_on_divergence_with_numerical_error():
@@ -264,7 +287,7 @@ def test_train_dg_hna_explicit_target_norm():
 def test_headline_accuracy_matches_fused_eval():
     _, telemetry = run_experiment(short_config(iterations=30))
     assert headline_accuracy(telemetry) == \
-        telemetry.eval_accuracy("target_test", "fused")
+        telemetry.eval_accuracy("fused")
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +437,18 @@ def test_finish_encodes_each_snapshot_once(monkeypatch):
     for i in range(9):
         snapshots.append(model.clone())
         model.flat += 0.05 * np.sin(np.arange(model.flat.size) + i)
-    final = snapshots[-1].clone()
     batch = generate_benchmark(small_benchmark())[1].test
-    _, telemetry = _finish(final, snapshots, NormTelemetry(), batch)
+    accuracies = snapshot_accuracies(snapshots, batch)
     assert len(calls) == 9
     monkeypatch.undo()
-    # the same numbers as the snapshot average and the final model alone
-    assert [rec.mode for rec in telemetry.evals] == ["fused", "visual",
-                                                     "audio"]
-    assert telemetry.evals[0].accuracy == \
-        snapshot_accuracies(snapshots, batch)[0]
-    for rec in telemetry.evals[1:]:
-        assert rec.accuracy == logit_accuracy(final, batch, rec.mode)
+    # fused: the argmax of the snapshots' mean softmax scores; each stream
+    # alone: the last snapshot's logits
+    scores = [softmax(eval_logits(s, batch.visual, batch.audio)[0])
+              for s in snapshots]
+    fused = np.argmax(sum(scores) / len(scores), axis=1)
+    assert accuracies[0] == float(np.mean(fused == batch.labels))
+    for mode, accuracy in zip(EVAL_MODES[1:], accuracies[1:]):
+        assert accuracy == logit_accuracy(snapshots[-1], batch, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -764,8 +787,8 @@ def test_telemetry_round_trip_is_bitwise(tmp_path, records):
         telemetry.add_iteration(record)
     saved = telemetry_bytes(telemetry, tmp_path / "t.csv")
     loaded = NormTelemetry.from_csv(tmp_path / "t.csv")
-    assert [dataclasses.astuple(r) for r in loaded.iterations] == \
-        [dataclasses.astuple(r) for r in records]
+    assert [tuple(r) for r in loaded.iterations] == \
+        [tuple(r) for r in records]
     assert telemetry_bytes(loaded, tmp_path / "again.csv") == saved
 
 
