@@ -232,13 +232,10 @@ def build_parser():
                         version=f"rnalign {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True, needs_out=True):
-        if needs_config:
-            p.add_argument("--config", required=True,
-                           help="path to the config file")
-        if needs_out:
-            p.add_argument("--out", required=True,
-                           help="output directory")
+    def common(p):
+        p.add_argument("--config", required=True,
+                       help="path to the config file")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=_seed, default=None,
                        help="override the seed from the config file "
                             "(an integer >= 0)")

@@ -35,34 +35,18 @@ METHODS = {
     "rna-mid": {"aux_loss": "rna", "fusion_mode": "mid"},
 }
 
-# config-file key -> type: the BenchmarkSpec fields
-_BENCHMARK_KEYS = {f.name: f.type for f in fields(BenchmarkSpec)}
+# the [experiment] keys whose names differ from their ExperimentConfig fields
+_RENAMED = {"lambda": "lambda_weight", "fusion": "fusion_mode",
+            "source": "source_index", "target": "target_index"}
+_KEY_OF = {field: key for key, field in _RENAMED.items()}
 
-# config-file key -> (ExperimentConfig field, type)
-_EXPERIMENT_KEYS = {
-    "setting": ("setting", str),
-    "aux_loss": ("aux_loss", str),
-    "lambda": ("lambda_weight", float),
-    "hna_target_norm": ("hna_target_norm", float),
-    "fusion": ("fusion_mode", str),
-    "hidden_dim": ("hidden_dim", int),
-    "feature_dim": ("feature_dim", int),
-    "learning_rate": ("learning_rate", float),
-    "momentum": ("momentum", float),
-    "weight_decay": ("weight_decay", float),
-    "iterations": ("iterations", int),
-    "batch_size": ("batch_size", int),
-    "checkpoint_average": ("checkpoint_average", int),
-    "source": ("source_index", int),
-    "target": ("target_index", int),
-    "seed": ("seed", int),
-    "data_dir": ("data_dir", str),
-}
-
-# the keys each section accepts
-_SECTION_KEYS = {"benchmark": _BENCHMARK_KEYS,
-                 "experiment": _EXPERIMENT_KEYS,
-                 "matrix": ("methods", "seeds", "pairs")}
+# the keys each section accepts; for [benchmark] and [experiment], config-file
+# key -> the dataclass field it sets
+_SECTION_KEYS = {
+    "benchmark": {f.name: f.name for f in fields(BenchmarkSpec)},
+    "experiment": {_KEY_OF.get(f.name, f.name): f.name
+                   for f in fields(ExperimentConfig) if f.name != "benchmark"},
+    "matrix": ("methods", "seeds", "pairs")}
 
 
 def load_config_file(path):
@@ -90,43 +74,30 @@ def load_config_file(path):
     return parser
 
 
-def _convert(path, section, key, value, caster):
+def _section(parser, section, path, cls, **kwargs):
+    """Build ``cls`` from ``[section]``: each key's text goes to its field as
+    is, and the dataclass casts and checks it (defaults apply to every
+    omitted key)."""
+    if parser.has_section(section):
+        for key, value in parser[section].items():
+            if value == "":
+                raise ParseError(f"{path}: [{section}] {key} is empty")
+            kwargs[_SECTION_KEYS[section][key]] = value
     try:
-        return caster(value)
-    except ValueError as exc:
-        raise ParseError(
-            f"{path}: [{section}] {key} = {value!r}: {exc}") from exc
+        return cls(**kwargs)
+    except ConfigurationError as exc:
+        raise ParseError(f"{path}: invalid [{section}]: {exc}") from exc
 
 
 def parse_benchmark_spec(parser, path="<config>"):
-    """Build a BenchmarkSpec from the [benchmark] section (defaults apply
-    to every omitted key)."""
-    kwargs = {}
-    if parser.has_section("benchmark"):
-        for key, value in parser["benchmark"].items():
-            kwargs[key] = _convert(path, "benchmark", key, value,
-                                   _BENCHMARK_KEYS[key])
-    try:
-        return BenchmarkSpec(**kwargs)
-    except ConfigurationError as exc:
-        raise ParseError(f"{path}: invalid [benchmark]: {exc}") from exc
+    """Build a BenchmarkSpec from the [benchmark] section."""
+    return _section(parser, "benchmark", path, BenchmarkSpec)
 
 
 def parse_experiment_config(parser, path="<config>"):
     """Build an ExperimentConfig from [experiment] (+ nested [benchmark])."""
-    benchmark = parse_benchmark_spec(parser, path)
-    kwargs = {"benchmark": benchmark}
-    if parser.has_section("experiment"):
-        for key, value in parser["experiment"].items():
-            target_field, caster = _EXPERIMENT_KEYS[key]
-            if value == "":
-                raise ParseError(f"{path}: [experiment] {key} is empty")
-            kwargs[target_field] = _convert(path, "experiment", key, value,
-                                            caster)
-    try:
-        return ExperimentConfig(**kwargs)
-    except ConfigurationError as exc:
-        raise ParseError(f"{path}: invalid [experiment]: {exc}") from exc
+    return _section(parser, "experiment", path, ExperimentConfig,
+                    benchmark=parse_benchmark_spec(parser, path))
 
 
 def _parse_pair(token, setting, ids, path):

@@ -25,6 +25,7 @@ Floats are written with ``repr`` so a save/load round-trip is lossless at
 """
 
 import math
+import typing
 from array import array
 from dataclasses import dataclass, fields
 
@@ -43,7 +44,7 @@ class MultiModalBatch:
     target batch); otherwise it is an int array of class indices.
     """
 
-    def __init__(self, visual, audio, labels=None, domain_id="unknown"):
+    def __init__(self, visual, audio, labels=None):
         self.visual = np.asarray(visual, dtype=np.float64)
         self.audio = np.asarray(audio, dtype=np.float64)
         if self.visual.ndim != 2 or self.audio.ndim != 2:
@@ -62,7 +63,6 @@ class MultiModalBatch:
                     f"expected {self.visual.shape[0]} labels, "
                     f"got shape {labels.shape}")
         self.labels = labels
-        self.domain_id = str(domain_id)
 
     @property
     def n(self):
@@ -76,15 +76,14 @@ class MultiModalBatch:
         """Row-subset batch (labels carried along when present)."""
         idx = np.asarray(indices)
         labels = self.labels[idx] if self.labeled else None
-        return MultiModalBatch(self.visual[idx], self.audio[idx], labels,
-                               self.domain_id)
+        return MultiModalBatch(self.visual[idx], self.audio[idx], labels)
 
     def without_labels(self):
         """The same inputs with the labels structurally removed."""
-        return MultiModalBatch(self.visual, self.audio, None, self.domain_id)
+        return MultiModalBatch(self.visual, self.audio, None)
 
     @staticmethod
-    def concatenate(batches, domain_id="pooled"):
+    def concatenate(batches):
         """Stack several batches; all must agree on labeledness."""
         if not batches:
             raise ConfigurationError("cannot concatenate zero batches")
@@ -96,7 +95,38 @@ class MultiModalBatch:
         audio = np.concatenate([b.audio for b in batches], axis=0)
         labels = (np.concatenate([b.labels for b in batches])
                   if labeled else None)
-        return MultiModalBatch(visual, audio, labels, domain_id)
+        return MultiModalBatch(visual, audio, labels)
+
+
+def _int(value):
+    """``int(value)``, rejecting a fractional number instead of truncating."""
+    if isinstance(value, str) or int(value) == value:
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+_CASTS = {int: _int, float: float, bool: bool, str: str}
+
+
+def cast_fields(config):
+    """Cast in place each field of a dataclass declared int, float, bool or
+    str (or Optional of one, when not None) to that type.  A value that does
+    not cast, or a float that is not finite, is a ConfigurationError."""
+    for f in fields(config):
+        kind, value = f.type, getattr(config, f.name)
+        if typing.get_origin(kind) is typing.Union:  # Optional[kind]
+            if value is None:
+                continue
+            kind = typing.get_args(kind)[0]
+        if kind not in _CASTS:
+            continue
+        try:
+            value = _CASTS[kind](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"{f.name}: {exc}") from exc
+        if kind is float and not math.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        object.__setattr__(config, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -116,12 +146,7 @@ class BenchmarkSpec:
     seed: int = _DEFAULT_BENCHMARK_SEED
 
     def __post_init__(self):
-        for f in fields(self):
-            value = f.type(getattr(self, f.name))
-            object.__setattr__(self, f.name, value)
-            if f.type is float and not math.isfinite(value):
-                raise ConfigurationError(
-                    f"{f.name} must be finite, got {value}")
+        cast_fields(self)
         if self.num_domains < 2:
             raise ConfigurationError(
                 "need at least 2 domains (one source, one target)")
@@ -254,8 +279,7 @@ def generate_benchmark(spec):
             xa = np.concatenate([p[1] for p in parts], axis=0)
             y = np.concatenate([p[2] for p in parts])
             order = rng.permutation(len(y))
-            return MultiModalBatch(xv[order], xa[order], y[order],
-                                   domain_id=domain_id)
+            return MultiModalBatch(xv[order], xa[order], y[order])
 
         domains.append(DomainData(domain_id, assemble(train_parts),
                                   assemble(test_parts)))
@@ -339,7 +363,7 @@ def _first_non_finite_row(values, width):
     return int(np.argmin(finite.all(axis=1)))
 
 
-def load_feature_file(path, domain_id=None):
+def load_feature_file(path):
     """Parse an RNAFEAT v1 file back into a MultiModalBatch.
 
     Raises ParseError (naming the offending line, or byte for non-ASCII
@@ -413,8 +437,4 @@ def load_feature_file(path, domain_id=None):
     audio = rows[:, dim_v:].copy()
     if labeled:
         labels = np.frombuffer(labels, dtype=np.int64).copy()
-    if domain_id is None:
-        name = str(path)
-        stem = name[name.rfind("/") + 1:]
-        domain_id = stem.split(".")[0]
-    return MultiModalBatch(visual, audio, labels, domain_id)
+    return MultiModalBatch(visual, audio, labels)

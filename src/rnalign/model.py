@@ -32,10 +32,11 @@ Checkpoint format (little-endian throughout):
 import math
 import struct
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .data import cast_fields
 from .errors import ConfigurationError, ParseError
 from .losses import AUDIO, VISUAL
 
@@ -58,10 +59,7 @@ class ModelConfig:
     batchnorm: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type is not str:  # fusion_mode is checked as given
-                value = f.type(getattr(self, f.name))
-                object.__setattr__(self, f.name, value)
+        cast_fields(self)
         for name in ("input_dim_visual", "input_dim_audio", "hidden_dim",
                      "feature_dim"):
             if getattr(self, name) < 1:

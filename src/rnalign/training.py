@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import (BenchmarkSpec, DomainData, generate_benchmark,
+from .data import (BenchmarkSpec, DomainData, cast_fields, generate_benchmark,
                    generated_domain_ids, load_feature_file, read_text,
                    split_domains)
 from .errors import ConfigurationError, NumericalError, ParseError
@@ -85,10 +85,11 @@ class NormTelemetry:
 
     @classmethod
     def from_csv(cls, path):
-        """Read a telemetry CSV.  Each row must have every column, its
-        iteration must exceed the previous row's, and where mean_norm_a is
-        finite and positive its delta and rho must match the two means to
-        1e-9; any other row is a ParseError naming its line."""
+        """Read a telemetry CSV.  Each row must have every column, an
+        iteration above the previous row's, finite norms >= 0, delta and
+        losses, and a delta and rho that match the norms to 1e-9 (rho is NaN
+        where mean_norm_a is 0); any other row is a ParseError naming its
+        line."""
         telemetry = cls()
         rows = _csv_rows(path)
         header = next(rows, None)
@@ -108,11 +109,20 @@ class NormTelemetry:
                         and r.iteration <= telemetry.iterations[-1].iteration):
                     raise ValueError(
                         "iteration records must be strictly increasing")
-                if math.isfinite(r.mean_norm_a) and r.mean_norm_a > 0:
-                    if abs(r.delta - (r.mean_norm_v - r.mean_norm_a)) > 1e-9:
-                        raise ValueError("delta inconsistent with mean norms")
-                    if abs(r.rho - r.mean_norm_v / r.mean_norm_a) > 1e-9:
+                for name in ("mean_norm_v", "mean_norm_a", "delta",
+                             "ce_loss", "aux_loss"):
+                    if not math.isfinite(getattr(r, name)):
+                        raise ValueError(f"{name} is not finite")
+                if r.mean_norm_v < 0 or r.mean_norm_a < 0:
+                    raise ValueError("mean norms must be >= 0")
+                if abs(r.delta - (r.mean_norm_v - r.mean_norm_a)) > 1e-9:
+                    raise ValueError("delta inconsistent with mean norms")
+                if r.mean_norm_a > 0:
+                    ratio = r.mean_norm_v / r.mean_norm_a
+                    if not (r.rho == ratio or abs(r.rho - ratio) <= 1e-9):
                         raise ValueError("rho inconsistent with mean norms")
+                elif not math.isnan(r.rho):
+                    raise ValueError("rho must be nan where mean_norm_a is 0")
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
             telemetry.iterations.append(r)
@@ -139,7 +149,8 @@ def no_repeats(where, values, shown):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a single training run depends on, checked on construction."""
+    """Everything a single training run depends on, cast and checked on
+    construction."""
     benchmark: BenchmarkSpec = BenchmarkSpec()
     data_dir: Optional[str] = None
     setting: str = "dg-single"
@@ -160,11 +171,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lambda_weight", "hna_target_norm", "learning_rate",
-                     "momentum", "weight_decay"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+        cast_fields(self)
         if self.setting not in SETTINGS:
             raise ConfigurationError(f"unknown setting: {self.setting!r}")
         if self.aux_loss not in AUX_LOSSES:
@@ -250,8 +257,8 @@ def resolve_domains(config):
     domains = []
     widths = None  # the first file's (Dv, Da), which every file must share
     for domain_id, train_path, test_path in _domain_files(config.data_dir):
-        train = load_feature_file(train_path, domain_id)
-        test = load_feature_file(test_path, domain_id)
+        train = load_feature_file(train_path)
+        test = load_feature_file(test_path)
         if not train.labeled or not test.labeled:
             raise ConfigurationError(
                 f"domain files for {domain_id} must be labeled")
@@ -453,12 +460,16 @@ def default_pairs(setting, num_domains):
 
 
 def pair_label(setting, pair, ids):
-    """Cell label from the domain ids: "D1->D2" or "D1,D2->D3"."""
-    pair = pair if isinstance(pair, tuple) else (pair,)
+    """Cell label from the domain ids: "D1->D2" for a (source, target)
+    tuple of dg-single or uda, "D1,D2->D3" for a (target,) of dg-multi."""
+    arity = 1 if setting == "dg-multi" else 2
+    if not isinstance(pair, tuple) or len(pair) != arity:
+        raise ConfigurationError(f"domain pair {pair!r} does not fit "
+                                 f"{setting}, which takes {arity} indices")
     if not all(0 <= i < len(ids) for i in pair):
         raise ConfigurationError(
             f"domain pair {pair} out of range for {len(ids)} domains")
-    if setting in ("dg-single", "uda"):
+    if arity == 2:
         s, t = pair
         return f"{ids[s]}->{ids[t]}"
     (t,) = pair
@@ -471,7 +482,6 @@ class MatrixCell:
     label: str
     accuracies: list
     mean: float
-    std: float
 
 
 class MatrixResult:
@@ -497,8 +507,9 @@ class MatrixResult:
 def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     """Train one configuration over a grid of domain pairs and seeds.
 
-    Returns a MatrixResult with one cell per pair: the per-seed accuracies,
-    their mean, and standard deviation.  A run that aborts numerically is
+    ``pairs`` are (source, target) tuples for dg-single and uda, (target,)
+    tuples or bare target indices for dg-multi.  Returns a MatrixResult with
+    one cell per pair: the per-seed accuracies and their mean.  A run that aborts numerically is
     recorded as NaN for that seed and noted in ``failures``; the matrix
     continues.
     """
@@ -512,8 +523,8 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     cells = []
     failures = []
     for pair in pairs:
-        label = pair_label(base_config.setting, pair, ids)
         pair = pair if isinstance(pair, tuple) else (pair,)
+        label = pair_label(base_config.setting, pair, ids)
         accuracies = []
         for seed in seeds:
             config = replace(base_config, target_index=pair[-1], seed=seed,
@@ -524,9 +535,8 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
             except NumericalError as exc:
                 failures.append((label, seed, str(exc)))
                 accuracies.append(float("nan"))
-        arr = np.asarray(accuracies, dtype=np.float64)
-        cells.append(MatrixCell(label, accuracies, float(arr.mean()),
-                                float(arr.std())))
+        cells.append(MatrixCell(label, accuracies,
+                                float(np.mean(accuracies))))
     return MatrixResult(cells, failures)
 
 

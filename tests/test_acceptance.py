@@ -387,7 +387,7 @@ def test_c8_contract_and_format_checks(tmp_path, capsys):
     target_file = data_dir / "D2_train.rnafeat"
     batch = load_feature_file(target_file)
     corrupted = MultiModalBatch(batch.visual, batch.audio,
-                                (batch.labels + 1) % 3, batch.domain_id)
+                                (batch.labels + 1) % 3)
     save_feature_file(corrupted, target_file)
     assert main(["train", "--config", str(uda_path),
                  "--out", str(tmp_path / "corrupted"), "--quiet"]) == 0
@@ -400,10 +400,10 @@ def test_c8_contract_and_format_checks(tmp_path, capsys):
     visual = rng.normal(size=(6, 4))
     visual[0, 0], visual[1, 1], visual[2, 2] = 1e-300, 2.0 ** 52, 1e16 + 1
     original = MultiModalBatch(visual, rng.normal(size=(6, 3)),
-                               rng.integers(0, 4, size=6), "D9")
+                               rng.integers(0, 4, size=6))
     round_trip_path = tmp_path / "round.rnafeat"
     save_feature_file(original, round_trip_path)
-    loaded = load_feature_file(round_trip_path, "D9")
+    loaded = load_feature_file(round_trip_path)
     checks.append(("feature round-trip",
                    np.array_equal(original.visual, loaded.visual)
                    and np.array_equal(original.audio, loaded.audio)

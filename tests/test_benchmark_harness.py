@@ -7,9 +7,12 @@ are read from their paths and executed here; nothing is written under
 ``benchmarks/``.
 """
 
+import importlib
 import json
 import types
 from pathlib import Path
+
+import pytest
 
 import rnalign
 from rnalign.data import BenchmarkSpec
@@ -52,3 +55,19 @@ def test_digest_rows_and_eval_records_have_the_fields_the_harness_reads(
     assert [rec.mode for rec in telemetry.evals] == list(EVAL_MODES)
     for rec in telemetry.evals:
         assert 0.0 <= rec.accuracy <= 1.0
+
+
+@pytest.mark.parametrize("name", ["train-dg", "matrix", "cli-io"])
+def test_each_workload_runs_and_checks_its_first_op(tmp_path, monkeypatch,
+                                                    name):
+    workloads = load_harness_file("workloads")
+    rn = types.SimpleNamespace(**{
+        module: importlib.import_module(f"rnalign.{module}")
+        for module in ("data", "model", "training", "config", "cli")})
+    # the matrix workload replaces training.run_experiment to observe cells
+    monkeypatch.setattr(rn.training, "run_experiment",
+                        rn.training.run_experiment)
+    workload = workloads.WORKLOADS[name](rn, tmp_path, 0)
+    outcome = workload.check(0, workload.op(0))
+    assert outcome.failures == []
+    assert outcome.iterations > 0

@@ -26,8 +26,8 @@ from rnalign.errors import ConfigurationError, ParseError
 from rnalign.data import load_feature_file
 from rnalign.losses import norm_stats
 from rnalign.model import eval_logits, load_checkpoint
-from rnalign.training import (TELEMETRY_HEADER, NormTelemetry,
-                              snapshot_accuracies)
+from rnalign.training import (TELEMETRY_HEADER, ExperimentConfig,
+                              NormTelemetry, snapshot_accuracies)
 
 BENCHMARK_INI = """\
 [benchmark]
@@ -112,7 +112,6 @@ def test_generate_files_load_with_expected_shapes(tmp_path, capsys):
     assert batch.visual.shape[1] == 6
     assert batch.audio.shape[1] == 5
     assert batch.labeled
-    assert batch.domain_id == "D2_train"
     total = batch.n + load_feature_file(out_dir / "D2_test.rnafeat").n
     assert total == 3 * 8
 
@@ -309,6 +308,23 @@ def test_train_bad_experiment_value_exits_2(tmp_path, capsys):
                                     "--out", str(tmp_path / "run")])
     assert code == 2
     assert "lambda" in err
+
+
+def test_train_value_that_does_not_cast_exits_2_naming_field_and_value(
+        tmp_path, capsys):
+    config = write_config(tmp_path, TRAIN_INI + "lambda = abc\n")
+    code, _, err = run_cli(capsys, ["train", "--config", config,
+                                    "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert (f"{config}: invalid [experiment]: lambda_weight: could not "
+            f"convert string to float: 'abc'") in err
+
+
+def test_seeds_beyond_float_precision_still_build(tmp_path):
+    config = write_config(tmp_path, TRAIN_INI.replace(
+        "seed = 2", "seed = 18446744073709551617"))
+    assert load_experiment(config).seed == 18446744073709551617
+    assert ExperimentConfig(seed=2 ** 53 + 1).seed == 2 ** 53 + 1
 
 
 def test_train_non_finite_setting_exits_2_naming_the_key(tmp_path, capsys):

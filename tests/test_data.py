@@ -285,14 +285,11 @@ def test_skewed_generated_spec_trains_every_class():
 def test_feature_file_round_trip_labeled(tmp_path):
     rng = np.random.default_rng(3)
     batch = MultiModalBatch(rng.normal(size=(7, 4)), rng.normal(size=(7, 3)),
-                            labels=rng.integers(0, 5, size=7),
-                            domain_id="D2")
+                            labels=rng.integers(0, 5, size=7))
     path = tmp_path / "D2_train.rnafeat"
     save_feature_file(batch, str(path))
     loaded = load_feature_file(str(path))
     assert batches_equal(batch, loaded)
-    assert loaded.domain_id == "D2_train"  # stem fallback when not given
-    assert load_feature_file(str(path), domain_id="D2").domain_id == "D2"
 
 
 def test_feature_file_round_trip_unlabeled(tmp_path):

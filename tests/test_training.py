@@ -2,6 +2,7 @@
 experiment matrix."""
 
 import dataclasses
+import pathlib
 import re
 import string
 
@@ -119,6 +120,20 @@ def test_config_fields_cannot_be_assigned(name):
     ("ExperimentConfig", "momentum", 1.0, "momentum must be in [0, 1)"),
     ("ExperimentConfig", "source_index", None,
      "setting dg-single needs a source_index"),
+    # a value that does not cast names the field
+    ("ExperimentConfig", "iterations", 5.5,
+     "iterations: expected an integer, got 5.5"),
+    ("ExperimentConfig", "batch_size", "x",
+     "batch_size: invalid literal for int() with base 10: 'x'"),
+    ("ExperimentConfig", "seed", 1.5, "seed: expected an integer, got 1.5"),
+    ("ExperimentConfig", "source_index", 0.5,
+     "source_index: expected an integer, got 0.5"),
+    ("ExperimentConfig", "learning_rate", "fast",
+     "learning_rate: could not convert string to float: 'fast'"),
+    ("BenchmarkSpec", "num_domains", 3.7,
+     "num_domains: expected an integer, got 3.7"),
+    ("ModelConfig", "input_dim_visual", 4.9,
+     "input_dim_visual: expected an integer, got 4.9"),
 ])
 def test_invalid_config_cannot_be_built_or_replaced(name, key, value,
                                                     message):
@@ -140,6 +155,20 @@ def test_spec_and_model_config_cast_their_numbers():
     assert (spec.num_domains, spec.noise_sigma, spec.seed) == (4, 1.0, 9)
     model = ModelConfig(4.0, 3, batchnorm=1)
     assert type(model.input_dim_visual) is int and model.batchnorm is True
+
+
+def test_experiment_config_casts_its_fields():
+    config = short_config(iterations=40.0, lambda_weight=1, seed="3",
+                          source_index=2.0, hna_target_norm=2,
+                          data_dir=pathlib.Path("some", "dir"))
+    assert (config.iterations, config.seed, config.source_index) == (40, 3, 2)
+    assert [type(v) for v in (config.iterations, config.seed,
+                              config.source_index, config.lambda_weight,
+                              config.hna_target_norm, config.data_dir)] == [
+        int, int, int, float, float, str]
+    assert config.data_dir == "some/dir"
+    assert dataclasses.replace(config, setting="dg-multi",
+                               source_index=None).source_index is None
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +208,27 @@ def test_telemetry_rejects_inconsistent_rho(tmp_path):
     path = write_telemetry(tmp_path, GOOD_ROW, "1,2.0,1.0,1.0,3.0,0.5,0.1")
     with pytest.raises(ParseError,
                        match="line 3: rho inconsistent with mean norms"):
+        NormTelemetry.from_csv(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,2.0,1.0,nan,nan,0.5,0.1", "delta is not finite"),
+    ("0,2.0,-1.0,77.0,5.0,0.5,0.1", "mean norms must be >= 0"),
+    ("0,2.0,1.0,1.0,2.0,nan,0.1", "ce_loss is not finite"),
+    ("0,inf,1.0,inf,inf,0.5,0.1", "mean_norm_v is not finite"),
+], ids=["nan-delta-rho", "negative-norm", "nan-ce", "inf-norm"])
+def test_telemetry_rejects_a_row_that_contradicts_itself(tmp_path, row,
+                                                         message):
+    path = write_telemetry(tmp_path, row)
+    with pytest.raises(ParseError, match=f"line 2: {message}"):
+        NormTelemetry.from_csv(path)
+
+
+def test_telemetry_reads_a_nan_rho_where_the_audio_norm_is_zero(tmp_path):
+    path = write_telemetry(tmp_path, "0,2.0,0.0,2.0,nan,0.5,0.1")
+    assert np.isnan(NormTelemetry.from_csv(path).iterations[0].rho)
+    path = write_telemetry(tmp_path, "0,2.0,0.0,2.0,1.0,0.5,0.1")
+    with pytest.raises(ParseError, match="line 2: rho must be nan"):
         NormTelemetry.from_csv(path)
 
 
@@ -474,6 +524,16 @@ def test_pair_labels():
             pair_label("uda" if len(bad) == 2 else "dg-multi", bad, ids)
 
 
+@pytest.mark.parametrize("setting, pair", [
+    ("dg-single", (1,)), ("dg-multi", (0, 1)), ("uda", (0, 1, 2))])
+def test_matrix_pair_of_the_wrong_arity_is_a_configuration_error(setting,
+                                                                 pair):
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"domain pair {pair!r} does not fit "
+                                       f"{setting}")):
+        run_experiment_matrix(short_config(setting=setting), [pair])
+
+
 def test_matrix_single_cell_matches_single_run():
     cfg = short_config(iterations=40)
     matrix = run_experiment_matrix(cfg, pairs=[(0, 1)], seeds=[5])
@@ -573,8 +633,7 @@ def test_data_dir_class_count_covers_test_labels(tmp_path):
     test = domains[1].test
     labels = test.labels.copy()
     labels[0] = 5  # above every train label
-    domains[1].test = MultiModalBatch(test.visual, test.audio, labels,
-                                      test.domain_id)
+    domains[1].test = MultiModalBatch(test.visual, test.audio, labels)
     save_domains(domains, tmp_path, ["D1", "D2"])
     config = short_config(benchmark=spec, data_dir=str(tmp_path),
                           iterations=2)
@@ -612,7 +671,7 @@ def test_resolved_arrays_are_read_only_behind_fresh_wrappers():
                                       domain_arrays(second)))
     # rebinding a wrapper's split does not reach the next call's domains
     first[1].test = first[0].test
-    assert resolve_domains(config)[1].test.domain_id == "D2"
+    assert resolve_domains(config)[1].test.visual is second[1].test.visual
 
 
 def test_resolved_arrays_are_shared_by_an_equal_spec_only():
@@ -641,9 +700,9 @@ def test_data_dir_domains_are_parsed_on_every_call(tmp_path, monkeypatch):
     save_domains(generate_benchmark(spec), tmp_path, ["D1", "D2"])
     parsed = []
 
-    def counting(path, domain_id=None):
+    def counting(path):
         parsed.append(path.name)
-        return load_feature_file(path, domain_id)
+        return load_feature_file(path)
 
     monkeypatch.setattr(rnalign.training, "load_feature_file", counting)
     config = short_config(benchmark=spec, data_dir=str(tmp_path))
@@ -825,7 +884,7 @@ def test_results_round_trip_is_bitwise(tmp_path, labels, methods, data):
         means = data.draw(st.lists(st.floats(), min_size=len(labels),
                                    max_size=len(labels)))
         results[method] = MatrixResult(
-            [MatrixCell(label, [m], m, 0.0) for label, m in zip(labels, means)])
+            [MatrixCell(label, [m], m) for label, m in zip(labels, means)])
     path = tmp_path / "results.csv"
     with np.errstate(over="ignore", invalid="ignore"):
         write_results_csv(path, results)
