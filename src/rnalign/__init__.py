@@ -12,8 +12,7 @@ from .errors import (ConfigurationError, DegenerateInputError, NumericalError,
 from .losses import (LossResult, NormStats, cosine_alignment_loss,
                      dot_product_decomposition, hna_loss, norm_stats,
                      orthogonality_loss, rna_loss, rna_loss_uda)
-from .model import (BatchNormState, ModelConfig, TwoStreamModel, encode_pair,
-                    eval_logits, init_model, load_checkpoint,
-                    save_checkpoint)
+from .model import (ModelConfig, TwoStreamModel, encode_pair, eval_logits,
+                    init_model, load_checkpoint, save_checkpoint)
 from .training import (ExperimentConfig, NormTelemetry, run_experiment,
                        run_experiment_matrix, snapshot_accuracies)

@@ -25,8 +25,7 @@ from .config import (METHODS, apply_method, load_config_file,
                      parse_benchmark_spec, parse_experiment_config,
                      parse_matrix_options)
 from .data import generate_benchmark, load_feature_file, save_feature_file
-from .errors import (ConfigurationError, DegenerateInputError, NumericalError,
-                     ParseError)
+from .errors import ConfigurationError, NumericalError, ParseError
 from .losses import norm_stats
 from .model import save_checkpoint
 from .training import (NormTelemetry, domain_ids, headline_accuracy,
@@ -275,7 +274,7 @@ def main(argv=None):
     except (ParseError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, DegenerateInputError) as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

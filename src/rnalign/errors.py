@@ -18,10 +18,11 @@ class ParseError(RnalignError):
     """A config or data file did not conform to its documented format."""
 
 
-class DegenerateInputError(RnalignError):
-    """Mathematically undefined on this input (e.g. a zero-norm feature row
-    where a cosine is required, or a zero mean norm where a ratio is)."""
-
-
 class NumericalError(RnalignError):
     """A non-finite value appeared where the computation requires finiteness."""
+
+
+class DegenerateInputError(NumericalError):
+    """Mathematically undefined on this input (e.g. a zero-norm feature row
+    where a cosine is required, or a zero mean norm where a ratio is); a
+    numerical failure, so a matrix records it and moves on."""

@@ -8,15 +8,16 @@ stage can be inserted before the classifiers as a baseline regularizer.
 
 Every trainable array lives in one float64 vector, ``model.flat``, and the
 model has no other parameter representation: ``model.parameters()`` yields
-named views into it, laid out in checkpoint order.  Because the layout places
-each visual array at a constant distance from its audio twin, ``model.pairs``
-also views every such family as one (2, ...) array (visual first);
-``model.gradient()`` returns the gradient vector with the same two kinds of
-view.  The forward and backward passes run on the pair views: both streams
-travel as one (2, N, .) array from the encoders to the heads, so every layer
-after the first is one call for both streams.  Layer 0 stays one matmul per
-stream, since the two input widths may differ.  The forward functions return
-explicit caches; ``model_backward`` writes the whole gradient vector.
+named views into it, laid out in checkpoint order; ``model.running`` holds
+the batchnorm running statistics.  Because the layout places each visual
+array at a constant distance from its audio twin, ``model.pairs`` also views
+every such family as one (2, ...) array (visual first); ``model.gradient()``
+returns the gradient vector with the same two kinds of view.  The forward and
+backward passes run on the pair views: both streams travel as one (2, N, .)
+array from the encoders to the heads, so every layer after the first is one
+call for both streams.  Layer 0 stays one matmul per stream, since the two
+input widths may differ.  The forward functions return explicit caches;
+``model_backward`` writes the whole gradient vector.
 
 Checkpoint format (little-endian throughout):
 
@@ -24,9 +25,9 @@ Checkpoint format (little-endian throughout):
     header  7 x u32  input_dim_visual, input_dim_audio, hidden_dim,
                      feature_dim, num_classes, fusion (0 late / 1 mid),
                      batchnorm (0/1)
-    body    float64  every array from ``parameters()`` in declaration order,
-                     then, when batchnorm is enabled, the running mean and
-                     running variance of each modality (visual then audio).
+    body    float64  ``flat`` (every array of ``parameters()`` in order),
+                     then, with batchnorm, ``running`` as laid out in
+                     memory: visual mean, visual var, audio mean, audio var.
 """
 
 import math
@@ -76,53 +77,39 @@ BATCHNORM_MOMENTUM = 0.1
 BATCHNORM_EPS = 1e-5
 
 
-class BatchNormState:
-    """Per-feature batch normalization: learned scale/shift plus running
-    statistics used in evaluation mode.  ``dim`` is the feature dim, or
-    (2, feature dim) for the model's stacked visual/audio state."""
-
-    def __init__(self, dim):
-        self.running_mean = np.zeros(dim, dtype=np.float64)
-        self.running_var = np.ones(dim, dtype=np.float64)
-        self.gamma = np.ones(dim, dtype=np.float64)
-        self.beta = np.zeros(dim, dtype=np.float64)
-
-
-def batchnorm_forward(state, x, training, update_running=False):
-    """Normalize per feature over the batch axis (-2) of an (N, d) batch,
-    or of each stream of a (2, N, d) stack with a stacked state; batch
-    statistics when training, running statistics otherwise.  Running stats
-    are updated in place, and only when ``update_running`` is set, so the
-    forward stays pure for gradient checks.
+def batchnorm_forward(x, gamma, beta, running, training):
+    """Normalize per feature over the batch axis (-2) of one stream's
+    (N, d) batch with (d,) ``gamma``/``beta`` and (2, d) ``running``
+    (mean, var), or of a (2, N, d) stack with (2, d) and (2, 2, d).
+    Training mode uses the batch statistics and updates ``running`` in
+    place; evaluation mode reads ``running`` and never writes it.
     """
-    x = np.asarray(x, dtype=np.float64)
     if training:
         mean = x.mean(axis=-2)
         var = x.var(axis=-2)
-        if update_running:
-            m = BATCHNORM_MOMENTUM
-            state.running_mean[...] = (1.0 - m) * state.running_mean + m * mean
-            state.running_var[...] = (1.0 - m) * state.running_var + m * var
+        m = BATCHNORM_MOMENTUM
+        running[..., 0, :] = (1.0 - m) * running[..., 0, :] + m * mean
+        running[..., 1, :] = (1.0 - m) * running[..., 1, :] + m * var
     else:
-        mean = state.running_mean
-        var = state.running_var
+        mean = running[..., 0, :]
+        var = running[..., 1, :]
     inv_std = (1.0 / np.sqrt(var + BATCHNORM_EPS))[..., None, :]
     xhat = (x - mean[..., None, :]) * inv_std
-    y = state.gamma[..., None, :] * xhat + state.beta[..., None, :]
-    return y, (state, inv_std, xhat, training)
+    y = gamma[..., None, :] * xhat + beta[..., None, :]
+    return y, (gamma, inv_std, xhat, training)
 
 
-def batchnorm_backward(cache, grad_output, grads, name):
+def batchnorm_backward(cache, grad_output, grad_gamma, grad_beta):
     """Backward pass matching ``batchnorm_forward``: writes the scale/shift
-    gradients into ``grads[name + ".gamma"/".beta"]`` and returns the
-    gradient wrt the input.  In training mode the gradient flows through
-    the batch statistics as well."""
-    state, inv_std, xhat, training = cache
+    gradients into ``grad_gamma``/``grad_beta`` and returns the gradient
+    wrt the input.  In training mode the gradient flows through the batch
+    statistics as well."""
+    gamma, inv_std, xhat, training = cache
     g = grad_output
     n = g.shape[-2]
-    (g * xhat).sum(axis=-2, out=grads[name + ".gamma"])
-    g.sum(axis=-2, out=grads[name + ".beta"])
-    dxhat = g * state.gamma[..., None, :]
+    (g * xhat).sum(axis=-2, out=grad_gamma)
+    g.sum(axis=-2, out=grad_beta)
+    dxhat = g * gamma[..., None, :]
     if training:
         return (inv_std / n) * (
             n * dxhat - dxhat.sum(axis=-2, keepdims=True)
@@ -197,11 +184,12 @@ class TwoStreamModel:
     ``flat`` holds every trainable array in checkpoint order (zeros, except
     batchnorm scales of one, unless a vector is passed).  ``parameters()``
     and ``pairs`` are views into it, so writing them in place writes
-    ``flat``.  With batchnorm on, ``batchnorm_pair`` is the stacked (2, d)
-    state, visual row first; its ``gamma``/``beta`` are the pair views.
+    ``flat``.  ``running``, the only state outside it, is None without
+    batchnorm, else the (2, 2, d) running statistics: stream (visual
+    first) x (mean, var) x feature (fresh: means 0, variances 1).
     """
 
-    def __init__(self, config, flat=None):
+    def __init__(self, config, flat=None, running=None):
         self.config = config
         self._layout = _layout(config)
         size = sum(math.prod(shape) for _, shape in self._layout)
@@ -215,14 +203,18 @@ class TwoStreamModel:
         self._params = _views(flat, self._layout)
         self.pairs = _pair_views(self._params)
         self._gradient = None
-        self.batchnorm_pair = None
-        if config.batchnorm:
-            state = BatchNormState((2, config.feature_dim))
-            state.gamma = self.pairs["batchnorm.gamma"]
-            state.beta = self.pairs["batchnorm.beta"]
-            if fresh:
-                state.gamma[...] = 1.0
-            self.batchnorm_pair = state
+        if config.batchnorm and fresh:
+            self.pairs["batchnorm.gamma"][...] = 1.0
+        if config.batchnorm and running is None:
+            running = np.zeros((2, 2, config.feature_dim))
+            running[:, 1] = 1.0
+        elif running is not None and (
+                not config.batchnorm or running.dtype != np.float64
+                or running.shape != (2, 2, config.feature_dim)):
+            raise ConfigurationError(
+                "running statistics must be None without batchnorm, else "
+                f"float64 of shape (2, 2, {config.feature_dim})")
+        self.running = running
 
     def parameters(self):
         """Trainable arrays keyed by name, in declaration (checkpoint) order.
@@ -243,12 +235,9 @@ class TwoStreamModel:
 
     def clone(self):
         """Deep copy: parameters, batchnorm running statistics, config shared."""
-        other = TwoStreamModel(self.config, self.flat.copy())
-        if self.config.batchnorm:
-            mine, theirs = self.batchnorm_pair, other.batchnorm_pair
-            theirs.running_mean[...] = mine.running_mean
-            theirs.running_var[...] = mine.running_var
-        return other
+        return TwoStreamModel(
+            self.config, self.flat.copy(),
+            None if self.running is None else self.running.copy())
 
 
 def init_model(config, seed):
@@ -336,13 +325,14 @@ def encode_pair_backward(cache, grad_features, add=True):
         g.sum(axis=1, out=pairs["encoder.0.bias"])
 
 
-def _normalize(model, features, training, update_running):
+def _normalize(model, features, training):
     """The batchnorm stage on the feature stack, if the model has one.
     Returns (normalized stack, cache or None)."""
-    if not model.config.batchnorm:
+    if model.running is None:
         return features, None
-    return batchnorm_forward(model.batchnorm_pair, features, training,
-                             update_running)
+    return batchnorm_forward(features, model.pairs["batchnorm.gamma"],
+                             model.pairs["batchnorm.beta"], model.running,
+                             training)
 
 
 def _stream_logits(model, h):
@@ -363,15 +353,16 @@ def _mid_logits(model, concat):
 ForwardCache = namedtuple("ForwardCache", "encoder features bn head_input")
 
 
-def model_forward(model, visual_inputs, audio_inputs, update_running=False):
+def model_forward(model, visual_inputs, audio_inputs):
     """Training-mode forward pass of both streams up to fused logits, with
-    batchnorm on batch statistics (``eval_logits`` is the evaluation mode).
+    batchnorm on batch statistics, which it folds into ``model.running``
+    (``eval_logits`` is the evaluation mode and leaves them alone).
 
     Returns (fused_logits, cache); ``cache.features`` is the stacked
     (2, N, d) encoder output, visual first.
     """
     features, enc_cache = encode_pair(model, visual_inputs, audio_inputs)
-    h, bn_cache = _normalize(model, features, True, update_running)
+    h, bn_cache = _normalize(model, features, True)
     if model.config.fusion_mode == LATE:
         logits = _stream_logits(model, h)
         fused = logits[0] + logits[1]
@@ -412,7 +403,8 @@ def model_backward(cache, grad_fused_logits, grad_features=None):
         pairs["classifier.weight"].fill(0.0)
         pairs["classifier.bias"].fill(0.0)
     if cache.bn is not None:
-        g = batchnorm_backward(cache.bn, g, pairs, "batchnorm")
+        g = batchnorm_backward(cache.bn, g, pairs["batchnorm.gamma"],
+                               pairs["batchnorm.beta"])
     if grad_features is not None:
         g = g + grad_features
     encode_pair_backward(cache.encoder, g, add=False)
@@ -434,7 +426,7 @@ def eval_logits(model, visual_inputs, audio_inputs):
     zeroed.
     """
     features, _ = encode_pair(model, visual_inputs, audio_inputs)
-    h, _ = _normalize(model, features, training=False, update_running=False)
+    h, _ = _normalize(model, features, training=False)
     if model.config.fusion_mode == LATE:
         streams = _stream_logits(model, h)
         return np.concatenate([(streams[0] + streams[1])[None], streams])
@@ -455,11 +447,8 @@ def save_checkpoint(model, path):
         1 if c.batchnorm else 0)
     chunks = [CHECKPOINT_MAGIC, header,
               np.ascontiguousarray(model.flat, dtype="<f8").tobytes()]
-    if c.batchnorm:
-        state = model.batchnorm_pair
-        # (stream, statistic, d): visual mean, visual var, audio mean, ...
-        stats = np.stack([state.running_mean, state.running_var], axis=1)
-        chunks.append(stats.astype("<f8").tobytes())
+    if model.running is not None:
+        chunks.append(model.running.astype("<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
@@ -504,10 +493,7 @@ def load_checkpoint(path):
     if end < len(blob):
         raise ParseError(
             f"{path}: {len(blob) - end} trailing bytes at byte {end}")
-    body = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-    model = TwoStreamModel(config, body[:size].astype(np.float64))
-    if config.batchnorm:
-        stats = body[size:].reshape(2, 2, feature)
-        model.batchnorm_pair.running_mean[...] = stats[:, 0]
-        model.batchnorm_pair.running_var[...] = stats[:, 1]
-    return model
+    body = np.frombuffer(blob, dtype="<f8", count=count,
+                         offset=offset).astype(np.float64)
+    running = body[size:].reshape(2, 2, feature) if config.batchnorm else None
+    return TwoStreamModel(config, body[:size], running)

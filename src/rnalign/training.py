@@ -201,9 +201,9 @@ class ExperimentConfig:
 
 def _domain_order(path):
     """Sort key: file names by their digit runs as numbers, so D2 comes
-    before D10."""
-    return [int(part) if part.isdigit() else part
-            for part in re.split(r"(\d+)", path.name)]
+    before D10; names that tie (D01, D1) by the names themselves."""
+    return ([int(part) if part.isdigit() else part
+             for part in re.split(r"(\d+)", path.name)], path.name)
 
 
 def _domain_files(data_dir):
@@ -262,7 +262,12 @@ def resolve_domains(config):
         if not train.labeled or not test.labeled:
             raise ConfigurationError(
                 f"domain files for {domain_id} must be labeled")
-        for path, batch in ((train_path, train), (test_path, test)):
+        for split, path, batch in (("train", train_path, train),
+                                   ("test", test_path, test)):
+            if batch.labels.min(initial=0) < 0:
+                raise ConfigurationError(
+                    f"{path}: domain {domain_id} {split} split has a "
+                    f"negative label {batch.labels.min()}")
             found = (batch.visual.shape[1], batch.audio.shape[1])
             if widths is None:
                 widths, first_path = found, path
@@ -339,12 +344,10 @@ def run_experiment(config):
 
     model_seed, source_seed, target_seed = \
         np.random.SeedSequence(config.seed).spawn(3)
-    # generated data holds every class in both splits of every domain
+    # generated data holds every class in both splits of every domain, and
+    # resolve_domains rejects a negative label in a file
     num_classes = 1 + max(int(batch.labels.max(initial=-1))
                           for d in domains for batch in (d.train, d.test))
-    if source.labels.min() < 0 or source.labels.max() >= num_classes:
-        raise ConfigurationError(
-            f"training labels outside [0, {num_classes})")
     model = init_model(_model_config(config, domains, num_classes),
                        model_seed)
     aux = _AUX_FUNCTIONS.get(config.aux_loss)
@@ -370,8 +373,7 @@ def run_experiment(config):
     with np.errstate(over="ignore", invalid="ignore"):
         for it, idx in zip(range(config.iterations), source_indices):
             fused, cache = model_forward(
-                model, source.visual[idx], source.audio[idx],
-                update_running=True)
+                model, source.visual[idx], source.audio[idx])
             norms = row_norms(cache.features)
             ce, grad_logits = cross_entropy(fused, source.labels[idx])
             aux_value, aux_grad = 0.0, None
@@ -459,11 +461,19 @@ def default_pairs(setting, num_domains):
     raise ConfigurationError(f"unknown setting: {setting!r}")
 
 
+def _is_index(value):
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def pair_label(setting, pair, ids):
     """Cell label from the domain ids: "D1->D2" for a (source, target)
     tuple of dg-single or uda, "D1,D2->D3" for a (target,) of dg-multi."""
     arity = 1 if setting == "dg-multi" else 2
-    if not isinstance(pair, tuple) or len(pair) != arity:
+    if not (isinstance(pair, tuple) and all(map(_is_index, pair))):
+        raise ConfigurationError(
+            f"domain pair {pair!r} must be a tuple of integer indices")
+    if len(pair) != arity:
         raise ConfigurationError(f"domain pair {pair!r} does not fit "
                                  f"{setting}, which takes {arity} indices")
     if not all(0 <= i < len(ids) for i in pair):
@@ -523,7 +533,7 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     cells = []
     failures = []
     for pair in pairs:
-        pair = pair if isinstance(pair, tuple) else (pair,)
+        pair = (pair,) if _is_index(pair) else pair
         label = pair_label(base_config.setting, pair, ids)
         accuracies = []
         for seed in seeds:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from rnalign.errors import ConfigurationError, ParseError
 from rnalign.losses import AUDIO, VISUAL
 from rnalign.model import (
-    BatchNormState,
     ModelConfig,
+    TwoStreamModel,
     batchnorm_forward,
     encode_pair,
     encode_pair_backward,
@@ -204,37 +204,48 @@ def test_classify_identity_reproduces_one_hot_features():
     assert np.array_equal(logits[1], feats)
 
 
+def fresh_batchnorm(*shape):
+    """Unit scale, zero shift and fresh running statistics (mean 0, var 1)
+    for a (..., d) scale/shift ``shape``."""
+    running = np.zeros(shape[:-1] + (2,) + shape[-1:])
+    running[..., 1, :] = 1.0
+    return np.ones(shape), np.zeros(shape), running
+
+
 def test_batchnorm_training_mode_standardizes_batch():
     rng = np.random.default_rng(7)
-    state = BatchNormState(dim=5)
+    gamma, beta, running = fresh_batchnorm(5)
     x = rng.normal(loc=3.0, scale=2.0, size=(64, 5))
-    y, _ = batchnorm_forward(state, x, training=True)
+    y, _ = batchnorm_forward(x, gamma, beta, running, training=True)
     assert np.max(np.abs(y.mean(axis=0))) < 1e-9
     assert np.max(np.abs(y.var(axis=0) - 1.0)) < 1e-3  # epsilon effects
 
 
 def test_batchnorm_eval_mode_is_batch_independent_affine():
     rng = np.random.default_rng(8)
-    state = BatchNormState(dim=4)
+    gamma, beta, running = fresh_batchnorm(4)
     # push some statistics into the running buffers
     for _ in range(5):
-        batchnorm_forward(state, rng.normal(size=(32, 4)), training=True,
-                          update_running=True)
+        batchnorm_forward(rng.normal(size=(32, 4)), gamma, beta, running,
+                          training=True)
     x = rng.normal(size=(6, 4))
-    y_full, _ = batchnorm_forward(state, x, training=False)
+    y_full, _ = batchnorm_forward(x, gamma, beta, running, training=False)
     y_rows = np.vstack([
-        batchnorm_forward(state, x[i:i + 1], training=False)[0]
+        batchnorm_forward(x[i:i + 1], gamma, beta, running, training=False)[0]
         for i in range(6)
     ])
     assert np.allclose(y_full, y_rows, atol=1e-12)
 
 
-def test_batchnorm_forward_is_pure_unless_update_requested():
-    state = BatchNormState(dim=3)
-    before_mean = state.running_mean.copy()
-    batchnorm_forward(state, np.random.default_rng(0).normal(size=(8, 3)),
-                      training=True)
-    assert np.array_equal(state.running_mean, before_mean)
+def test_batchnorm_running_statistics_change_only_in_training_mode():
+    x = np.random.default_rng(0).normal(size=(8, 3))
+    gamma, beta, running = fresh_batchnorm(3)
+    before = running.tobytes()
+    batchnorm_forward(x, gamma, beta, running, training=False)
+    assert running.tobytes() == before
+    batchnorm_forward(x, gamma, beta, running, training=True)
+    assert not np.array_equal(running[0], np.zeros(3))
+    assert not np.array_equal(running[1], np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +431,8 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
                                        batchnorm=batchnorm), seed=9)
         path = tmp_path / f"model-{fusion_mode}.rna"
         if batchnorm:
-            state = model.batchnorm_pair
-            state.running_mean[...] = rng.normal(size=(2, 5))
-            state.running_var[...] = rng.uniform(size=(2, 5))
+            model.running[:, 0] = rng.normal(size=(2, 5))
+            model.running[:, 1] = rng.uniform(size=(2, 5))
         save_checkpoint(model, str(path))
         loaded = load_checkpoint(str(path))
         assert loaded.config.fusion_mode == fusion_mode
@@ -430,13 +440,13 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
             assert np.array_equal(p, loaded.parameters()[name]), name
         if batchnorm:
             # the body ends with visual mean, visual var, audio mean, audio var
+            running = model.running
             assert path.read_bytes()[-8 * 20:] == np.concatenate(
-                [state.running_mean[0], state.running_var[0],
-                 state.running_mean[1], state.running_var[1]]).tobytes()
-            assert np.array_equal(state.running_mean,
-                                  loaded.batchnorm_pair.running_mean)
-            assert np.array_equal(state.running_var,
-                                  loaded.batchnorm_pair.running_var)
+                [running[0, 0], running[0, 1],
+                 running[1, 0], running[1, 1]]).tobytes()
+            assert loaded.running.tobytes() == running.tobytes()
+        else:
+            assert loaded.running is None
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
@@ -507,7 +517,7 @@ def checkpoint_bytes(tmp_path, **overrides):
     base.update(overrides)
     model = init_model(ModelConfig(**base), seed=14)
     if model.config.batchnorm:
-        model.batchnorm_pair.running_var[...] = [[0.5, 2.0], [3.0, 0.25]]
+        model.running[:, 1] = [[0.5, 2.0], [3.0, 0.25]]
     path = tmp_path / "base.rna"
     save_checkpoint(model, str(path))
     return path.read_bytes()
@@ -565,9 +575,9 @@ def test_parameters_are_views_of_one_vector_in_checkpoint_order(tmp_path):
     assert np.array_equal(params["classifier_mid.bias"], [7.0] * 3)
     twin = model.clone()
     twin.flat[...] = 0.0
-    twin.batchnorm_pair.running_var[1] = 3.0
+    twin.running[1, 1] = 3.0
     assert np.all(params["classifier_mid.bias"] == 7.0)
-    assert np.all(model.batchnorm_pair.running_var == 1.0)
+    assert np.all(model.running[:, 1] == 1.0)
 
 
 def test_model_backward_overwrites_every_gradient_entry():
@@ -617,27 +627,36 @@ def test_pair_views_alias_flat_and_gradient_in_checkpoint_order():
     vector, grads, _ = model.gradient()
     assert np.array_equal(
         np.concatenate([g.ravel() for g in grads.values()]), vector)
-    # the batchnorm state's scale and shift are the pair views of flat
-    model.batchnorm_pair.gamma[1] = 4.0
+    # the batchnorm scale and shift are the pair views of flat
+    model.pairs["batchnorm.gamma"][1] = 4.0
     assert np.all(params["batchnorm_audio.gamma"] == 4.0)
     assert np.all(params["batchnorm_visual.gamma"] == 1.5)
 
 
+def test_model_rejects_state_arrays_of_the_wrong_shape_or_dtype():
+    config = tiny_config(batchnorm=True)
+    size = init_model(config, seed=0).flat.size
+    for flat, running in ((np.zeros(size + 1), None),
+                          (np.zeros(size, dtype=np.float32), None),
+                          (None, np.zeros((2, 5))),
+                          (None, np.zeros((2, 2, 4))),
+                          (None, np.zeros((2, 2, 5), dtype=np.float32))):
+        with pytest.raises(ConfigurationError):
+            TwoStreamModel(config, flat, running)
+    with pytest.raises(ConfigurationError):
+        TwoStreamModel(tiny_config(), running=np.zeros((2, 2, 5)))
+
+
 def test_stacked_batchnorm_matches_per_stream_batchnorm():
     rng = np.random.default_rng(15)
-    pair = BatchNormState((2, 4))
-    pair.gamma[...] = rng.normal(size=(2, 4))
-    pair.beta[...] = rng.normal(size=(2, 4))
-    singles = []
-    for s in (0, 1):
-        state = BatchNormState(4)
-        state.gamma[...] = pair.gamma[s]
-        state.beta[...] = pair.beta[s]
-        singles.append(state)
+    gamma = rng.normal(size=(2, 4))
+    beta = rng.normal(size=(2, 4))
+    _, _, running = fresh_batchnorm(2, 4)
+    singles = [running[s].copy() for s in (0, 1)]
     x = rng.normal(size=(2, 6, 4))
-    y, _ = batchnorm_forward(pair, x, training=True, update_running=True)
-    for s, state in enumerate(singles):
-        y_s, _ = batchnorm_forward(state, x[s], training=True,
-                                   update_running=True)
+    y, _ = batchnorm_forward(x, gamma, beta, running, training=True)
+    for s, single in enumerate(singles):
+        y_s, _ = batchnorm_forward(x[s], gamma[s], beta[s], single,
+                                   training=True)
         assert y_s.tobytes() == y[s].tobytes()
-        assert state.running_var.tobytes() == pair.running_var[s].tobytes()
+        assert single.tobytes() == running[s].tobytes()

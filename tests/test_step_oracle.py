@@ -421,10 +421,8 @@ def check_against_reference(setting, fusion, aux, lam, bench=BENCH,
     assert list(model.parameters()) == list(params)
     for name, p in model.parameters().items():
         assert p.tobytes() == params[name].tobytes(), name
-    state = model.batchnorm_pair
-    assert running == ([] if state is None else [
-        state.running_mean[s].tobytes() + state.running_var[s].tobytes()
-        for s in (0, 1)])
+    assert running == ([] if model.running is None else [
+        model.running[s].tobytes() for s in (0, 1)])
     assert [tuple(r) for r in telemetry.iterations] == rows
     assert [(e.mode, e.accuracy) for e in telemetry.evals] == evals
 

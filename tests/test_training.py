@@ -560,6 +560,28 @@ def test_matrix_failed_cell_recorded_as_nan():
     assert "D1->D2" in matrix.failures[0]
 
 
+def test_matrix_records_a_degenerate_auxiliary_loss_as_a_failed_cell():
+    # a one-unit hidden layer soon feeds the cosine a zero feature row
+    config = ExperimentConfig(
+        benchmark=BenchmarkSpec(num_domains=2, num_classes=2,
+                                samples_per_class=8),
+        aux_loss="cosine-align", hidden_dim=1, feature_dim=2, iterations=50,
+        batch_size=8)
+    matrix = run_experiment_matrix(config, pairs=[(0, 1)], seeds=[0, 1])
+    assert np.all(np.isnan(matrix.cells[0].accuracies))
+    assert [(label, seed) for label, seed, _ in matrix.failures] == [
+        ("D1->D2", 0), ("D1->D2", 1)]
+    assert "cosine similarity undefined" in matrix.failures[0][2]
+
+
+@pytest.mark.parametrize("pair, given", [
+    ((0.5, 1), "(0.5, 1)"), ((True, 1), "(True, 1)"), ([0, 1], "[0, 1]")])
+def test_matrix_pair_of_non_integer_indices_is_named_as_given(pair, given):
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"domain pair {given} must be")):
+        run_experiment_matrix(ExperimentConfig(iterations=2), [pair])
+
+
 @pytest.mark.parametrize("grid", [dict(pairs=[(0, 1)], seeds=()),
                                   dict(pairs=[], seeds=[0])])
 def test_matrix_rejects_an_empty_grid(grid):
@@ -625,6 +647,35 @@ def test_matrix_labels_are_the_data_dir_domain_ids(tmp_path):
         dataclasses.replace(config, setting="dg-multi", source_index=None),
         seeds=[0])
     assert multi.labels == ["office->kitchen", "kitchen->office"]
+
+
+def test_data_dir_domain_order_does_not_depend_on_the_listing(tmp_path,
+                                                              monkeypatch):
+    spec = small_benchmark(num_domains=3, samples_per_class=4)
+    save_domains(generate_benchmark(spec), tmp_path, ["D2", "D01", "D1"])
+    config = short_config(benchmark=spec, data_dir=str(tmp_path))
+    # D01 and D1 share the number 1; the tie goes to the name
+    assert domain_ids(config) == ["D01", "D1", "D2"]
+    listed = pathlib.Path.glob
+    monkeypatch.setattr(pathlib.Path, "glob",
+                        lambda self, pattern: reversed(list(listed(self,
+                                                                   pattern))))
+    assert domain_ids(config) == ["D01", "D1", "D2"]
+
+
+def test_data_dir_negative_label_in_a_target_split_exits_early(tmp_path):
+    spec = small_benchmark(num_domains=2, num_classes=3, samples_per_class=4)
+    domains = generate_benchmark(spec)
+    test = domains[1].test
+    labels = test.labels.copy()
+    labels[0] = -3
+    domains[1].test = MultiModalBatch(test.visual, test.audio, labels)
+    save_domains(domains, tmp_path, ["D1", "D2"])
+    config = short_config(benchmark=spec, data_dir=str(tmp_path),
+                          iterations=2)
+    with pytest.raises(ConfigurationError,
+                       match="domain D2 test split has a negative label -3"):
+        run_experiment(config)
 
 
 def test_data_dir_class_count_covers_test_labels(tmp_path):
