@@ -29,17 +29,8 @@ VISUAL = "visual"
 AUDIO = "audio"
 
 
-class LossResult:
-    """Scalar loss value plus analytic gradients w.r.t. both feature batches."""
-
-    def __init__(self, value, grad_visual, grad_audio):
-        self.value = float(value)
-        self.grad_visual = np.asarray(grad_visual, dtype=np.float64)
-        self.grad_audio = np.asarray(grad_audio, dtype=np.float64)
-        if self.value < 0:
-            raise ConfigurationError("loss values in this module are >= 0")
-
-
+# a pair loss's scalar value and its analytic gradients w.r.t. both batches
+LossResult = namedtuple("LossResult", "value grad_visual grad_audio")
 NormStats = namedtuple(
     "NormStats", ["mean_norm_visual", "mean_norm_audio", "delta", "rho"])
 

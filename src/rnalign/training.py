@@ -487,19 +487,14 @@ def pair_label(setting, pair, ids):
     return f"{sources}->{ids[t]}"
 
 
-@dataclass
-class MatrixCell:
-    label: str
-    accuracies: list
-    mean: float
+MatrixCell = namedtuple("MatrixCell", "label accuracies mean")
 
 
-class MatrixResult:
-    """Per-pair seed-averaged accuracies for one method/config."""
-
-    def __init__(self, cells, failures=None):
-        self.cells = list(cells)
-        self.failures = list(failures or [])
+class MatrixResult(namedtuple("MatrixResult", "cells failures",
+                              defaults=((),))):
+    """Per-pair seed-averaged accuracies for one method/config, and the
+    (label, seed, message) of each run that failed."""
+    __slots__ = ()
 
     @property
     def labels(self):
