@@ -30,7 +30,6 @@ from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigurationError, ParseError
 
@@ -187,6 +186,8 @@ def _random_rotation(rng, dim, strength):
     than ``strength`` radians and strength 0 gives exactly the identity."""
     if strength == 0.0:
         return np.eye(dim)
+    # imported here, so that only generating data needs scipy
+    from scipy.linalg import expm
     raw = rng.standard_normal((dim, dim))
     skew = (raw - raw.T) / 2.0
     spectral = np.linalg.norm(skew, ord=2)
@@ -314,7 +315,13 @@ def split_domains(domains, setting, source_index, target_index):
 
 
 def save_feature_file(batch, path):
-    """Write a MultiModalBatch as an RNAFEAT v1 text file (lossless floats)."""
+    """Write a MultiModalBatch as an RNAFEAT v1 text file (lossless floats).
+    A batch the format cannot hold (no rows, or a modality of width 0) is a
+    ConfigurationError naming the path, raised before the file is opened."""
+    if min(batch.n, batch.visual.shape[1], batch.audio.shape[1]) < 1:
+        raise ConfigurationError(
+            f"{path}: an RNAFEAT file needs N, Dv and Da >= 1, got "
+            f"{batch.n}, {batch.visual.shape[1]}, {batch.audio.shape[1]}")
     lines = [f"RNAFEAT v1 {batch.n} {batch.visual.shape[1]} "
              f"{batch.audio.shape[1]} {1 if batch.labeled else 0}"]
     labels = batch.labels.tolist() if batch.labeled else None

@@ -82,14 +82,14 @@ def _pair_loss(stacked_loss, visual, audio, *args):
 def norm_stats(visual, audio):
     """Mean norms of both modalities, their difference delta, and ratio rho.
 
-    Raises DegenerateInputError when the mean audio norm is 0 (rho undefined).
+    rho is NaN where the mean audio norm is 0, as in the trainer's telemetry
+    rows.
     """
     fv, fa = _paired(visual, audio)
     mean_v = float(np.mean(row_norms(fv)))
     mean_a = float(np.mean(row_norms(fa)))
-    if mean_a == 0.0:
-        raise DegenerateInputError("mean audio norm is 0; norm ratio undefined")
-    return NormStats(mean_v, mean_a, mean_v - mean_a, mean_v / mean_a)
+    return NormStats(mean_v, mean_a, mean_v - mean_a,
+                     mean_v / mean_a if mean_a > 0 else float("nan"))
 
 
 # ---------------------------------------------------------------------------

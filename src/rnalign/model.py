@@ -463,8 +463,9 @@ _HEADER_FIELDS = (("input_dim_visual", 1, None), ("input_dim_audio", 1, None),
 def load_checkpoint(path):
     """Reconstruct a model from a checkpoint file written by
     ``save_checkpoint``; raises ParseError, naming the byte, on malformed or
-    truncated files.  The body's length is checked against the header's
-    dimensions before anything is allocated."""
+    truncated files, a non-finite body value or a negative running variance.
+    The body's length is checked against the header's dimensions before
+    anything is allocated."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -495,5 +496,14 @@ def load_checkpoint(path):
             f"{path}: {len(blob) - end} trailing bytes at byte {end}")
     body = np.frombuffer(blob, dtype="<f8", count=count,
                          offset=offset).astype(np.float64)
+    finite = np.isfinite(body)
+    if not finite.all():
+        at = offset + 8 * int(np.argmin(finite))
+        raise ParseError(f"{path}: non-finite value at byte {at}")
     running = body[size:].reshape(2, 2, feature) if config.batchnorm else None
+    if running is not None and (running[:, 1] < 0).any():
+        # running[s, 1, j] is body value size + (2 s + 1) feature + j
+        s, j = np.argwhere(running[:, 1] < 0)[0].tolist()
+        at = offset + 8 * (size + (2 * s + 1) * feature + j)
+        raise ParseError(f"{path}: negative running variance at byte {at}")
     return TwoStreamModel(config, body[:size], running)

@@ -7,8 +7,11 @@ as a shell user would see them.
 
 import dataclasses
 import json
+import os
 import re
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -635,6 +638,32 @@ def test_norms_empty_telemetry_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["norms", str(path)])
     assert code == 2
     assert "no iteration records" in err
+
+
+def test_norms_reports_rho_nan_for_zero_audio_from_either_input(tmp_path,
+                                                                capsys):
+    features = tmp_path / "silent.rnafeat"
+    features.write_text("RNAFEAT v1 2 2 1 0\n3.0 4.0 0.0\n0.0 5.0 0.0\n",
+                        encoding="ascii")
+    telemetry = tmp_path / "silent.csv"
+    telemetry.write_text(TELEMETRY_HEADER + "\n0,5.0,0.0,5.0,nan,1.0,0.0\n",
+                         encoding="ascii")
+    for path in (features, telemetry):
+        code, out, err = run_cli(capsys, ["norms", str(path)])
+        assert (code, err) == (0, "")
+        report = parse_report(out)
+        assert (report["mean_norm_a"], report["rho"]) == ("0.0", "nan")
+
+
+def test_import_leaves_scipy_unloaded():
+    # only generating data needs scipy; the package and its CLI import
+    # without it
+    src = Path(rnalign.training.__file__).parents[1]
+    probe = "import sys, rnalign, rnalign.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "False\n"
 
 
 # ---------------------------------------------------------------------------

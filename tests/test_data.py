@@ -377,6 +377,45 @@ def test_feature_file_lines_match_repr_per_element(tmp_path, data, n, dim_v,
         assert loaded.labels is None
 
 
+@pytest.mark.parametrize("n, dim_v, dim_a", [(0, 2, 3), (2, 0, 3), (2, 3, 0)])
+def test_save_feature_file_rejects_a_batch_the_format_cannot_hold(
+        tmp_path, n, dim_v, dim_a):
+    path = tmp_path / "empty.rnafeat"
+    batch = MultiModalBatch(np.ones((n, dim_v)), np.ones((n, dim_a)))
+    with pytest.raises(ConfigurationError, match="empty.rnafeat"):
+        save_feature_file(batch, path)
+    assert not path.exists()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), n=st.integers(0, 3), dim_v=st.integers(0, 3),
+       dim_a=st.integers(0, 3), labeled=st.booleans())
+def test_every_feature_file_saved_loads_back_bitwise(tmp_path, data, n, dim_v,
+                                                     dim_a, labeled):
+    def matrix(dim):
+        return np.array(data.draw(st.lists(FINITE_FLOATS, min_size=n * dim,
+                                           max_size=n * dim)),
+                        dtype=np.float64).reshape(n, dim)
+
+    labels = (data.draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                 min_size=n, max_size=n))
+              if labeled else None)
+    batch = MultiModalBatch(matrix(dim_v), matrix(dim_a), labels)
+    path = tmp_path / "any.rnafeat"
+    try:
+        save_feature_file(batch, path)
+    except ConfigurationError:
+        assert min(n, dim_v, dim_a) == 0
+        return
+    loaded = load_feature_file(path)
+    assert loaded.visual.tobytes() == batch.visual.tobytes()
+    assert loaded.audio.tobytes() == batch.audio.tobytes()
+    assert loaded.labeled == labeled
+    if labeled:
+        assert loaded.labels.tobytes() == batch.labels.tobytes()
+
+
 def test_feature_file_rejects_truncation(tmp_path):
     rng = np.random.default_rng(5)
     batch = MultiModalBatch(rng.normal(size=(5, 3)), rng.normal(size=(5, 2)))

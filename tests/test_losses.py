@@ -76,8 +76,10 @@ def test_norm_stats_rowwise_doubling_halves_rho():
 
 
 def test_norm_stats_zero_audio_is_degenerate():
-    with pytest.raises(DegenerateInputError):
-        norm_stats(FIX_V, np.zeros((2, 2)))
+    # rho is undefined there and reads NaN, as in the trainer's telemetry
+    stats = norm_stats(FIX_V, np.zeros((2, 2)))
+    assert stats[:3] == (5.0, 0.0, 5.0)
+    assert np.isnan(stats.rho)
 
 
 def test_norm_stats_requires_equal_batch_sizes():

@@ -511,6 +511,41 @@ def test_checkpoint_rejects_corrupt_header_dimensions(tmp_path):
             load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_a_non_finite_value_naming_its_byte(tmp_path,
+                                                               value):
+    # body value i sits at byte 32 + 8 i; running follows flat
+    model = init_model(tiny_config(batchnorm=True), seed=15)
+    model.running[0, 1, 1] = -5.0  # reported only when every value is finite
+    model.running[1, 0, 2] = value
+    path = tmp_path / "model.rna"
+    for at in (32 + 8 * (model.flat.size + 2 * 5 + 2), 32 + 8 * 7):
+        save_checkpoint(model, str(path))
+        with pytest.raises(ParseError,
+                           match=f"non-finite value at byte {at}$"):
+            load_checkpoint(str(path))
+        model.flat[7] = value
+
+
+def test_checkpoint_rejects_a_negative_running_variance_naming_its_byte(
+        tmp_path):
+    model = init_model(tiny_config(batchnorm=True), seed=16)
+    model.running[1, 1, 2] = -1.0
+    model.running[0, 1, 0] = -5.0  # visual variance of feature 0: first
+    model.running[0, 0, 3] = -2.0  # a negative mean is fine
+    path = tmp_path / "model.rna"
+    save_checkpoint(model, str(path))
+    at = 32 + 8 * (model.flat.size + 5)
+    with pytest.raises(ParseError,
+                       match=f"negative running variance at byte {at}$"):
+        load_checkpoint(str(path))
+    model.running[:, 1] = np.abs(model.running[:, 1])
+    model.running[1, 1, 4] = -0.0
+    save_checkpoint(model, str(path))
+    assert load_checkpoint(str(path)).running.tobytes() == \
+        model.running.tobytes()
+
+
 def checkpoint_bytes(tmp_path, **overrides):
     base = dict(input_dim_visual=2, input_dim_audio=3, hidden_dim=2,
                 feature_dim=2, num_classes=2)
@@ -553,7 +588,12 @@ def test_checkpoint_corruption_loads_or_is_a_parse_error(tmp_path, kind,
     except ParseError as exc:
         assert re.search(r"byte \d+", str(exc)), exc
         return
-    # whatever loads re-saves to the same bytes, untouched files included
+    # whatever loads holds only values the model can use, and re-saves to
+    # the same bytes, untouched files included
+    assert np.isfinite(model.flat).all()
+    if model.running is not None:
+        assert np.isfinite(model.running).all()
+        assert (model.running[:, 1] >= 0).all()
     save_checkpoint(model, str(tmp_path / "resaved.rna"))
     assert (tmp_path / "resaved.rna").read_bytes() == bytes(blob)
 
