@@ -9,9 +9,10 @@ stage can be inserted before the classifiers as a baseline regularizer.
 Every trainable array lives in one float64 vector, ``model.flat``, and the
 model has no other parameter representation: ``model.parameters()`` yields
 named views into it, laid out in checkpoint order; ``model.running`` holds
-the batchnorm running statistics.  Because the layout places each visual
-array at a constant distance from its audio twin, ``model.pairs`` also views
-every such family as one (2, ...) array (visual first); ``model.gradient()``
+the batchnorm running statistics.  One layout table declares each array's
+name, shape and pair family; a visual array and its audio twin of the same
+family sit a constant distance apart in the vector, so ``model.pairs`` views
+every family as one (2, ...) array (visual first).  ``model.gradient()``
 returns the gradient vector with the same two kinds of view.  The forward and
 backward passes run on the pair views: both streams travel as one (2, N, .)
 array from the encoders to the heads, so every layer after the first is one
@@ -81,8 +82,9 @@ def batchnorm_forward(x, gamma, beta, running, training):
     """Normalize per feature over the batch axis (-2) of one stream's
     (N, d) batch with (d,) ``gamma``/``beta`` and (2, d) ``running``
     (mean, var), or of a (2, N, d) stack with (2, d) and (2, 2, d).
-    Training mode uses the batch statistics and updates ``running`` in
-    place; evaluation mode reads ``running`` and never writes it.
+    Training mode uses the batch statistics, updates ``running`` in place
+    and returns (y, cache for ``batchnorm_backward``); evaluation mode reads
+    ``running``, never writes it, and returns (y, None).
     """
     if training:
         mean = x.mean(axis=-2)
@@ -96,85 +98,75 @@ def batchnorm_forward(x, gamma, beta, running, training):
     inv_std = (1.0 / np.sqrt(var + BATCHNORM_EPS))[..., None, :]
     xhat = (x - mean[..., None, :]) * inv_std
     y = gamma[..., None, :] * xhat + beta[..., None, :]
-    return y, (gamma, inv_std, xhat, training)
+    return y, (gamma, inv_std, xhat) if training else None
 
 
 def batchnorm_backward(cache, grad_output, grad_gamma, grad_beta):
-    """Backward pass matching ``batchnorm_forward``: writes the scale/shift
-    gradients into ``grad_gamma``/``grad_beta`` and returns the gradient
-    wrt the input.  In training mode the gradient flows through the batch
-    statistics as well."""
-    gamma, inv_std, xhat, training = cache
+    """Backward pass of training-mode ``batchnorm_forward``: writes the
+    scale/shift gradients into ``grad_gamma``/``grad_beta`` and returns the
+    gradient wrt the input, which flows through the batch statistics as
+    well."""
+    gamma, inv_std, xhat = cache
     g = grad_output
     n = g.shape[-2]
     (g * xhat).sum(axis=-2, out=grad_gamma)
     g.sum(axis=-2, out=grad_beta)
     dxhat = g * gamma[..., None, :]
-    if training:
-        return (inv_std / n) * (
-            n * dxhat - dxhat.sum(axis=-2, keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True))
-    return dxhat * inv_std
+    return (inv_std / n) * (
+        n * dxhat - dxhat.sum(axis=-2, keepdims=True)
+        - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True))
 
 
 def _layout(config):
-    """(name, shape) of every trainable array, in checkpoint order."""
+    """(name, shape, family) of every trainable array, in checkpoint order.
+    ``family`` keys the pair view that stacks a visual array over its audio
+    twin of the same shape; it is None for layer 0's weights, whose fan-in
+    is the modality's input width, and for the fusion head, which has no
+    twin."""
     c = config
-    d = c.feature_dim
+    d, k = c.feature_dim, c.num_classes
     layout = []
     for modality, in_dim in ((VISUAL, c.input_dim_visual),
                              (AUDIO, c.input_dim_audio)):
-        for i, shape in enumerate(((c.hidden_dim, in_dim),
-                                   (d, c.hidden_dim))):
-            layout += [(f"encoder_{modality}.{i}.weight", shape),
-                       (f"encoder_{modality}.{i}.bias", shape[:1])]
-    heads = [("classifier_visual", d), ("classifier_audio", d)]
+        e = f"encoder_{modality}"
+        layout += [(f"{e}.0.weight", (c.hidden_dim, in_dim), None),
+                   (f"{e}.0.bias", (c.hidden_dim,), "encoder.0.bias"),
+                   (f"{e}.1.weight", (d, c.hidden_dim), "encoder.1.weight"),
+                   (f"{e}.1.bias", (d,), "encoder.1.bias")]
+    for modality in (VISUAL, AUDIO):
+        layout += [(f"classifier_{modality}.weight", (k, d),
+                    "classifier.weight"),
+                   (f"classifier_{modality}.bias", (k,), "classifier.bias")]
     if c.fusion_mode == MID:
-        heads.append(("classifier_mid", 2 * d))
-    for head, fan_in in heads:
-        layout += [(f"{head}.weight", (c.num_classes, fan_in)),
-                   (f"{head}.bias", (c.num_classes,))]
+        layout += [("classifier_mid.weight", (k, 2 * d), None),
+                   ("classifier_mid.bias", (k,), None)]
     if c.batchnorm:
         for modality in (VISUAL, AUDIO):
-            layout += [(f"batchnorm_{modality}.gamma", (d,)),
-                       (f"batchnorm_{modality}.beta", (d,))]
+            layout += [(f"batchnorm_{modality}.gamma", (d,),
+                        "batchnorm.gamma"),
+                       (f"batchnorm_{modality}.beta", (d,), "batchnorm.beta")]
     return layout
 
 
 def _views(vector, layout):
-    """Named reshaped views of consecutive segments of ``vector``."""
-    views = {}
+    """(named views, pair views) of a vector laid out by ``_layout``: each
+    array a reshaped view of its segment, and each family one (2, ...) view
+    whose leading stride is the distance from the visual array to its audio
+    twin."""
+    views, pairs = {}, {}
     offset = 0
-    for name, shape in layout:
+    for name, shape, family in layout:
         size = math.prod(shape)
         views[name] = vector[offset:offset + size].reshape(shape)
+        if family in pairs:  # the audio twin of (visual offset, view)
+            start, visual = pairs[family]
+            pairs[family] = np.lib.stride_tricks.as_strided(
+                visual, (2,) + shape,
+                ((offset - start) * vector.itemsize,) + visual.strides)
+        elif family is not None:
+            pairs[family] = (offset, views[name])
         offset += size
-    return views
-
-
-# the per-modality arrays whose visual and audio copies have the same shape;
-# layer 0's weight is missing because its fan-in is the modality's input dim
-_PAIRED = ("encoder_{}.0.bias", "encoder_{}.1.weight", "encoder_{}.1.bias",
-           "classifier_{}.weight", "classifier_{}.bias",
-           "batchnorm_{}.gamma", "batchnorm_{}.beta")
-
-
-def _pair_views(views):
-    """(2, ...) views over each visual array and its audio twin, keyed by
-    the family name without the modality ("encoder.1.weight" ...).  The
-    twins sit a constant distance apart in the vector, which becomes the
-    stride of the leading axis."""
-    pairs = {}
-    for pattern in _PAIRED:
-        visual = views.get(pattern.format(VISUAL))
-        if visual is None:  # batchnorm is off
-            continue
-        audio = views[pattern.format(AUDIO)]
-        gap = (audio.__array_interface__["data"][0]
-               - visual.__array_interface__["data"][0])
-        pairs[pattern.replace("_{}", "")] = np.lib.stride_tricks.as_strided(
-            visual, (2,) + visual.shape, (gap,) + visual.strides)
-    return pairs
+    return views, pairs
 
 
 class TwoStreamModel:
@@ -192,7 +184,7 @@ class TwoStreamModel:
     def __init__(self, config, flat=None, running=None):
         self.config = config
         self._layout = _layout(config)
-        size = sum(math.prod(shape) for _, shape in self._layout)
+        size = sum(math.prod(shape) for _, shape, _ in self._layout)
         fresh = flat is None
         if fresh:
             flat = np.zeros(size, dtype=np.float64)
@@ -200,8 +192,7 @@ class TwoStreamModel:
             raise ConfigurationError(
                 f"parameter vector must be float64 of shape ({size},)")
         self.flat = flat
-        self._params = _views(flat, self._layout)
-        self.pairs = _pair_views(self._params)
+        self._params, self.pairs = _views(flat, self._layout)
         self._gradient = None
         if config.batchnorm and fresh:
             self.pairs["batchnorm.gamma"][...] = 1.0
@@ -229,8 +220,7 @@ class TwoStreamModel:
         ``model_backward`` overwrites it."""
         if self._gradient is None:
             vector = np.zeros_like(self.flat)
-            views = _views(vector, self._layout)
-            self._gradient = (vector, views, _pair_views(views))
+            self._gradient = (vector, *_views(vector, self._layout))
         return self._gradient
 
     def clone(self):
@@ -485,7 +475,7 @@ def load_checkpoint(path):
                          MID if fusion_flag == 1 else LATE,
                          batchnorm=bool(bn_flag))
     # Python ints: the header allows sizes that overflow int64
-    size = sum(math.prod(shape) for _, shape in _layout(config))
+    size = sum(math.prod(shape) for _, shape, _ in _layout(config))
     count = size + (4 * feature if config.batchnorm else 0)
     end = offset + 8 * count
     if end > len(blob):
