@@ -429,7 +429,16 @@ def eval_logits(model, visual_inputs, audio_inputs):
 
 def save_checkpoint(model, path):
     """Serialize a model to the flat binary checkpoint format (see module
-    docstring)."""
+    docstring).  A model ``load_checkpoint`` would reject (a non-finite
+    value, a negative running variance) is a ConfigurationError naming the
+    path, raised before the file is opened."""
+    running = model.running
+    if not (np.isfinite(model.flat).all()
+            and (running is None or np.isfinite(running).all())):
+        raise ConfigurationError(f"{path}: cannot save a non-finite value")
+    if running is not None and (running[:, 1] < 0).any():
+        raise ConfigurationError(
+            f"{path}: cannot save a negative running variance")
     c = model.config
     header = struct.pack(
         "<7I", c.input_dim_visual, c.input_dim_audio, c.hidden_dim,
@@ -437,8 +446,8 @@ def save_checkpoint(model, path):
         1 if c.batchnorm else 0)
     chunks = [CHECKPOINT_MAGIC, header,
               np.ascontiguousarray(model.flat, dtype="<f8").tobytes()]
-    if model.running is not None:
-        chunks.append(model.running.astype("<f8").tobytes())
+    if running is not None:
+        chunks.append(running.astype("<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 

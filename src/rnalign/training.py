@@ -391,11 +391,11 @@ def run_experiment(config):
                 it, mean_v, mean_a, mean_v - mean_a,
                 mean_v / mean_a if mean_a > 0 else float("nan"),
                 float(ce), float(aux_value))
-            if not (math.isfinite(record.ce_loss)
-                    and math.isfinite(record.aux_loss)):
+            # the telemetry reader's rule: finite mean norms and losses
+            if not all(map(math.isfinite, (mean_v, mean_a, record.ce_loss,
+                                           record.aux_loss))):
                 raise NumericalError(
-                    f"non-finite loss at iteration {it}: "
-                    f"ce={record.ce_loss} aux={record.aux_loss}; "
+                    f"non-finite norm or loss at iteration {it}: {record}; "
                     f"last record: {(telemetry.iterations or [None])[-1]}")
             model_backward(cache, grad_logits,
                            lam * aux_grad if use_aux else None)

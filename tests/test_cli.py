@@ -305,6 +305,28 @@ def test_train_divergence_exits_1(tmp_path, capsys):
     assert not (out_dir / "checkpoint.rna").exists()
 
 
+def test_train_whose_norms_overflow_exits_1_and_writes_nothing(tmp_path,
+                                                              capsys):
+    # the losses stay finite while the mean feature norms overflow; the
+    # telemetry reader rejects such a row, so the run stops at it
+    config = write_config(tmp_path, """\
+[experiment]
+setting = dg-single
+aux_loss = none
+iterations = 4
+learning_rate = 1e12
+momentum = 0
+""")
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, ["train", "--config", config,
+                                      "--out", str(out_dir), "--quiet"])
+    assert code == 1
+    assert "error: non-finite norm or loss at iteration 3:" in err
+    assert out == ""
+    assert not (out_dir / "checkpoint.rna").exists()
+    assert not (out_dir / "telemetry.csv").exists()
+
+
 def test_train_bad_experiment_value_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, TRAIN_INI + "lambda = -1\n")
     code, _, err = run_cli(capsys, ["train", "--config", config,
@@ -420,6 +442,53 @@ def test_matrix_multi_source_pair_labels(tmp_path, capsys):
         encoding="ascii").splitlines()[0]
     # the multi-source label contains a comma, so the CSV writer quotes it
     assert header == 'method,"D1,D2->D3",mean'
+
+
+def test_matrix_reports_each_failed_cell_and_records_nan(tmp_path, capsys):
+    config = write_config(tmp_path, """\
+[experiment]
+setting = dg-single
+iterations = 30
+learning_rate = 1e12
+momentum = 0
+
+[matrix]
+methods = source-only, rna
+seeds = 0
+pairs = D1->D2
+""")
+    out_dir = tmp_path / "grid"
+    code, out, err = run_cli(capsys, ["matrix", "--config", config,
+                                      "--out", str(out_dir), "--quiet"])
+    assert code == 0
+    for method in ("source-only", "rna"):
+        warnings = [line for line in err.splitlines() if line.startswith(
+            f"warning: {method} D1->D2 seed 0 failed: ")]
+        assert len(warnings) == 1, err
+        assert f"{method} mean=nan" in out
+    assert (out_dir / "results.csv").read_text(encoding="ascii") == (
+        "method,D1->D2,mean\nsource-only,nan,nan\nrna,nan,nan\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("methods = source-only, rna", "methods = ,", "[matrix] methods is empty"),
+    ("seeds = 0, 1", "seeds = 0, x",
+     "[matrix] seeds: invalid literal for int() with base 10: ' x'"),
+    ("seeds = 0, 1", "seeds = ,", "[matrix] seeds is empty"),
+    ("pairs = D1->D2, D2->D1", "pairs = ,", "[matrix] pairs is empty"),
+    ("pairs = D1->D2, D2->D1", "pairs = D1",
+     "pair 'D1' must look like 'D1->D2' for dg-single"),
+], ids=["methods-empty", "seeds-not-int", "seeds-empty", "pairs-empty",
+        "pair-without-arrow"])
+def test_matrix_option_errors_exit_2_naming_the_file(tmp_path, capsys, old,
+                                                     new, message):
+    config = write_config(tmp_path, MATRIX_INI.replace(old, new))
+    out_dir = tmp_path / "grid"
+    code, _, err = run_cli(capsys, ["matrix", "--config", config,
+                                    "--out", str(out_dir)])
+    assert code == 2
+    assert err == f"error: {config}: {message}\n"
+    assert not (out_dir / "results.csv").exists()
 
 
 def test_matrix_unknown_method_exits_2(tmp_path, capsys):

@@ -475,6 +475,20 @@ def test_feature_file_rejects_bad_header(tmp_path):
         load_feature_file(str(path))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("RNAFEAT v1 0 2 3 1\n", "invalid header values"),
+    ("RNAFEAT v1 1 1 1 2\n0.0 0.0 0\n", "invalid header values"),
+], ids=["empty", "no-rows", "labeled-flag-2"])
+def test_feature_file_names_line_1_of_an_empty_file_or_invalid_header(
+        tmp_path, text, message):
+    path = tmp_path / "hdr.rnafeat"
+    path.write_text(text)
+    with pytest.raises(ParseError) as excinfo:
+        load_feature_file(path)
+    assert str(excinfo.value) == f"{path}: line 1: {message}"
+
+
 def test_feature_file_rejects_trailing_rows(tmp_path):
     path = tmp_path / "extra.rnafeat"
     path.write_text("RNAFEAT v1 1 1 1 0\n0.0 0.0\n1.0 1.0\n")

@@ -466,6 +466,14 @@ def test_checkpoint_rejects_truncation(tmp_path):
         load_checkpoint(str(tmp_path / "short.rna"))
 
 
+def test_checkpoint_rejects_a_truncated_header_naming_its_length(tmp_path):
+    path = tmp_path / "short.rna"
+    path.write_bytes(b"RNA1" + bytes(12))
+    with pytest.raises(ParseError) as excinfo:
+        load_checkpoint(str(path))
+    assert str(excinfo.value) == f"{path}: truncated header at byte 16"
+
+
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
     model = init_model(tiny_config(), seed=11)
     path = tmp_path / "model.rna"
@@ -511,39 +519,81 @@ def test_checkpoint_rejects_corrupt_header_dimensions(tmp_path):
             load_checkpoint(str(path))
 
 
+def saved_with_body_values(tmp_path, model, values):
+    """Save ``model``, then overwrite body value i (at byte 32 + 8 i; running
+    follows flat) with ``values[i]``, which ``save_checkpoint`` refuses to
+    write itself.  Returns the path."""
+    path = tmp_path / "model.rna"
+    save_checkpoint(model, str(path))
+    blob = bytearray(path.read_bytes())
+    for i, value in values.items():
+        blob[32 + 8 * i:40 + 8 * i] = np.float64(value).astype("<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    return path
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_checkpoint_rejects_a_non_finite_value_naming_its_byte(tmp_path,
                                                                value):
-    # body value i sits at byte 32 + 8 i; running follows flat
     model = init_model(tiny_config(batchnorm=True), seed=15)
-    model.running[0, 1, 1] = -5.0  # reported only when every value is finite
-    model.running[1, 0, 2] = value
-    path = tmp_path / "model.rna"
-    for at in (32 + 8 * (model.flat.size + 2 * 5 + 2), 32 + 8 * 7):
-        save_checkpoint(model, str(path))
+    # running[s, k, j] is body value size + 5 (2 s + k) + j
+    size = model.flat.size
+    values = {size + 5 + 1: -5.0,  # reported only when every value is finite
+              size + 2 * 5 + 2: value}
+    for at in (32 + 8 * (size + 2 * 5 + 2), 32 + 8 * 7):
+        path = saved_with_body_values(tmp_path, model, values)
         with pytest.raises(ParseError,
                            match=f"non-finite value at byte {at}$"):
             load_checkpoint(str(path))
-        model.flat[7] = value
+        values[7] = value
 
 
 def test_checkpoint_rejects_a_negative_running_variance_naming_its_byte(
         tmp_path):
     model = init_model(tiny_config(batchnorm=True), seed=16)
-    model.running[1, 1, 2] = -1.0
-    model.running[0, 1, 0] = -5.0  # visual variance of feature 0: first
-    model.running[0, 0, 3] = -2.0  # a negative mean is fine
-    path = tmp_path / "model.rna"
-    save_checkpoint(model, str(path))
+    size = model.flat.size
+    path = saved_with_body_values(tmp_path, model, {
+        size + 3 * 5 + 2: -1.0,
+        size + 5 + 0: -5.0,  # visual variance of feature 0: first
+        size + 3: -2.0})  # a negative mean is fine
     at = 32 + 8 * (model.flat.size + 5)
     with pytest.raises(ParseError,
                        match=f"negative running variance at byte {at}$"):
         load_checkpoint(str(path))
-    model.running[:, 1] = np.abs(model.running[:, 1])
+    model.running[0, 0, 3] = -2.0
+    model.running[0, 1, 0] = 5.0
     model.running[1, 1, 4] = -0.0
     save_checkpoint(model, str(path))
     assert load_checkpoint(str(path)).running.tobytes() == \
         model.running.tobytes()
+
+
+@pytest.mark.parametrize("array, index", [
+    ("flat", 3), ("flat", -1), ("running", (0, 0, 1)),
+    ("running", (1, 1, 1))])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_checkpoint_rejects_a_non_finite_value_before_writing(
+        tmp_path, array, index, value):
+    model = init_model(ModelConfig(3, 4, 5, 2, 2, batchnorm=True), seed=0)
+    getattr(model, array)[index] = value
+    path = tmp_path / "model.rna"
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{path}: cannot save a non-finite "
+                                       f"value")):
+        save_checkpoint(model, str(path))
+    assert not path.exists()
+
+
+def test_save_checkpoint_rejects_a_negative_running_variance_before_writing(
+        tmp_path):
+    model = init_model(ModelConfig(3, 4, 5, 2, 2, batchnorm=True), seed=0)
+    model.running[0, 1, 0] = -1.0
+    path = tmp_path / "model.rna"
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{path}: cannot save a negative "
+                                       f"running variance")):
+        save_checkpoint(model, str(path))
+    assert not path.exists()
 
 
 def checkpoint_bytes(tmp_path, **overrides):
@@ -596,6 +646,35 @@ def test_checkpoint_corruption_loads_or_is_a_parse_error(tmp_path, kind,
         assert (model.running[:, 1] >= 0).all()
     save_checkpoint(model, str(tmp_path / "resaved.rna"))
     assert (tmp_path / "resaved.rna").read_bytes() == bytes(blob)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(CHECKPOINT_KINDS), data=st.data())
+def test_every_checkpoint_saved_loads_back_bitwise(tmp_path, kind, data):
+    # a checkpoint the writer accepts is one the reader loads, bit for bit
+    model = init_model(tiny_config(**kind), seed=17)
+    arrays = [model.flat] + ([] if model.running is None
+                             else [model.running.reshape(-1)])
+    for array in arrays:
+        for i in data.draw(st.lists(st.integers(0, array.size - 1),
+                                    max_size=3)):
+            array[i] = data.draw(st.floats(allow_nan=True,
+                                           allow_infinity=True))
+    path = tmp_path / "model.rna"
+    path.unlink(missing_ok=True)
+    try:
+        save_checkpoint(model, str(path))
+    except ConfigurationError:
+        assert not path.exists()
+        return
+    loaded = load_checkpoint(str(path))
+    assert loaded.config == model.config
+    assert loaded.flat.tobytes() == model.flat.tobytes()
+    if model.running is None:
+        assert loaded.running is None
+    else:
+        assert loaded.running.tobytes() == model.running.tobytes()
 
 
 # ---------------------------------------------------------------------------

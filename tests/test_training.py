@@ -238,6 +238,20 @@ def test_telemetry_rejects_a_wrong_field_count(tmp_path):
         NormTelemetry.from_csv(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: empty telemetry file"),
+    (TELEMETRY_HEADER + "\n0," + "1" * 131073 + ",1,0,1,0,0\n",
+     "line 2: field larger than field limit (131072)"),
+], ids=["empty", "csv-error"])
+def test_telemetry_reader_names_the_line_of_an_empty_or_malformed_file(
+        tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(ParseError) as excinfo:
+        NormTelemetry.from_csv(path)
+    assert str(excinfo.value) == f"{path}: {message}"
+
+
 def test_telemetry_csv_round_trip(tmp_path):
     _, telemetry = run_experiment(short_config(iterations=20))
     path = tmp_path / "telemetry.csv"
@@ -316,6 +330,28 @@ def test_divergence_error_names_iteration_and_last_record():
     with pytest.raises(NumericalError,
                        match=r"iteration \d+.*last record: IterationRecord"):
         run_experiment(cfg)
+
+
+def test_non_finite_gradient_error_names_iteration_array_and_last_record(
+        monkeypatch):
+    # the losses and norms stay finite; only the gradient goes bad
+    original = rnalign.training.model_backward
+    calls = []
+
+    def poisoned(*args):
+        grads = original(*args)
+        if len(calls) == 2:
+            grads["encoder_audio.1.bias"][1] = np.inf
+        calls.append(None)
+        return grads
+
+    monkeypatch.setattr(rnalign.training, "model_backward", poisoned)
+    with pytest.raises(NumericalError) as excinfo:
+        run_experiment(short_config(iterations=10))
+    message = str(excinfo.value)
+    assert message.startswith("iteration 2: ")
+    assert "(first at 'encoder_audio.1.bias')" in message
+    assert "last record: IterationRecord(iteration=1," in message
 
 
 def test_train_dg_rna_improves_norm_ratio():
@@ -792,6 +828,14 @@ def test_telemetry_and_results_readers_report_bad_bytes_and_rows(tmp_path):
     path.write_bytes(head + b"\x80\n")
     with pytest.raises(ParseError, match=f"byte {len(head)}"):
         read_results_csv(path)
+
+
+def test_results_reader_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("")
+    with pytest.raises(ParseError) as excinfo:
+        read_results_csv(path)
+    assert str(excinfo.value) == f"{path}: line 1: empty results file"
 
 
 def test_results_reader_rejects_a_pair_named_twice(tmp_path):
