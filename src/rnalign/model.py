@@ -162,7 +162,7 @@ def _views(vector, layout):
             start, visual = pairs[family]
             pairs[family] = np.lib.stride_tricks.as_strided(
                 visual, (2,) + shape,
-                ((offset - start) * vector.itemsize,) + visual.strides)
+                ((offset - start) * vector.strides[0],) + visual.strides)
         elif family is not None:
             pairs[family] = (offset, views[name])
         offset += size

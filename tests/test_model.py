@@ -568,31 +568,21 @@ def test_checkpoint_rejects_a_negative_running_variance_naming_its_byte(
         model.running.tobytes()
 
 
-@pytest.mark.parametrize("array, index", [
-    ("flat", 3), ("flat", -1), ("running", (0, 0, 1)),
-    ("running", (1, 1, 1))])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_save_checkpoint_rejects_a_non_finite_value_before_writing(
-        tmp_path, array, index, value):
+@pytest.mark.parametrize("array, index, value, message", [
+    ("flat", 3, np.nan, "non-finite value"),
+    ("flat", -1, np.inf, "non-finite value"),
+    ("running", (0, 0, 1), -np.inf, "non-finite value"),
+    ("running", (1, 1, 1), np.nan, "non-finite value"),
+    ("running", (0, 1, 0), -1.0, "negative running variance"),
+], ids=["nan-flat", "inf-flat-last", "-inf-mean", "nan-var", "negative-var"])
+def test_save_checkpoint_refuses_what_the_reader_rejects_before_writing(
+        tmp_path, array, index, value, message):
     model = init_model(ModelConfig(3, 4, 5, 2, 2, batchnorm=True), seed=0)
     getattr(model, array)[index] = value
     path = tmp_path / "model.rna"
-    with pytest.raises(ConfigurationError,
-                       match=re.escape(f"{path}: cannot save a non-finite "
-                                       f"value")):
+    with pytest.raises(ConfigurationError) as excinfo:
         save_checkpoint(model, str(path))
-    assert not path.exists()
-
-
-def test_save_checkpoint_rejects_a_negative_running_variance_before_writing(
-        tmp_path):
-    model = init_model(ModelConfig(3, 4, 5, 2, 2, batchnorm=True), seed=0)
-    model.running[0, 1, 0] = -1.0
-    path = tmp_path / "model.rna"
-    with pytest.raises(ConfigurationError,
-                       match=re.escape(f"{path}: cannot save a negative "
-                                       f"running variance")):
-        save_checkpoint(model, str(path))
+    assert str(excinfo.value) == f"{path}: cannot save a {message}"
     assert not path.exists()
 
 
@@ -750,6 +740,21 @@ def test_pair_views_alias_flat_and_gradient_in_checkpoint_order():
     model.pairs["batchnorm.gamma"][1] = 4.0
     assert np.all(params["batchnorm_audio.gamma"] == 4.0)
     assert np.all(params["batchnorm_visual.gamma"] == 1.5)
+
+
+def test_pair_views_of_a_strided_vector_alias_its_named_views():
+    config = tiny_config(fusion_mode="mid", batchnorm=True)
+    size = init_model(config, seed=0).flat.size
+    base = np.arange(2.0 * size)
+    for flat in (base[::2], base[::-2]):
+        model = TwoStreamModel(config, flat)
+        params = model.parameters()
+        for family, pair in model.pairs.items():
+            head, _, field = family.partition(".")
+            for s, modality in enumerate((VISUAL, AUDIO)):
+                named = params[f"{head}_{modality}.{field}"]
+                assert np.shares_memory(named, base), family
+                assert np.array_equal(pair[s], named), (family, modality)
 
 
 def test_model_rejects_state_arrays_of_the_wrong_shape_or_dtype():
