@@ -153,18 +153,18 @@ def _views(vector, layout):
     array a reshaped view of its segment, and each family one (2, ...) view
     whose leading stride is the distance from the visual array to its audio
     twin."""
-    views, pairs = {}, {}
+    views, pairs, visuals = {}, {}, {}
     offset = 0
     for name, shape, family in layout:
         size = math.prod(shape)
         views[name] = vector[offset:offset + size].reshape(shape)
-        if family in pairs:  # the audio twin of (visual offset, view)
-            start, visual = pairs[family]
+        if family in visuals:  # the audio twin
+            start, visual = visuals[family]
             pairs[family] = np.lib.stride_tricks.as_strided(
                 visual, (2,) + shape,
                 ((offset - start) * vector.strides[0],) + visual.strides)
         elif family is not None:
-            pairs[family] = (offset, views[name])
+            visuals[family] = (offset, views[name])
         offset += size
     return views, pairs
 
