@@ -24,7 +24,8 @@ from . import __version__
 from .config import (METHODS, apply_method, load_config_file,
                      parse_benchmark_spec, parse_experiment_config,
                      parse_matrix_options)
-from .data import generate_benchmark, load_feature_file, save_feature_file
+from .data import (generate_benchmark, load_feature_file, read_bytes,
+                   save_feature_file)
 from .errors import ConfigurationError, NumericalError, ParseError
 from .losses import norm_stats
 from .model import save_checkpoint
@@ -160,16 +161,10 @@ def cmd_matrix(args):
 
 
 def _sniff_input(path):
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            first = fh.readline().strip()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not a text report input: {exc}") from exc
-    if first.startswith("RNAFEAT"):
+    first = read_bytes(path).split(b"\n", 1)[0].strip()
+    if first.startswith(b"RNAFEAT"):
         return "features"
-    if first.startswith("iter,"):
+    if first.startswith(b"iter,"):
         return "telemetry"
     raise ParseError(
         f"{path}: line 1: neither an RNAFEAT file nor a telemetry CSV")
@@ -180,33 +175,25 @@ def cmd_norms(args):
     feature file."""
     if args.out:
         _ensure_outdir(Path(args.out).parent)
-    kind = _sniff_input(args.input)
-    if kind == "telemetry":
+    if _sniff_input(args.input) == "telemetry":
         telemetry = NormTelemetry.from_csv(args.input)
         if not telemetry.iterations:
             raise ParseError(f"{args.input}: no iteration records")
         last = telemetry.iterations[-1]
-        rows = [("iterations", len(telemetry.iterations)),
-                ("mean_norm_v", last.mean_norm_v),
-                ("mean_norm_a", last.mean_norm_a),
-                ("delta", last.delta),
-                ("rho", last.rho)]
+        count = ("iterations", len(telemetry.iterations))
+        norms = last.mean_norm_v, last.mean_norm_a, last.delta, last.rho
     else:
         batch = load_feature_file(args.input)
-        stats = norm_stats(batch.visual, batch.audio)
-        rows = [("samples", batch.n),
-                ("mean_norm_v", stats.mean_norm_visual),
-                ("mean_norm_a", stats.mean_norm_audio),
-                ("delta", stats.delta),
-                ("rho", stats.rho)]
-    for key, value in rows:
-        print(f"{key}={repr(float(value)) if isinstance(value, float) else value}")
+        count = ("samples", batch.n)
+        norms = norm_stats(batch.visual, batch.audio)
+    rows = [count, *zip(("mean_norm_v", "mean_norm_a", "delta", "rho"),
+                        map(repr, norms))]
+    for key, text in rows:
+        print(f"{key}={text}")
     if args.out:
-        lines = ["metric,value"]
-        lines += [f"{k},{repr(float(v)) if isinstance(v, float) else v}"
-                  for k, v in rows]
+        report = "".join(f"{key},{text}\n" for key, text in rows)
         _atomic(Path(args.out), lambda tmp: tmp.write_text(
-            "\n".join(lines) + "\n", encoding="ascii"))
+            "metric,value\n" + report, encoding="ascii"))
     return 0
 
 

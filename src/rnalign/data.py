@@ -338,17 +338,22 @@ def save_feature_file(batch, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_text(path, encoding="ascii", newline=None):
-    """A text file's contents, as ``open(path, encoding=encoding,
-    newline=newline).read()`` returns them, except that a file that cannot
-    be read (missing, a directory, unreadable) is a ParseError naming the
-    path, and a byte sequence the encoding rejects is a ParseError naming its
-    byte offset."""
+def read_bytes(path):
+    """A file's bytes.  Every reader opens its file here, so a file that
+    cannot be read (missing, a directory, unreadable) is a ParseError naming
+    the path."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def read_text(path, encoding="ascii", newline=None):
+    """A text file's contents, decoded from ``read_bytes(path)`` with
+    universal newlines unless ``newline`` is ``""``; a byte sequence the
+    encoding rejects is a ParseError naming its byte offset."""
+    blob = read_bytes(path)
     try:
         text = blob.decode(encoding)
     except UnicodeDecodeError as exc:

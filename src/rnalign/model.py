@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import cast_fields
+from .data import cast_fields, read_bytes
 from .errors import ConfigurationError, ParseError
 from .losses import AUDIO, VISUAL
 
@@ -461,12 +461,11 @@ _HEADER_FIELDS = (("input_dim_visual", 1, None), ("input_dim_audio", 1, None),
 
 def load_checkpoint(path):
     """Reconstruct a model from a checkpoint file written by
-    ``save_checkpoint``; raises ParseError, naming the byte, on malformed or
-    truncated files, a non-finite body value or a negative running variance.
-    The body's length is checked against the header's dimensions before
-    anything is allocated."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    ``save_checkpoint``.  A file that cannot be read is a ParseError naming
+    the path; a malformed or truncated file, a non-finite body value or a
+    negative running variance is one naming the byte.  The body's length is
+    checked against the header's dimensions before anything is allocated."""
+    blob = read_bytes(path)
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ParseError(
             f"{path}: bad magic at byte 0 (not a checkpoint file)")

@@ -456,6 +456,17 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_checkpoint_that_cannot_be_read_is_a_parse_error_naming_it(tmp_path,
+                                                                    kind):
+    path = tmp_path / "model.rna"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(ParseError,
+                       match=re.escape(f"cannot read {path}: ")):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_truncation(tmp_path):
     model = init_model(tiny_config(), seed=10)
     path = tmp_path / "model.rna"
