@@ -173,9 +173,15 @@ def _sniff_input(path):
 def cmd_norms(args):
     """Report norm statistics of a telemetry CSV (final iteration) or of a
     feature file."""
+    kind = _sniff_input(args.input)
     if args.out:
+        if (os.path.exists(args.out)
+                and os.path.samefile(args.out, args.input)):
+            raise ConfigurationError(
+                f"--out {args.out} is the input file; norms does not "
+                f"replace its input")
         _ensure_outdir(Path(args.out).parent)
-    if _sniff_input(args.input) == "telemetry":
+    if kind == "telemetry":
         telemetry = NormTelemetry.from_csv(args.input)
         if not telemetry.iterations:
             raise ParseError(f"{args.input}: no iteration records")

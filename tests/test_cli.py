@@ -687,6 +687,29 @@ def test_norms_out_under_a_file_exits_2_naming_it(feature_file, tmp_path,
     assert out == ""
 
 
+@pytest.mark.parametrize("kind", ["features", "telemetry"])
+@pytest.mark.parametrize("spelling", ["relative", "absolute"])
+def test_norms_out_naming_its_input_exits_2_and_leaves_it_alone(
+        feature_file, tmp_path, capsys, monkeypatch, kind, spelling):
+    source = feature_file
+    if kind == "telemetry":
+        assert run_cli(capsys, ["train", "--config",
+                                write_config(tmp_path, TRAIN_INI),
+                                "--out", str(tmp_path / "run"),
+                                "--quiet"])[0] == 0
+        source = tmp_path / "run" / "telemetry.csv"
+    before = source.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    out = (str(source) if spelling == "absolute"
+           else os.path.relpath(source, tmp_path))
+    code, stdout, err = run_cli(capsys, ["norms", str(source), "--out", out])
+    assert code == 2
+    assert f"--out {out} is the input file" in err
+    assert stdout == ""
+    assert source.read_bytes() == before
+    assert list(source.parent.glob("*.tmp")) == []
+
+
 def test_norms_rejects_unrecognized_input(tmp_path, capsys):
     bogus = tmp_path / "bogus.txt"
     bogus.write_text("hello world\n1,2,3\n", encoding="ascii")
