@@ -279,11 +279,10 @@ def resolve_domains(config):
     return domains
 
 
-def _model_config(config, domains, num_classes):
-    sample = domains[0].train
+def _model_config(config, pool, num_classes):
     return ModelConfig(
-        input_dim_visual=sample.visual.shape[1],
-        input_dim_audio=sample.audio.shape[1],
+        input_dim_visual=pool.visual.shape[1],
+        input_dim_audio=pool.audio.shape[1],
         hidden_dim=config.hidden_dim,
         feature_dim=config.feature_dim,
         num_classes=num_classes,
@@ -344,11 +343,12 @@ def run_experiment(config):
 
     model_seed, source_seed, target_seed = \
         np.random.SeedSequence(config.seed).spawn(3)
-    # generated data holds every class in both splits of every domain, and
+    # the classes of the labeled splits the run reads, never of labels it
+    # must not see (the uda target's train split, an unused domain);
     # resolve_domains rejects a negative label in a file
     num_classes = 1 + max(int(batch.labels.max(initial=-1))
-                          for d in domains for batch in (d.train, d.test))
-    model = init_model(_model_config(config, domains, num_classes),
+                          for batch in (source, target_test))
+    model = init_model(_model_config(config, source, num_classes),
                        model_seed)
     aux = _AUX_FUNCTIONS.get(config.aux_loss)
     aux_args = ()

@@ -728,6 +728,37 @@ def test_data_dir_class_count_covers_test_labels(tmp_path):
     assert 5 < model.config.num_classes
 
 
+def run_artifacts(config, out_dir):
+    """The checkpoint and telemetry bytes of one run."""
+    out_dir.mkdir()
+    model, telemetry = run_experiment(config)
+    rnalign.model.save_checkpoint(model, out_dir / "checkpoint.rna")
+    telemetry.to_csv(out_dir / "telemetry.csv")
+    return ((out_dir / "checkpoint.rna").read_bytes(),
+            (out_dir / "telemetry.csv").read_bytes())
+
+
+@pytest.mark.parametrize("setting, unseen", [
+    ("uda", ["D2_train"]),
+    ("dg-single", ["D3_train", "D3_test"]),
+], ids=["uda-target-train", "dg-single-unused-domain"])
+def test_labels_a_run_must_not_see_leave_its_artifacts_unchanged(
+        tmp_path, setting, unseen):
+    spec = small_benchmark(num_classes=3, samples_per_class=8)
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    save_domains(generate_benchmark(spec), data_dir, ["D1", "D2", "D3"])
+    config = short_config(benchmark=spec, data_dir=str(data_dir),
+                          setting=setting, iterations=20)
+    clean = run_artifacts(config, tmp_path / "clean")
+    for name in unseen:
+        path = data_dir / f"{name}.rnafeat"
+        batch = load_feature_file(path)
+        save_feature_file(MultiModalBatch(batch.visual, batch.audio,
+                                          batch.labels + 1), path)
+    assert run_artifacts(config, tmp_path / "raised") == clean
+
+
 # ---------------------------------------------------------------------------
 # the last generated domain set is kept
 
