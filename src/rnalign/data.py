@@ -21,7 +21,8 @@ Feature file format (RNAFEAT v1): a header line
 followed by N data lines of Dv visual floats, Da audio floats and, when
 labeled, one trailing integer class index, all whitespace-separated decimal.
 Floats are written with ``repr`` so a save/load round-trip is lossless at
-64-bit precision.
+64-bit precision.  No number holds a "_" digit group, which Python's ``int``
+and ``float`` would accept.
 """
 
 import math
@@ -365,6 +366,17 @@ def read_text(path, encoding="ascii", newline=None):
     return text
 
 
+def reject_digit_groups(path, text, line=1):
+    """Raise a ParseError naming the line of the first "_" in ``text``, whose
+    first line is line ``line``.  ``int`` and ``float`` read "1_0" as 10 and
+    no writer emits a "_", so each machine-format reader scans the text of
+    its numbers once with this."""
+    at = text.find("_")
+    if at >= 0:
+        line += text.count("\n", 0, at)
+        raise ParseError(f"{path}: line {line}: '_' in a number")
+
+
 def _first_non_finite_row(values, width):
     """Index of the first complete ``width``-float row of ``values`` that
     holds a non-finite value, or None."""
@@ -381,9 +393,11 @@ def load_feature_file(path):
     Raises ParseError (naming the offending line, or byte for non-ASCII
     content) on malformed headers, wrong per-line field counts (broken
     visual/audio pairing), non-finite values, truncation, or trailing
-    garbage.
+    garbage.  A "_" anywhere in the file is reported first.
     """
-    raw_lines = read_text(path).split("\n")
+    text = read_text(path)
+    reject_digit_groups(path, text)
+    raw_lines = text.split("\n")
     if raw_lines and raw_lines[-1] == "":
         raw_lines.pop()
     if not raw_lines:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import (BenchmarkSpec, DomainData, cast_fields, generate_benchmark,
                    generated_domain_ids, load_feature_file, read_text,
-                   split_domains)
+                   reject_digit_groups, split_domains)
 from .errors import ConfigurationError, NumericalError, ParseError
 from .losses import (cosine_alignment_stacked, hna_stacked, mean_norms,
                      orthogonality_stacked, rna_stacked, row_norms)
@@ -89,10 +89,9 @@ class NormTelemetry:
         iteration above the previous row's, finite norms >= 0, delta and
         losses, and a delta and rho that match the norms to 1e-9 (rho is NaN
         where mean_norm_a is 0); any other row is a ParseError naming its
-        line."""
+        line, and a "_" in any row is reported first."""
         telemetry = cls()
-        rows = _csv_rows(path)
-        header = next(rows, None)
+        header, rows = _csv_table(path, skip=0)
         if header is None:
             raise ParseError(f"{path}: line 1: empty telemetry file")
         if ",".join(header) != TELEMETRY_HEADER:
@@ -129,14 +128,19 @@ class NormTelemetry:
         return telemetry
 
 
-def _csv_rows(path):
-    """The rows of an ASCII CSV file; undecodable bytes and malformed CSV
-    are ParseErrors naming the byte or line."""
+def _csv_table(path, skip):
+    """(header or None for an empty file, later rows) of an ASCII CSV file.
+    Undecodable bytes, malformed CSV and a "_" in a later row's cells past
+    the first ``skip`` (one scan per file) are ParseErrors naming the byte
+    or line."""
     reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
     try:
-        yield from reader
+        header, *rows = list(reader) or [None]
     except csv.Error as exc:
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
+    reject_digit_groups(path, "\n".join(",".join(row[skip:]) for row in rows),
+                        line=2)
+    return header, rows
 
 
 def no_repeats(where, values, shown):
@@ -570,9 +574,10 @@ def write_results_csv(path, results):
 
 def read_results_csv(path):
     """Parse a results table back into (pair_labels, {method: row}) where a
-    row is the list of per-pair means plus the final overall mean."""
-    rows_in = _csv_rows(path)
-    header = next(rows_in, None)
+    row is the list of per-pair means plus the final overall mean.  Labels
+    and method names may hold a "_"; a number holding one is reported
+    before any other row error."""
+    header, rows_in = _csv_table(path, skip=1)
     if header is None:
         raise ParseError(f"{path}: line 1: empty results file")
     if len(header) < 3 or header[0] != "method" or header[-1] != "mean":

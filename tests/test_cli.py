@@ -352,6 +352,15 @@ def test_seeds_beyond_float_precision_still_build(tmp_path):
     assert ExperimentConfig(seed=2 ** 53 + 1).seed == 2 ** 53 + 1
 
 
+def test_config_numbers_keep_python_digit_groups(tmp_path):
+    # config files are written by hand, so "1_000" stays a thousand
+    config = write_config(tmp_path, TRAIN_INI.replace(
+        "iterations = 40", "iterations = 1_000").replace(
+        "seed = 2", "seed = 2_0"))
+    experiment = load_experiment(config)
+    assert (experiment.iterations, experiment.seed) == (1000, 20)
+
+
 def test_train_non_finite_setting_exits_2_naming_the_key(tmp_path, capsys):
     for line, key in (("learning_rate = nan", "learning_rate"),
                       ("weight_decay = inf", "weight_decay"),

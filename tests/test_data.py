@@ -468,6 +468,21 @@ def test_feature_file_reports_the_first_error_in_file_order(
     assert str(excinfo.value) == f"{path}: line {line}: {message}"
 
 
+# int() and float() read "1_0" as 10; the format has no digit groups
+@pytest.mark.parametrize("text, line", [
+    ("RNAFEAT v1 1_0 2 2 1\n0.0 0.0 0.0 0.0 0\n", 1),
+    ("RNAFEAT v1 2 1 1 0\n0.0 0.0\n1_0.5 1.0\n", 3),
+    ("RNAFEAT v1 1 1 1 1\n0.0 0.0 1_1\n", 2),
+], ids=["header", "value", "label"])
+def test_feature_file_rejects_a_digit_group_naming_its_line(tmp_path, text,
+                                                            line):
+    path = tmp_path / "grouped.rnafeat"
+    path.write_text(text)
+    with pytest.raises(ParseError) as excinfo:
+        load_feature_file(path)
+    assert str(excinfo.value) == f"{path}: line {line}: '_' in a number"
+
+
 def test_feature_file_rejects_bad_header(tmp_path):
     path = tmp_path / "hdr.rnafeat"
     path.write_text("FEATURES v9 1 1 1 0\n0.0 0.0\n")

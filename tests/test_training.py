@@ -232,6 +232,15 @@ def test_telemetry_reads_a_nan_rho_where_the_audio_norm_is_zero(tmp_path):
         NormTelemetry.from_csv(path)
 
 
+def test_telemetry_rejects_a_digit_group_in_a_row_naming_its_line(tmp_path):
+    # int() and float() read "1_0" as 10; the header's "_" are names
+    path = write_telemetry(tmp_path, GOOD_ROW,
+                           "1_0,1_0.0,1.0,9.0,10.0,0.5,0.1")
+    with pytest.raises(ParseError) as excinfo:
+        NormTelemetry.from_csv(path)
+    assert str(excinfo.value) == f"{path}: line 3: '_' in a number"
+
+
 def test_telemetry_rejects_a_wrong_field_count(tmp_path):
     path = write_telemetry(tmp_path, GOOD_ROW, "1,2.0,1.0,1.0,2.0,0.5")
     with pytest.raises(ParseError, match="line 3: expected 7 fields, got 6"):
@@ -994,6 +1003,19 @@ def test_results_corruption_loads_or_is_a_located_parse_error(tmp_path,
         assert LOCATION.search(str(exc)), exc
         return
     assert all(len(row) == len(labels) + 1 for row in rows.values())
+
+
+def test_results_reject_a_digit_group_in_a_number_only(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("method,my_kitchen->my_office,mean\n"
+                    "rna_v2,0.5,0.5\n", encoding="ascii")
+    assert read_results_csv(path) == (["my_kitchen->my_office"],
+                                      {"rna_v2": [0.5, 0.5]})
+    path.write_text("method,my_kitchen->my_office,mean\n"
+                    "rna_v2,0.5,0.5\nrna,0_5,0.5\n", encoding="ascii")
+    with pytest.raises(ParseError) as excinfo:
+        read_results_csv(path)
+    assert str(excinfo.value) == f"{path}: line 3: '_' in a number"
 
 
 names = st.text(alphabet=string.ascii_letters + string.digits + ',"->_ ',
