@@ -601,6 +601,17 @@ def test_negative_seed_flag_exits_2_before_any_work(tmp_path, capsys,
     assert started == []
 
 
+def test_seed_flag_that_is_not_an_integer_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["train", "--config", write_config(tmp_path, TRAIN_INI),
+              "--out", str(out_dir), "--seed", "x"])
+    assert excinfo.value.code == 2
+    assert ("argument --seed: expected an integer >= 0, got 'x'"
+            in capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("command, old, new, message", [
     ("generate", "seed = 5", "seed = -2",
      "invalid [benchmark]: seed must be >= 0, got -2"),
@@ -805,6 +816,16 @@ def test_atomic_write_removes_temp_file_when_writer_fails(tmp_path):
                        match=f"cannot write {re.escape(str(target))}: "
                              f"disk full"):
         _atomic(target, failing_writer)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_removes_temp_file_and_reraises_other_errors(tmp_path):
+    def failing_writer(tmp):
+        tmp.write_text("partial", encoding="ascii")
+        raise ValueError("bad row")
+
+    with pytest.raises(ValueError, match="bad row"):
+        _atomic(tmp_path / "out.csv", failing_writer)
     assert list(tmp_path.iterdir()) == []
 
 

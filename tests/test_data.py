@@ -1,6 +1,8 @@
 """Unit tests for benchmark generation, the DG/UDA split rule, and the
 feature-file format."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,6 +44,27 @@ def batches_equal(a, b):
 def test_batch_requires_paired_rows():
     with pytest.raises(ConfigurationError):
         MultiModalBatch(np.zeros((3, 2)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("visual, audio, labels, message", [
+    (np.zeros(3), np.zeros((3, 2)), None,
+     "batch inputs must be 2-D (N x dim)"),
+    (np.zeros((3, 2)), np.zeros((2, 2)), None,
+     "modalities must be paired: 3 visual rows vs 2 audio rows"),
+    (np.array([[0.0, np.inf]]), np.zeros((1, 2)), None,
+     "batch contains non-finite inputs"),
+    (np.zeros((3, 2)), np.zeros((3, 2)), [0, 1],
+     "expected 3 labels, got shape (2,)"),
+], ids=["not-2d", "unpaired", "non-finite", "label-shape"])
+def test_batch_checks_name_what_is_wrong(visual, audio, labels, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        MultiModalBatch(visual, audio, labels)
+
+
+def test_batch_concatenate_needs_a_batch():
+    with pytest.raises(ConfigurationError,
+                       match="cannot concatenate zero batches"):
+        MultiModalBatch.concatenate([])
 
 
 def test_batch_take_and_without_labels():
@@ -162,6 +185,22 @@ def test_generate_rejects_invalid_spec():
         BenchmarkSpec(train_fraction=1.5)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("num_classes", 1, "need at least 2 classes"),
+    ("input_dim_visual", 1, "input dims must be >= 2"),
+    ("input_dim_audio", 1, "input dims must be >= 2"),
+    ("samples_per_class", 3, "samples_per_class must be >= 4"),
+    ("prototype_scale", 0.0, "prototype_scale must be positive"),
+    ("transform_strength", -0.1, "transform_strength must be >= 0"),
+    ("noise_sigma", -0.1, "noise_sigma must be >= 0"),
+    ("audio_norm_scale", 0.0, "audio_norm_scale must be positive"),
+    ("class_skew", -0.1, "class_skew must be >= 0"),
+])
+def test_spec_checks_name_what_is_wrong(field, value, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        BenchmarkSpec(**{field: value})
+
+
 def test_spec_rejects_non_finite_floats_naming_the_field():
     # a nan or infinite class_skew used to hang the class-count rounding
     for name in ("prototype_scale", "transform_strength", "noise_sigma",
@@ -235,6 +274,12 @@ def test_uda_split_rejects_source_equal_target():
     domains = generate_benchmark(small_spec())
     with pytest.raises(ConfigurationError):
         split_domains(domains, "uda", 1, 1)
+
+
+def test_split_needs_two_domains():
+    with pytest.raises(ConfigurationError, match="need at least 2 domains"):
+        split_domains(generate_benchmark(small_spec())[:1], "dg-multi",
+                      None, 0)
 
 
 def test_split_rejects_bad_target_index():

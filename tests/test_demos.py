@@ -2,6 +2,7 @@
 removed without a failing test."""
 
 import runpy
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,15 @@ def test_training_demo_loads(name):
     namespace = runpy.run_path(str(DEMOS / name), run_name="demo")
     assert callable(namespace["main"])
     assert isinstance(namespace["CONFIG"], ExperimentConfig)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("training_walkthrough.py", "results matrix: every source->target pair"),
+    ("lambda_sweep.py", "final |rho-1|"),
+], ids=["training_walkthrough", "lambda_sweep"])
+def test_training_demo_main_runs_at_30_iterations(capsys, name, expected):
+    namespace = runpy.run_path(str(DEMOS / name), run_name="demo")
+    main = namespace["main"]
+    main.__globals__["CONFIG"] = replace(namespace["CONFIG"], iterations=30)
+    main()
+    assert expected in capsys.readouterr().out

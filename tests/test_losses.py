@@ -391,3 +391,15 @@ def test_dot_decomposition_zero_vector_has_undefined_angle():
     assert d.dot == 0.0
     assert np.isnan(d.cos_theta)
 
+
+@pytest.mark.parametrize("loss", [cosine_alignment_loss, orthogonality_loss])
+def test_cosine_losses_need_equal_feature_widths(loss):
+    with pytest.raises(ConfigurationError) as excinfo:
+        loss(np.ones((2, 3)), np.ones((2, 4)))
+    assert str(excinfo.value) == "cosines need equal feature dims, got 3 and 4"
+
+
+def test_dot_decomposition_needs_equal_shapes():
+    with pytest.raises(ConfigurationError) as excinfo:
+        dot_product_decomposition([1.0, 2.0], [1.0, 2.0, 3.0])
+    assert str(excinfo.value) == "vector shapes differ: (2,) vs (3,)"

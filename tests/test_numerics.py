@@ -188,6 +188,16 @@ def test_cross_entropy_rejects_out_of_range_label():
         softmax_cross_entropy(np.zeros((2, 3)), [-1, 0])
 
 
+@pytest.mark.parametrize("logits, labels, message", [
+    (np.zeros(3), [0], "logits must be 2-D (N x C)"),
+    (np.zeros((2, 3)), [0, 1, 2], "expected 2 labels, got shape (3,)"),
+], ids=["not-2d", "label-count"])
+def test_cross_entropy_shape_errors_name_the_shapes(logits, labels, message):
+    with pytest.raises(ConfigurationError) as excinfo:
+        softmax_cross_entropy(logits, labels)
+    assert str(excinfo.value) == message
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(2)
     p = softmax(rng.normal(size=(6, 5)) * 50.0)
@@ -282,3 +292,7 @@ def test_relative_error_yardstick():
     assert relative_error(np.array([1.0]), np.array([1.0 + 1e-9])) < 1e-8
     with pytest.raises(ConfigurationError):
         relative_error(np.zeros(2), np.zeros(3))
+
+
+def test_relative_error_of_two_empty_arrays_is_zero():
+    assert relative_error(np.zeros((0, 3)), np.zeros((0, 3))) == 0.0

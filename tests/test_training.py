@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import rnalign.model
 import rnalign.training
 
+from rnalign.config import apply_method
 from rnalign.data import (BenchmarkSpec, MultiModalBatch, generate_benchmark,
                           load_feature_file, save_feature_file)
 from rnalign.errors import ConfigurationError, NumericalError, ParseError
@@ -79,6 +80,17 @@ def test_config_validation_errors():
         short_config(checkpoint_average=0)
     with pytest.raises(ConfigurationError):
         short_config(hna_target_norm=-3.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("fusion_mode", "early", "unknown fusion mode: 'early'"),
+    ("batch_size", 0, "batch_size must be >= 1"),
+    ("learning_rate", -0.1, "learning_rate and weight_decay must be >= 0"),
+    ("weight_decay", -0.1, "learning_rate and weight_decay must be >= 0"),
+])
+def test_config_checks_name_what_is_wrong(field, value, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        short_config(**{field: value})
 
 
 def test_config_rejects_non_finite_floats_naming_the_field():
@@ -559,6 +571,27 @@ def test_default_pairs_layout():
     assert len(multis) == 3
 
 
+@pytest.mark.parametrize("setting, num_domains, message", [
+    ("dg-single", 1, "need at least 2 domains"),
+    ("dg-double", 3, "unknown setting: 'dg-double'"),
+])
+def test_default_pairs_checks_name_what_is_wrong(setting, num_domains,
+                                                 message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        default_pairs(setting, num_domains)
+
+
+def test_eval_accuracy_of_an_unknown_mode_names_it():
+    with pytest.raises(ConfigurationError,
+                       match="no evaluation record for mode 'x'"):
+        NormTelemetry().eval_accuracy("x")
+
+
+def test_apply_method_names_an_unknown_method():
+    with pytest.raises(ConfigurationError, match="unknown method: 'x'"):
+        apply_method(short_config(), "x")
+
+
 def test_pair_labels():
     ids = ["D1", "D2", "D3"]
     assert pair_label("dg-single", (0, 1), ids) == "D1->D2"
@@ -632,6 +665,19 @@ def test_matrix_pair_of_non_integer_indices_is_named_as_given(pair, given):
 def test_matrix_rejects_an_empty_grid(grid):
     with pytest.raises(ConfigurationError, match="at least one domain pair"):
         run_experiment_matrix(short_config(iterations=1), **grid)
+
+
+def test_results_csv_writer_needs_rows_that_agree(tmp_path):
+    path = tmp_path / "results.csv"
+    with pytest.raises(ConfigurationError, match="no results to write"):
+        write_results_csv(path, {})
+    results = {"source-only": MatrixResult([MatrixCell("D1->D2", [0.5], 0.5)]),
+               "rna": MatrixResult([MatrixCell("D2->D1", [0.5], 0.5)])}
+    with pytest.raises(ConfigurationError,
+                       match=re.escape("result rows disagree on pair labels "
+                                       "(rna)")):
+        write_results_csv(path, results)
+    assert not path.exists()
 
 
 def test_results_csv_round_trip(tmp_path):
@@ -721,6 +767,27 @@ def test_data_dir_negative_label_in_a_target_split_exits_early(tmp_path):
     with pytest.raises(ConfigurationError,
                        match="domain D2 test split has a negative label -3"):
         run_experiment(config)
+
+
+def test_data_dir_domain_without_a_test_split_is_named(tmp_path):
+    spec = small_benchmark(num_domains=2, samples_per_class=4)
+    save_domains(generate_benchmark(spec), tmp_path, ["D1", "D2"])
+    (tmp_path / "D2_test.rnafeat").unlink()
+    config = short_config(benchmark=spec, data_dir=str(tmp_path))
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"missing test split file: {tmp_path / 'D2_test.rnafeat'}")):
+        domain_ids(config)
+
+
+def test_data_dir_domain_files_must_be_labeled(tmp_path):
+    spec = small_benchmark(num_domains=2, samples_per_class=4)
+    domains = generate_benchmark(spec)
+    domains[0].test = domains[0].test.without_labels()
+    save_domains(domains, tmp_path, ["D1", "D2"])
+    config = short_config(benchmark=spec, data_dir=str(tmp_path))
+    with pytest.raises(ConfigurationError,
+                       match="domain files for D1 must be labeled"):
+        resolve_domains(config)
 
 
 def test_data_dir_class_count_covers_test_labels(tmp_path):
