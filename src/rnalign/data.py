@@ -374,7 +374,7 @@ def reject_digit_groups(path, text, line=1):
     at = text.find("_")
     if at >= 0:
         line += text.count("\n", 0, at)
-        raise ParseError(f"{path}: line {line}: '_' in a number")
+        raise ParseError(f"{path}: line {line}: unexpected '_'")
 
 
 def _first_non_finite_row(values, width):
