@@ -242,46 +242,37 @@ def generate_benchmark(spec):
         unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         return spec.prototype_scale * unit
 
-    proto_v = prototypes(spec.input_dim_visual)
-    proto_a = prototypes(spec.input_dim_audio)
+    streams = ((spec.input_dim_visual, 1.0),
+               (spec.input_dim_audio, spec.audio_norm_scale))
+    protos = [prototypes(width) for width, _ in streams]
 
     domains = []
     for d, domain_id in enumerate(generated_domain_ids(spec.num_domains)):
         rng = np.random.default_rng(domain_seeds[d])
-        rot_v = _random_rotation(rng, spec.input_dim_visual,
-                                 spec.transform_strength)
-        rot_a = _random_rotation(rng, spec.input_dim_audio,
-                                 spec.transform_strength)
-        bias_v = spec.transform_strength * (
-            spec.prototype_scale / np.sqrt(spec.input_dim_visual)) * \
-            rng.standard_normal(spec.input_dim_visual)
-        bias_a = spec.transform_strength * (
-            spec.prototype_scale / np.sqrt(spec.input_dim_audio)) * \
-            rng.standard_normal(spec.input_dim_audio)
+        rots = [_random_rotation(rng, width, spec.transform_strength)
+                for width, _ in streams]
+        biases = [spec.transform_strength * (
+            spec.prototype_scale / np.sqrt(width)) * rng.standard_normal(width)
+            for width, _ in streams]
         counts = _class_counts(rng, spec)
 
         train_parts, test_parts = [], []
         for c in range(spec.num_classes):
             n_c = int(counts[c])
-            center_v = rot_v @ proto_v[c] + bias_v
-            center_a = rot_a @ proto_a[c] + bias_a
-            xv = center_v + spec.noise_sigma * rng.standard_normal(
-                (n_c, spec.input_dim_visual))
-            xa = center_a + spec.noise_sigma * rng.standard_normal(
-                (n_c, spec.input_dim_audio))
-            xa = xa * spec.audio_norm_scale
-            labels = np.full(n_c, c, dtype=np.int64)
+            columns = [(rot @ proto[c] + bias + spec.noise_sigma
+                        * rng.standard_normal((n_c, width))) * scale
+                       for rot, proto, bias, (width, scale)
+                       in zip(rots, protos, biases, streams)]
+            columns.append(np.full(n_c, c, dtype=np.int64))
             n_train = max(1, min(n_c - 1,
                                  int(round(spec.train_fraction * n_c))))
-            train_parts.append((xv[:n_train], xa[:n_train], labels[:n_train]))
-            test_parts.append((xv[n_train:], xa[n_train:], labels[n_train:]))
+            train_parts.append([x[:n_train] for x in columns])
+            test_parts.append([x[n_train:] for x in columns])
 
         def assemble(parts):
-            xv = np.concatenate([p[0] for p in parts], axis=0)
-            xa = np.concatenate([p[1] for p in parts], axis=0)
-            y = np.concatenate([p[2] for p in parts])
-            order = rng.permutation(len(y))
-            return MultiModalBatch(xv[order], xa[order], y[order])
+            columns = [np.concatenate(column) for column in zip(*parts)]
+            order = rng.permutation(len(columns[-1]))
+            return MultiModalBatch(*(column[order] for column in columns))
 
         domains.append(DomainData(domain_id, assemble(train_parts),
                                   assemble(test_parts)))

@@ -35,33 +35,11 @@ def softmax(logits):
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy of rowwise softmax against integer class labels.
 
-    Parameters
-    ----------
-    logits : array (N, C)
-    labels : sequence of N integers in [0, C)
-
-    Returns
-    -------
-    (loss, grad_logits) where grad_logits = (softmax - onehot) / N.
+    ``logits`` is a float64 (N, C) array and ``labels`` N integers in
+    [0, C); the caller guarantees both, since the trainer calls this every
+    step.  Returns (loss, grad_logits) with
+    grad_logits = (softmax - onehot) / N.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2:
-        raise ConfigurationError("logits must be 2-D (N x C)")
-    y = np.asarray(labels)
-    n, c = z.shape
-    if y.shape != (n,):
-        raise ConfigurationError(f"expected {n} labels, got shape {y.shape}")
-    if y.size and (y.min() < 0 or y.max() >= c):
-        raise ConfigurationError(
-            f"label out of range [0, {c}): {int(y.min())}..{int(y.max())}")
-    return cross_entropy(z, y)
-
-
-def cross_entropy(logits, labels):
-    """The arithmetic of ``softmax_cross_entropy`` without its checks:
-    ``logits`` a float64 (N, C) array, ``labels`` N integers already known
-    to lie in [0, C).  The trainer checks its labels once per run and calls
-    this every step."""
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)

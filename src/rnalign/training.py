@@ -4,7 +4,7 @@ experiment matrices.
 
 One loop serves every setting.  It minimizes
 
-    L = cross_entropy(fused logits, labels) + lambda * L_aux(f_v, f_a)
+    L = softmax_cross_entropy(fused logits, labels) + lambda * L_aux(f_v, f_a)
 
 where the auxiliary term acts directly on the encoded features.  In the UDA
 setting the auxiliary loss is applied to the labeled source batch and to an
@@ -44,7 +44,7 @@ from .losses import (cosine_alignment_stacked, hna_stacked, mean_norms,
 from .model import (EVAL_MODES, ModelConfig, encode_pair,
                     encode_pair_backward, eval_logits, init_model,
                     model_backward, model_forward)
-from .numerics import cross_entropy, sgd_step, softmax
+from .numerics import sgd_step, softmax, softmax_cross_entropy
 
 # one telemetry row; its fields name the CSV columns, the first as "iter"
 IterationRecord = namedtuple(
@@ -379,7 +379,7 @@ def run_experiment(config):
             fused, cache = model_forward(
                 model, source.visual[idx], source.audio[idx])
             norms = row_norms(cache.features)
-            ce, grad_logits = cross_entropy(fused, source.labels[idx])
+            ce, grad_logits = softmax_cross_entropy(fused, source.labels[idx])
             aux_value, aux_grad = 0.0, None
             if aux is not None:
                 aux_value, aux_grad = aux(cache.features, norms, *aux_args)
