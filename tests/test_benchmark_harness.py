@@ -38,6 +38,28 @@ def test_every_traced_method_is_defined_on_its_class():
         assert method in cls.__dict__, f"{cls_name}.{method}"
 
 
+def test_every_per_step_layer_counts_the_trainers_calls():
+    # a row that reads 0 while its layer runs every step is a patch that
+    # misses the function the trainer calls
+    tracing = load_harness_file("tracing")
+    rn = types.SimpleNamespace(**{
+        module: importlib.import_module(f"rnalign.{module}")
+        for module in tracing._MODULES})
+    config = ExperimentConfig(
+        benchmark=BenchmarkSpec(num_domains=3, num_classes=3,
+                                input_dim_visual=6, input_dim_audio=5,
+                                samples_per_class=8, seed=5),
+        iterations=7, batch_size=8, hidden_dim=12, feature_dim=8,
+        checkpoint_average=3)
+    tracer = tracing.Tracer(rn)
+    tracer.traced_op(0, lambda: rn.training.run_experiment(config))
+    totals, unaccounted = tracer.layer_totals()
+    for layer in ("model.forward", "model.backward", "numerics.softmax_ce",
+                  "numerics.sgd_step", "losses.aux"):
+        assert totals[layer][1] == config.iterations, layer
+    assert unaccounted == pytest.approx(0.0, abs=1e-9)
+
+
 def test_digest_rows_and_eval_records_have_the_fields_the_harness_reads(
         tmp_path):
     workloads = load_harness_file("workloads")
