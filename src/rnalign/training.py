@@ -98,7 +98,7 @@ class NormTelemetry:
             raise ParseError(
                 f"{path}: line 1: expected header '{TELEMETRY_HEADER}'")
         width = len(IterationRecord._fields)
-        for lineno, row in enumerate(rows, start=2):
+        for lineno, row in rows:
             try:
                 if len(row) != width:
                     raise ValueError(
@@ -129,17 +129,22 @@ class NormTelemetry:
 
 
 def _csv_table(path, skip):
-    """(header or None for an empty file, later rows) of an ASCII CSV file.
-    Undecodable bytes, malformed CSV and a "_" in a later row's cells past
-    the first ``skip`` (one scan per file) are ParseErrors naming the byte
-    or line."""
+    """(header or None for an empty file, later rows) of an ASCII CSV file,
+    each later row paired with the physical line it starts on.  Undecodable
+    bytes, malformed CSV and a "_" in a later row's cells past the first
+    ``skip`` (checked before any row is read) are ParseErrors naming the
+    byte or line."""
     reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    rows, line = [], 1
     try:
-        header, *rows = list(reader) or [None]
+        for row in reader:
+            rows.append((line, row))
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
-    reject_digit_groups(path, "\n".join(",".join(row[skip:]) for row in rows),
-                        line=2)
+    (_, header), *rows = rows or [(1, None)]
+    for line, row in rows:
+        reject_digit_groups(path, ",".join(row[skip:]), line)
     return header, rows
 
 
@@ -196,8 +201,13 @@ class ExperimentConfig:
             raise ConfigurationError("learning_rate and weight_decay must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError("momentum must be in [0, 1)")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        for name in ("hidden_dim", "feature_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1")
+        for name in ("source_index", "target_index", "seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
         if self.setting in ("dg-single", "uda") and self.source_index is None:
             raise ConfigurationError(
                 f"setting {self.setting} needs a source_index")
@@ -586,7 +596,7 @@ def read_results_csv(path):
     labels = header[1:-1]
     no_repeats(f"{path}: line 1: header", labels, labels)
     rows = {}
-    for lineno, row in enumerate(rows_in, start=2):
+    for lineno, row in rows_in:
         if len(row) != len(header):
             raise ParseError(
                 f"{path}: line {lineno}: expected {len(header)} fields")

@@ -633,6 +633,24 @@ def test_negative_seed_key_exits_2_naming_it(tmp_path, capsys, monkeypatch,
     assert started == []
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("hidden_dim = 12", "hidden_dim = 0", "hidden_dim must be >= 1"),
+    ("target = 1", "target = -1", "target_index must be >= 0, got -1"),
+], ids=["hidden-dim", "target"])
+def test_train_rejects_an_unusable_experiment_before_any_output(
+        tmp_path, capsys, monkeypatch, old, new, message):
+    started = record_training(monkeypatch)
+    config = write_config(tmp_path, TRAIN_INI.replace(old, new))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, ["train", "--config", config,
+                                      "--out", str(out_dir)])
+    assert code == 2
+    assert f"{config}: invalid [experiment]: {message}" in err
+    assert "training:" not in out + err
+    assert not out_dir.exists()
+    assert started == []
+
+
 # ---------------------------------------------------------------------------
 # norms
 

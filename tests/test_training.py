@@ -155,6 +155,12 @@ def test_config_fields_cannot_be_assigned(name):
      "learning_rate and weight_decay must be >= 0"),
     ("ExperimentConfig", "weight_decay", -0.1,
      "learning_rate and weight_decay must be >= 0"),
+    ("ExperimentConfig", "hidden_dim", 0, "hidden_dim must be >= 1"),
+    ("ExperimentConfig", "feature_dim", -3, "feature_dim must be >= 1"),
+    ("ExperimentConfig", "source_index", -1,
+     "source_index must be >= 0, got -1"),
+    ("ExperimentConfig", "target_index", -1,
+     "target_index must be >= 0, got -1"),
 ])
 def test_invalid_config_cannot_be_built_or_replaced(name, key, value,
                                                     message):
@@ -260,6 +266,16 @@ def test_telemetry_rejects_a_digit_group_in_a_row_naming_its_line(tmp_path):
     with pytest.raises(ParseError) as excinfo:
         NormTelemetry.from_csv(path)
     assert str(excinfo.value) == f"{path}: line 3: unexpected '_'"
+
+
+def test_telemetry_errors_name_the_physical_line_of_their_row(tmp_path):
+    # a quoted two-line iteration cell: the row after it starts on line 4
+    path = write_telemetry(tmp_path, '"1\n",2.0,1.0,1.0,2.0,0.5,0.1',
+                           "1,2.0,1.0,1.0,2.0,0.5,0.1")
+    with pytest.raises(ParseError) as excinfo:
+        NormTelemetry.from_csv(path)
+    assert str(excinfo.value) == \
+        f"{path}: line 4: iteration records must be strictly increasing"
 
 
 def test_telemetry_rejects_a_wrong_field_count(tmp_path):
@@ -1092,6 +1108,21 @@ def test_results_reject_a_digit_group_in_a_number_only(tmp_path):
     with pytest.raises(ParseError) as excinfo:
         read_results_csv(path)
     assert str(excinfo.value) == f"{path}: line 3: unexpected '_'"
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("x", "could not convert string to float: 'x'"),
+    ("1_0", "unexpected '_'"),
+], ids=["bad-number", "digit-group"])
+def test_results_errors_name_the_physical_line_of_their_row(tmp_path, cell,
+                                                            message):
+    # a method name holding a newline is written quoted over two lines
+    path = tmp_path / "results.csv"
+    path.write_text(f'method,D1->D2,mean\n"a\nb",0.5,0.5\nrna,{cell},0.5\n',
+                    encoding="ascii")
+    with pytest.raises(ParseError) as excinfo:
+        read_results_csv(path)
+    assert str(excinfo.value) == f"{path}: line 4: {message}"
 
 
 names = st.text(alphabet=string.ascii_letters + string.digits + ',"->_ ',
