@@ -357,17 +357,6 @@ def read_text(path, encoding="ascii", newline=None):
     return text
 
 
-def reject_digit_groups(path, text, line=1):
-    """Raise a ParseError naming the line of the first "_" in ``text``, whose
-    first line is line ``line``.  ``int`` and ``float`` read "1_0" as 10 and
-    no writer emits a "_", so each machine-format reader scans the text of
-    its numbers once with this."""
-    at = text.find("_")
-    if at >= 0:
-        line += text.count("\n", 0, at)
-        raise ParseError(f"{path}: line {line}: unexpected '_'")
-
-
 def _first_non_finite_row(values, width):
     """Index of the first complete ``width``-float row of ``values`` that
     holds a non-finite value, or None."""
@@ -387,7 +376,11 @@ def load_feature_file(path):
     garbage.  A "_" anywhere in the file is reported first.
     """
     text = read_text(path)
-    reject_digit_groups(path, text)
+    # int() and float() read "1_0" as 10, and no writer emits a "_"
+    at = text.find("_")
+    if at >= 0:
+        line = 1 + text.count("\n", 0, at)
+        raise ParseError(f"{path}: line {line}: unexpected '_'")
     raw_lines = text.split("\n")
     if raw_lines and raw_lines[-1] == "":
         raw_lines.pop()

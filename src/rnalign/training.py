@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import (BenchmarkSpec, DomainData, cast_fields, generate_benchmark,
                    generated_domain_ids, load_feature_file, read_text,
-                   reject_digit_groups, split_domains)
+                   split_domains)
 from .errors import ConfigurationError, NumericalError, ParseError
 from .losses import (cosine_alignment_stacked, hna_stacked, mean_norms,
                      orthogonality_stacked, rna_stacked, row_norms)
@@ -132,8 +132,8 @@ def _csv_table(path, skip):
     """(header or None for an empty file, later rows) of an ASCII CSV file,
     each later row paired with the physical line it starts on.  Undecodable
     bytes, malformed CSV and a "_" in a later row's cells past the first
-    ``skip`` (checked before any row is read) are ParseErrors naming the
-    byte or line."""
+    ``skip`` (checked before the caller reads any row) are ParseErrors
+    naming the byte or line."""
     reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
     rows, line = [], 1
     try:
@@ -143,8 +143,10 @@ def _csv_table(path, skip):
     except csv.Error as exc:
         raise ParseError(f"{path}: line {reader.line_num}: {exc}") from exc
     (_, header), *rows = rows or [(1, None)]
+    # int() and float() read "1_0" as 10, and no writer emits a "_"
     for line, row in rows:
-        reject_digit_groups(path, ",".join(row[skip:]), line)
+        if "_" in ",".join(row[skip:]):
+            raise ParseError(f"{path}: line {line}: unexpected '_'")
     return header, rows
 
 
