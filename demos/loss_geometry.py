@@ -9,7 +9,7 @@ Run:  python3 demos/loss_geometry.py
 
 import numpy as np
 
-from rnalign.losses import cosine_alignment_loss, hna_loss, norm_stats, rna_loss
+from rnalign.losses import hna_loss, norm_stats, rna_loss
 
 
 def main():
@@ -33,13 +33,6 @@ def main():
     print("\nscaling both modalities together changes nothing either:")
     doubled = rna_loss(2.0 * visual, 2.0 * audio)
     print(f"  loss at 2x scale   : {doubled.value}")
-
-    print("\nthe angle penalties react to direction, not scale:")
-    aligned = np.array([[1.0, 0.0], [0.0, 1.0]])
-    print(f"  cosine-align, parallel rows : "
-          f"{cosine_alignment_loss(visual, visual).value:.6f}")
-    print(f"  cosine-align, mixed rows    : "
-          f"{cosine_alignment_loss(visual, aligned).value:.6f}")
 
     print("\ngradient size as the feature scale grows (the stability story):")
     print(f"  {'scale':>8} {'ratio-loss grad':>16} {'hard-norm grad':>16}")

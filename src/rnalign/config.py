@@ -22,8 +22,6 @@ from .training import ExperimentConfig, no_repeats
 # method-row names accepted in [matrix] and what they change on the base run
 METHODS = {
     "source-only": {"aux_loss": "none"},
-    "alignment-only": {"aux_loss": "cosine-align"},
-    "orthogonality-only": {"aux_loss": "orthogonality"},
     "batchnorm": {"aux_loss": "batchnorm-only"},
     # The hard-norm penalty is a bare quadratic on the mean norms, so its
     # gradient does not shrink as the norms grow the way the ratio loss does.

@@ -23,6 +23,6 @@ class NumericalError(RnalignError):
 
 
 class DegenerateInputError(NumericalError):
-    """Mathematically undefined on this input (e.g. a zero-norm feature row
-    where a cosine is required, or a zero mean norm where a ratio is); a
-    numerical failure, so a matrix records it and moves on."""
+    """Mathematically undefined on this input (e.g. a zero mean audio norm,
+    where the norm ratio is); a numerical failure, so a matrix records it
+    and moves on."""

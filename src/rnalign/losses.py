@@ -1,12 +1,11 @@
-"""Feature-norm and feature-angle alignment losses with analytic gradients.
+"""Feature-norm alignment losses with analytic gradients.
 
 The central quantity is the ratio rho of the two modalities' mean feature
 norms.  The relative-norm-alignment loss penalizes (rho - 1)^2, driving the
 norms of the visual and audio embeddings toward a common scale without
-constraining the angle between them.  Angle-based alternatives (cosine
-alignment, orthogonality) and a hard variant pinning both mean norms to a
-fixed constant are provided as baselines, plus the dot-product decomposition
-dot = |v| |a| cos(theta) used to cross-check the two families.
+constraining the angle between them.  A hard variant pinning both mean norms
+to a fixed constant is provided as a baseline, plus the dot-product
+decomposition dot = |v| |a| cos(theta) that separates norms from angle.
 
 Each loss is implemented once, on the two streams stacked into one (2, N, D)
 array together with their (2, N) row norms (``rna_stacked`` and friends,
@@ -131,44 +130,6 @@ def hna_stacked(features, norms, target_norm):
     return value, coeff[:, None, None] * _unit_rows(features, norms)
 
 
-def _paired_cosines(features, norms):
-    """Rowwise cosines between the visual and the audio rows."""
-    if np.any(norms == 0.0):
-        raise DegenerateInputError(
-            "zero-norm feature row: cosine similarity undefined")
-    dots = np.sum(features[0] * features[1], axis=1)
-    # round-off can push |cos| infinitesimally past 1 for (anti)parallel rows,
-    # which would make 1 - cos dip below the losses' value >= 0 contract
-    return np.clip(dots / (norms[0] * norms[1]), -1.0, 1.0)
-
-
-def _cosine_grads(features, norms, cos, coeff):
-    """Gradients of sum_i coeff_i * cos_i w.r.t. both streams' rows.
-
-    d cos_i / d v_i = a_i / (|v_i||a_i|) - cos_i * v_i / |v_i|^2, symmetrically
-    for a_i.
-    """
-    return coeff[:, None] * (
-        features[::-1] / (norms[0] * norms[1])[:, None]
-        - (cos / norms ** 2)[..., None] * features)
-
-
-def cosine_alignment_stacked(features, norms):
-    """Mean over paired rows of 1 - cos(theta_i); pulls the angle to zero."""
-    cos = _paired_cosines(features, norms)
-    n = cos.shape[0]
-    value = float(np.mean(1.0 - cos))
-    return value, _cosine_grads(features, norms, cos, np.full(n, -1.0 / n))
-
-
-def orthogonality_stacked(features, norms):
-    """Mean over paired rows of cos^2(theta_i); pushes the modalities apart."""
-    cos = _paired_cosines(features, norms)
-    n = cos.shape[0]
-    value = float(np.mean(cos ** 2))
-    return value, _cosine_grads(features, norms, cos, 2.0 * cos / n)
-
-
 # ---------------------------------------------------------------------------
 # pair-argument adapters
 
@@ -194,25 +155,6 @@ def rna_loss_uda(source_visual, source_audio, target_visual, target_audio):
     except DegenerateInputError as exc:
         raise DegenerateInputError(f"target domain: {exc}") from exc
     return source_term, target_term
-
-
-def _same_dims(visual, audio):
-    fv, fa = _paired(visual, audio)
-    if fv.shape[1] != fa.shape[1]:
-        raise ConfigurationError(
-            f"cosines need equal feature dims, got {fv.shape[1]} and "
-            f"{fa.shape[1]}")
-    return fv, fa
-
-
-def cosine_alignment_loss(visual, audio):
-    """``cosine_alignment_stacked`` on a visual and an audio batch."""
-    return _pair_loss(cosine_alignment_stacked, *_same_dims(visual, audio))
-
-
-def orthogonality_loss(visual, audio):
-    """``orthogonality_stacked`` on a visual and an audio batch."""
-    return _pair_loss(orthogonality_stacked, *_same_dims(visual, audio))
 
 
 def hna_loss(visual, audio, target_norm):

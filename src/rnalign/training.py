@@ -38,9 +38,9 @@ import numpy as np
 from .data import (BenchmarkSpec, DomainData, cast_fields, generate_benchmark,
                    generated_domain_ids, load_feature_file, read_text,
                    split_domains)
-from .errors import ConfigurationError, NumericalError, ParseError
-from .losses import (cosine_alignment_stacked, hna_stacked, mean_norms,
-                     orthogonality_stacked, rna_stacked, row_norms)
+from .errors import (ConfigurationError, DegenerateInputError,
+                     NumericalError, ParseError)
+from .losses import hna_stacked, mean_norms, rna_stacked, row_norms
 from .model import (EVAL_MODES, ModelConfig, encode_pair,
                     encode_pair_backward, eval_logits, init_model,
                     model_backward, model_forward)
@@ -55,8 +55,12 @@ EvalRecord = namedtuple("EvalRecord", "mode accuracy")
 TELEMETRY_HEADER = ",".join(("iter",) + IterationRecord._fields[1:])
 
 SETTINGS = ("dg-single", "dg-multi", "uda")
-AUX_LOSSES = ("none", "rna", "cosine-align", "orthogonality", "hna",
-              "batchnorm-only")
+
+# the stacked feature losses: each maps the (2, N, d) feature stack and its
+# (2, N) row norms (plus R for hna) to (value, gradient stack)
+_AUX_FUNCTIONS = {"rna": rna_stacked, "hna": hna_stacked}
+# "none" and "batchnorm-only" train on cross-entropy alone
+AUX_LOSSES = ("none", *_AUX_FUNCTIONS, "batchnorm-only")
 
 
 class NormTelemetry:
@@ -306,16 +310,6 @@ def _model_config(config, pool, num_classes):
         batchnorm=(config.aux_loss == "batchnorm-only"))
 
 
-# the stacked auxiliary losses: each maps the (2, N, d) feature stack and its
-# (2, N) row norms (plus R for hna) to (value, gradient stack)
-_AUX_FUNCTIONS = {
-    "rna": rna_stacked,
-    "hna": hna_stacked,
-    "cosine-align": cosine_alignment_stacked,
-    "orthogonality": orthogonality_stacked,
-}
-
-
 def _resolve_hna_target(config, model, probe_batch):
     """R for the hard-alignment baseline: explicit config value, or the
     midpoint of the two modalities' mean feature norms measured with the
@@ -327,6 +321,16 @@ def _resolve_hna_target(config, model, probe_batch):
     features, _ = encode_pair(model, probe.visual, probe.audio)
     mean_v, mean_a = mean_norms(row_norms(features)).tolist()
     return 0.5 * (mean_v + mean_a)
+
+
+def _aux_term(aux, features, norms, aux_args, it, batch):
+    """``aux(features, norms, *aux_args)``; a degenerate input names the
+    iteration and the batch ("source" or "target")."""
+    try:
+        return aux(features, norms, *aux_args)
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(
+            f"iteration {it}: {batch} batch: {exc}") from exc
 
 
 def _index_blocks(rng, pool_size, config, block=256):
@@ -394,13 +398,14 @@ def run_experiment(config):
             ce, grad_logits = softmax_cross_entropy(fused, source.labels[idx])
             aux_value, aux_grad = 0.0, None
             if aux is not None:
-                aux_value, aux_grad = aux(cache.features, norms, *aux_args)
+                aux_value, aux_grad = _aux_term(aux, cache.features, norms,
+                                                aux_args, it, "source")
             if adapt:
                 idx = next(target_indices)
                 target, target_cache = encode_pair(
                     model, target_train.visual[idx], target_train.audio[idx])
-                target_value, target_grad = aux(target, row_norms(target),
-                                                *aux_args)
+                target_value, target_grad = _aux_term(
+                    aux, target, row_norms(target), aux_args, it, "target")
                 aux_value += target_value
             mean_v, mean_a = mean_norms(norms).tolist()
             record = IterationRecord(

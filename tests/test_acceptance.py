@@ -27,9 +27,8 @@ import pytest
 from rnalign.cli import main
 from rnalign.config import apply_method
 from rnalign.data import MultiModalBatch, load_feature_file, save_feature_file
-from rnalign.losses import (cosine_alignment_loss, dot_product_decomposition,
-                            hna_loss, norm_stats, orthogonality_loss, rna_loss,
-                            rna_loss_uda)
+from rnalign.losses import (dot_product_decomposition, hna_loss, norm_stats,
+                            rna_loss, rna_loss_uda)
 from rnalign.model import (ModelConfig, init_model, load_checkpoint,
                            model_backward, model_forward, save_checkpoint)
 from rnalign.numerics import (finite_difference_grad, relative_error,
@@ -109,7 +108,7 @@ def test_c1_gradients_match_finite_differences():
         assert err < tol, err
 
     rng = np.random.default_rng(41)
-    for _ in range(18):
+    for _ in range(24):
         fv, fa = random_instance(rng)
 
         res = rna_loss(fv, fa)
@@ -124,12 +123,6 @@ def test_c1_gradients_match_finite_differences():
         check(t_term.grad_visual, t_term.grad_audio,
               lambda v, a: rna_loss_uda(fv, fa, v, a)[1].value,
               tv, ta)
-
-        paired = rng.normal(size=fv.shape)
-        for loss in (cosine_alignment_loss, orthogonality_loss):
-            res = loss(fv, paired)
-            check(res.grad_visual, res.grad_audio,
-                  lambda v, a, loss=loss: loss(v, a).value, fv, paired)
 
         target_norm = float(rng.uniform(0.5, 5.0))
         res = hna_loss(fv, fa, target_norm)
@@ -207,14 +200,6 @@ def test_c2_norm_geometry_invariances():
                     abs(hna_loss(fv @ q_v, fa @ q_a, target_norm).value
                         - hna_loss(fv, fa, target_norm).value))
 
-        paired = rng.normal(size=fv.shape)
-        scale_v = rng.uniform(0.1, 3.0, size=(fv.shape[0], 1))
-        scale_a = rng.uniform(0.1, 3.0, size=(fv.shape[0], 1))
-        for loss in (cosine_alignment_loss, orthogonality_loss):
-            worst = max(worst,
-                        abs(loss(fv * scale_v, paired * scale_a).value
-                            - loss(fv, paired).value))
-
         v = rng.normal(size=int(rng.integers(1, 17)))
         a = rng.normal(size=v.shape)
         parts = dot_product_decomposition(v, a)
@@ -223,7 +208,7 @@ def test_c2_norm_geometry_invariances():
 
     elapsed = time.perf_counter() - start
     report("C2", worst < tol and elapsed < 5.0,
-           f"100 instances x 5 identities, worst deviation {worst:.2e} "
+           f"100 instances x 3 identities, worst deviation {worst:.2e} "
            f"(tol 1e-9), {elapsed:.1f}s (budget 5s)")
 
 

@@ -481,14 +481,17 @@ pairs = D1->D2
 
 @pytest.mark.parametrize("old, new, message", [
     ("methods = source-only, rna", "methods = ,", "[matrix] methods is empty"),
+    ("methods = source-only, rna", "methods = alignment-only",
+     "unknown method 'alignment-only' (expected one of source-only, "
+     "batchnorm, hna, rna, rna-mid)"),
     ("seeds = 0, 1", "seeds = 0, x",
      "[matrix] seeds: invalid literal for int() with base 10: ' x'"),
     ("seeds = 0, 1", "seeds = ,", "[matrix] seeds is empty"),
     ("pairs = D1->D2, D2->D1", "pairs = ,", "[matrix] pairs is empty"),
     ("pairs = D1->D2, D2->D1", "pairs = D1",
      "pair 'D1' must look like 'D1->D2' for dg-single"),
-], ids=["methods-empty", "seeds-not-int", "seeds-empty", "pairs-empty",
-        "pair-without-arrow"])
+], ids=["methods-empty", "method-removed", "seeds-not-int", "seeds-empty",
+        "pairs-empty", "pair-without-arrow"])
 def test_matrix_option_errors_exit_2_naming_the_file(tmp_path, capsys, old,
                                                      new, message):
     config = write_config(tmp_path, MATRIX_INI.replace(old, new))

@@ -5,11 +5,9 @@ import pytest
 
 from rnalign.errors import ConfigurationError, DegenerateInputError
 from rnalign.losses import (
-    cosine_alignment_loss,
     dot_product_decomposition,
     hna_loss,
     norm_stats,
-    orthogonality_loss,
     rna_loss,
     rna_loss_uda,
     row_norms,
@@ -91,8 +89,6 @@ def test_norm_stats_requires_equal_batch_sizes():
 PAIR_FUNCTIONS = {
     "rna_loss": rna_loss,
     "hna_loss": lambda v, a: hna_loss(v, a, 1.0),
-    "cosine_alignment_loss": cosine_alignment_loss,
-    "orthogonality_loss": orthogonality_loss,
     "rna_loss_uda": lambda v, a: rna_loss_uda(v, a, v, a),
     "norm_stats": norm_stats,
 }
@@ -232,80 +228,6 @@ def test_rna_uda_reports_offending_domain():
 
 
 # ---------------------------------------------------------------------------
-# cosine alignment and orthogonality
-
-
-def test_cosine_alignment_zero_for_parallel_rows():
-    rng = np.random.default_rng(2)
-    v = rng.normal(size=(4, 3))
-    res = cosine_alignment_loss(v, 3.0 * v)
-    assert abs(res.value) < 1e-12
-
-
-def test_cosine_alignment_one_for_orthogonal_rows():
-    v = np.array([[1.0, 0.0], [0.0, 2.0]])
-    a = np.array([[0.0, 3.0], [4.0, 0.0]])
-    res = cosine_alignment_loss(v, a)
-    assert abs(res.value - 1.0) < 1e-12
-
-
-def test_cosine_alignment_gradients_match_finite_differences():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        v = rng.normal(size=(4, 5))
-        a = rng.normal(size=(4, 5))
-        check_grads_against_fd(cosine_alignment_loss, v, a)
-
-
-def test_cosine_alignment_rowwise_scale_invariance():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        v = rng.normal(size=(3, 4))
-        a = rng.normal(size=(3, 4))
-        sv = rng.uniform(0.1, 10.0, size=(3, 1))
-        sa = rng.uniform(0.1, 10.0, size=(3, 1))
-        base = cosine_alignment_loss(v, a).value
-        scaled = cosine_alignment_loss(sv * v, sa * a).value
-        assert abs(base - scaled) < 1e-9
-
-
-def test_cosine_alignment_zero_row_is_degenerate():
-    with pytest.raises(DegenerateInputError):
-        cosine_alignment_loss([[0.0, 0.0]], [[1.0, 0.0]])
-
-
-def test_orthogonality_zero_for_orthogonal_rows():
-    v = np.array([[1.0, 0.0], [0.0, 2.0]])
-    a = np.array([[0.0, 3.0], [4.0, 0.0]])
-    assert abs(orthogonality_loss(v, a).value) < 1e-12
-
-
-def test_orthogonality_one_for_parallel_rows():
-    rng = np.random.default_rng(14)
-    v = rng.normal(size=(3, 4))
-    assert abs(orthogonality_loss(v, 2.0 * v).value - 1.0) < 1e-12
-
-
-def test_orthogonality_gradients_match_finite_differences():
-    rng = np.random.default_rng(25)
-    for _ in range(10):
-        v = rng.normal(size=(4, 5))
-        a = rng.normal(size=(4, 5))
-        check_grads_against_fd(orthogonality_loss, v, a)
-
-
-def test_orthogonality_rowwise_scale_invariance():
-    rng = np.random.default_rng(15)
-    for _ in range(20):
-        v = rng.normal(size=(3, 4))
-        a = rng.normal(size=(3, 4))
-        sv = rng.uniform(0.1, 10.0, size=(3, 1))
-        base = orthogonality_loss(v, a).value
-        scaled = orthogonality_loss(sv * v, a).value
-        assert abs(base - scaled) < 1e-9
-
-
-# ---------------------------------------------------------------------------
 # hna loss
 
 
@@ -390,13 +312,6 @@ def test_dot_decomposition_zero_vector_has_undefined_angle():
     d = dot_product_decomposition([0.0, 0.0], [1.0, 0.0])
     assert d.dot == 0.0
     assert np.isnan(d.cos_theta)
-
-
-@pytest.mark.parametrize("loss", [cosine_alignment_loss, orthogonality_loss])
-def test_cosine_losses_need_equal_feature_widths(loss):
-    with pytest.raises(ConfigurationError) as excinfo:
-        loss(np.ones((2, 3)), np.ones((2, 4)))
-    assert str(excinfo.value) == "cosines need equal feature dims, got 3 and 4"
 
 
 def test_dot_decomposition_needs_equal_shapes():

@@ -14,14 +14,16 @@ from hypothesis import strategies as st
 import rnalign.model
 import rnalign.training
 
-from rnalign.config import apply_method
+from rnalign.config import METHODS, apply_method
 from rnalign.data import (BenchmarkSpec, MultiModalBatch, generate_benchmark,
                           load_feature_file, save_feature_file)
-from rnalign.errors import ConfigurationError, NumericalError, ParseError
+from rnalign.errors import (ConfigurationError, DegenerateInputError,
+                            NumericalError, ParseError)
 from rnalign.model import (EVAL_MODES, ModelConfig, encode_pair,
                            eval_logits, init_model)
 from rnalign.numerics import softmax
 from rnalign.training import (
+    AUX_LOSSES,
     TELEMETRY_HEADER,
     ExperimentConfig,
     IterationRecord,
@@ -118,6 +120,10 @@ def test_config_fields_cannot_be_assigned(name):
     ("ModelConfig", "fusion_mode", "early", "unknown fusion mode: 'early'"),
     ("ExperimentConfig", "setting", "dg-quadruple",
      "unknown setting: 'dg-quadruple'"),
+    ("ExperimentConfig", "aux_loss", "cosine-align",
+     "unknown aux loss: 'cosine-align'"),
+    ("ExperimentConfig", "aux_loss", "orthogonality",
+     "unknown aux loss: 'orthogonality'"),
     ("ExperimentConfig", "momentum", 1.0, "momentum must be in [0, 1)"),
     ("ExperimentConfig", "source_index", None,
      "setting dg-single needs a source_index"),
@@ -446,7 +452,7 @@ def test_train_uda_converges_target_rho(tmp_path):
 
 
 def test_train_uda_baseline_aux_applies_symmetrically():
-    cfg = short_config(setting="uda", aux_loss="cosine-align", iterations=40)
+    cfg = apply_method(short_config(setting="uda", iterations=40), "hna")
     model, telemetry = run_experiment(cfg)
     assert len(telemetry.iterations) == 40
 
@@ -612,6 +618,13 @@ def test_eval_accuracy_of_an_unknown_mode_names_it():
         NormTelemetry().eval_accuracy("x")
 
 
+def test_every_accepted_aux_loss_backs_a_method_row():
+    # a feature loss that no row runs would be trained and never reported
+    used = {row.get("aux_loss", ExperimentConfig().aux_loss)
+            for row in METHODS.values()}
+    assert used == set(AUX_LOSSES)
+
+
 def test_apply_method_names_an_unknown_method():
     with pytest.raises(ConfigurationError, match="unknown method: 'x'"):
         apply_method(short_config(), "x")
@@ -663,18 +676,36 @@ def test_matrix_failed_cell_recorded_as_nan():
     assert "D1->D2" in matrix.failures[0]
 
 
-def test_matrix_records_a_degenerate_auxiliary_loss_as_a_failed_cell():
-    # a one-unit hidden layer soon feeds the cosine a zero feature row
-    config = ExperimentConfig(
-        benchmark=BenchmarkSpec(num_domains=2, num_classes=2,
-                                samples_per_class=8),
-        aux_loss="cosine-align", hidden_dim=1, feature_dim=2, iterations=50,
-        batch_size=8)
-    matrix = run_experiment_matrix(config, pairs=[(0, 1)], seeds=[0, 1])
-    assert np.all(np.isnan(matrix.cells[0].accuracies))
-    assert [(label, seed) for label, seed, _ in matrix.failures] == [
-        ("D1->D2", 0), ("D1->D2", 1)]
-    assert "cosine similarity undefined" in matrix.failures[0][2]
+def test_a_degenerate_auxiliary_loss_names_its_iteration_and_batch(
+        tmp_path):
+    # D2's audio is all zeros, so its audio features are too (zero biases
+    # at init) and the norm ratio is undefined on any batch drawn from it
+    spec = small_benchmark(num_domains=2)
+    domains = generate_benchmark(spec)
+    for split in ("train", "test"):
+        batch = getattr(domains[1], split)
+        setattr(domains[1], split, MultiModalBatch(
+            batch.visual, np.zeros_like(batch.audio), batch.labels))
+    save_domains(domains, tmp_path, ["D1", "D2"])
+    config = short_config(benchmark=spec, data_dir=str(tmp_path))
+    undefined = "mean audio norm is 0; norm ratio undefined"
+
+    uda = run_experiment_matrix(dataclasses.replace(config, setting="uda"),
+                                pairs=[(0, 1)], seeds=[0, 1])
+    assert np.all(np.isnan(uda.cells[0].accuracies))
+    assert uda.failures == [
+        ("D1->D2", seed, f"iteration 0: target batch: {undefined}")
+        for seed in (0, 1)]
+
+    # the matrix records the failed cell and goes on to the next pair
+    dg = run_experiment_matrix(config, pairs=[(1, 0), (0, 1)], seeds=[0])
+    assert np.isnan(dg.cells[0].mean) and 0.0 <= dg.cells[1].mean <= 1.0
+    assert dg.failures == [
+        ("D2->D1", 0, f"iteration 0: source batch: {undefined}")]
+    with pytest.raises(DegenerateInputError,
+                       match="^iteration 0: source batch: mean audio"):
+        run_experiment(dataclasses.replace(config, source_index=1,
+                                           target_index=0))
 
 
 @pytest.mark.parametrize("pair, given", [
