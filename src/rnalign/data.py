@@ -2,10 +2,10 @@
 generalization and adaptation settings, and a plain-text feature file format
 for externally computed features.
 
-The generator plants one visual and one audio prototype per class on spheres
-of a configurable radius; every domain sees the same prototypes (shared
-semantics) through its own random orthogonal transform and bias per modality
-(the domain shift), plus isotropic Gaussian noise.  Finally all audio inputs
+The generator plants one visual and one audio prototype per class on the
+unit sphere; every domain sees the same prototypes (shared semantics)
+through its own random orthogonal transform and bias per modality (the
+domain shift), plus isotropic Gaussian noise.  Finally all audio inputs
 are multiplied by a norm-imbalance factor ``audio_norm_scale`` — this changes
 magnitudes only, never angles, and is what gives the norm-alignment losses a
 measurable job.
@@ -137,12 +137,9 @@ class BenchmarkSpec:
     input_dim_visual: int = 24
     input_dim_audio: int = 24
     samples_per_class: int = 200
-    prototype_scale: float = 1.0
     transform_strength: float = 0.8
     noise_sigma: float = 0.5
     audio_norm_scale: float = 10.0
-    train_fraction: float = 0.75
-    class_skew: float = 0.0
     seed: int = _DEFAULT_BENCHMARK_SEED
 
     def __post_init__(self):
@@ -156,18 +153,12 @@ class BenchmarkSpec:
             raise ConfigurationError("input dims must be >= 2")
         if self.samples_per_class < 4:
             raise ConfigurationError("samples_per_class must be >= 4")
-        if self.prototype_scale <= 0:
-            raise ConfigurationError("prototype_scale must be positive")
         if self.transform_strength < 0:
             raise ConfigurationError("transform_strength must be >= 0")
         if self.noise_sigma < 0:
             raise ConfigurationError("noise_sigma must be >= 0")
         if self.audio_norm_scale <= 0:
             raise ConfigurationError("audio_norm_scale must be positive")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigurationError("train_fraction must be in (0, 1)")
-        if self.class_skew < 0:
-            raise ConfigurationError("class_skew must be >= 0")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
@@ -197,30 +188,6 @@ def _random_rotation(rng, dim, strength):
     return expm((strength / spectral) * skew)
 
 
-def _class_counts(rng, spec):
-    """Per-class sample counts for one domain; balanced unless class_skew > 0,
-    in which case proportions are drawn from a Dirichlet (smaller
-    concentration = heavier skew)."""
-    total = spec.num_classes * spec.samples_per_class
-    if spec.class_skew == 0.0:
-        return np.full(spec.num_classes, spec.samples_per_class)
-    alpha = np.full(spec.num_classes, 1.0 / spec.class_skew)
-    props = rng.dirichlet(alpha)
-    # largest-remainder rounding so the counts sum exactly to `total`
-    raw = props * total
-    counts = np.floor(raw).astype(int)
-    remainder = total - int(counts.sum())
-    order = np.argsort(raw - counts)[::-1]
-    counts[order[:remainder]] += 1
-    # every class keeps at least 2 samples (1 train + 1 test); steal from the
-    # largest classes to make up the difference
-    floor_count = 2 if total >= 2 * spec.num_classes else 1
-    while counts.min() < floor_count:
-        counts[int(np.argmax(counts))] -= floor_count - counts.min()
-        counts[int(np.argmin(counts))] = floor_count
-    return counts
-
-
 def generated_domain_ids(num_domains):
     """The ids of the generated domains: "D1".."Dk"."""
     return [f"D{d + 1}" for d in range(num_domains)]
@@ -239,33 +206,31 @@ def generate_benchmark(spec):
 
     def prototypes(dim):
         raw = proto_rng.standard_normal((spec.num_classes, dim))
-        unit = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-        return spec.prototype_scale * unit
+        return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
     streams = ((spec.input_dim_visual, 1.0),
                (spec.input_dim_audio, spec.audio_norm_scale))
     protos = [prototypes(width) for width, _ in streams]
+    # each class has samples_per_class (>= 4) samples, 3/4 of them (rounded)
+    # in the train split, so both splits hold every class
+    n = spec.samples_per_class
+    n_train = int(round(0.75 * n))
 
     domains = []
     for d, domain_id in enumerate(generated_domain_ids(spec.num_domains)):
         rng = np.random.default_rng(domain_seeds[d])
         rots = [_random_rotation(rng, width, spec.transform_strength)
                 for width, _ in streams]
-        biases = [spec.transform_strength * (
-            spec.prototype_scale / np.sqrt(width)) * rng.standard_normal(width)
-            for width, _ in streams]
-        counts = _class_counts(rng, spec)
+        biases = [spec.transform_strength * (1.0 / np.sqrt(width))
+                  * rng.standard_normal(width) for width, _ in streams]
 
         train_parts, test_parts = [], []
         for c in range(spec.num_classes):
-            n_c = int(counts[c])
             columns = [(rot @ proto[c] + bias + spec.noise_sigma
-                        * rng.standard_normal((n_c, width))) * scale
+                        * rng.standard_normal((n, width))) * scale
                        for rot, proto, bias, (width, scale)
                        in zip(rots, protos, biases, streams)]
-            columns.append(np.full(n_c, c, dtype=np.int64))
-            n_train = max(1, min(n_c - 1,
-                                 int(round(spec.train_fraction * n_c))))
+            columns.append(np.full(n, c, dtype=np.int64))
             train_parts.append([x[:n_train] for x in columns])
             test_parts.append([x[n_train:] for x in columns])
 

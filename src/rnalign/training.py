@@ -171,7 +171,6 @@ class ExperimentConfig:
     setting: str = "dg-single"
     aux_loss: str = "rna"
     lambda_weight: float = 1.0
-    hna_target_norm: Optional[float] = None
     fusion_mode: str = "late"
     hidden_dim: int = 128
     feature_dim: int = 64
@@ -193,8 +192,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown aux loss: {self.aux_loss!r}")
         if self.lambda_weight < 0:
             raise ConfigurationError("lambda_weight must be >= 0")
-        if self.hna_target_norm is not None and self.hna_target_norm <= 0:
-            raise ConfigurationError("hna_target_norm must be positive")
         if self.fusion_mode not in ("late", "mid"):
             raise ConfigurationError(f"unknown fusion mode: {self.fusion_mode!r}")
         if self.iterations < 0:
@@ -311,11 +308,9 @@ def _model_config(config, pool, num_classes):
 
 
 def _resolve_hna_target(config, model, probe_batch):
-    """R for the hard-alignment baseline: explicit config value, or the
-    midpoint of the two modalities' mean feature norms measured with the
-    freshly initialized model on the first training examples."""
-    if config.hna_target_norm is not None:
-        return float(config.hna_target_norm)
+    """R for the hard-alignment baseline: the midpoint of the two
+    modalities' mean feature norms, measured with the freshly initialized
+    model on the first ``batch_size`` training examples."""
     n = min(config.batch_size, probe_batch.n)
     probe = probe_batch.take(np.arange(n))
     features, _ = encode_pair(model, probe.visual, probe.audio)
@@ -533,11 +528,11 @@ class MatrixResult(namedtuple("MatrixResult", "cells failures",
 def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     """Train one configuration over a grid of domain pairs and seeds.
 
-    ``pairs`` are (source, target) tuples for dg-single and uda, (target,)
-    tuples or bare target indices for dg-multi.  Returns a MatrixResult with
-    one cell per pair: the per-seed accuracies and their mean.  A run that aborts numerically is
-    recorded as NaN for that seed and noted in ``failures``; the matrix
-    continues.
+    ``pairs`` are (source, target) tuples for dg-single and uda and
+    (target,) tuples for dg-multi; any other pair is a ConfigurationError.
+    Returns a MatrixResult with one cell per pair: the per-seed accuracies
+    and their mean.  A run that aborts numerically is recorded as NaN for
+    that seed and noted in ``failures``; the matrix continues.
     """
     ids = domain_ids(base_config)
     if pairs is None:
@@ -549,7 +544,6 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     cells = []
     failures = []
     for pair in pairs:
-        pair = (pair,) if _is_index(pair) else pair
         label = pair_label(base_config.setting, pair, ids)
         accuracies = []
         for seed in seeds:

@@ -23,7 +23,8 @@ import rnalign.training
 
 from rnalign.cli import _atomic, main
 from rnalign.config import (_SECTION_KEYS, load_config_file,
-                            parse_benchmark_spec, parse_experiment_config)
+                            parse_benchmark_spec, parse_experiment_config,
+                            parse_matrix_options)
 from rnalign.data import BenchmarkSpec
 from rnalign.errors import ConfigurationError, ParseError
 from rnalign.data import load_feature_file
@@ -156,11 +157,16 @@ def test_generate_invalid_spec_exits_2(tmp_path, capsys):
 
 
 def test_generate_unknown_key_exits_2(tmp_path, capsys):
-    config = write_config(tmp_path, "[benchmark]\nnum_domainz = 3\n")
-    code, _, err = run_cli(capsys, ["generate", "--config", config,
-                                    "--out", str(tmp_path / "d")])
-    assert code == 2
-    assert "num_domainz" in err
+    # a typo, and the generator settings that were removed
+    for key in ("num_domainz", "class_skew", "prototype_scale",
+                "train_fraction"):
+        config = write_config(tmp_path, f"[benchmark]\n{key} = 1\n")
+        out_dir = tmp_path / "d"
+        code, _, err = run_cli(capsys, ["generate", "--config", config,
+                                        "--out", str(out_dir)])
+        assert code == 2, key
+        assert f"{config}: unknown [benchmark] key: {key}" in err
+        assert not out_dir.exists()
 
 
 def test_generate_missing_config_exits_2(tmp_path, capsys):
@@ -333,6 +339,17 @@ def test_train_bad_experiment_value_exits_2(tmp_path, capsys):
                                     "--out", str(tmp_path / "run")])
     assert code == 2
     assert "lambda" in err
+
+
+def test_train_removed_hna_target_norm_key_exits_2(tmp_path, capsys):
+    # hna's R is always the midpoint of the streams' mean norms at init
+    config = write_config(tmp_path, TRAIN_INI + "hna_target_norm = 3.0\n")
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, ["train", "--config", config,
+                                    "--out", str(out_dir)])
+    assert code == 2
+    assert f"{config}: unknown [experiment] key: hna_target_norm" in err
+    assert not out_dir.exists()
 
 
 def test_train_value_that_does_not_cast_exits_2_naming_field_and_value(
@@ -1028,7 +1045,7 @@ def test_benchmark_section_accepts_exactly_the_spec_fields(tmp_path):
     assert parse_benchmark_spec(load_config_file(path), path) == stock
 
 
-def test_readme_config_example_names_every_accepted_key():
+def test_readme_config_example_names_every_accepted_key(tmp_path):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     (example,) = re.findall(r"```ini\n(.*?)```",
                             readme.read_text(encoding="utf-8"), re.S)
@@ -1043,6 +1060,16 @@ def test_readme_config_example_names_every_accepted_key():
     assert named.keys() == _SECTION_KEYS.keys()
     for name, keys in _SECTION_KEYS.items():
         assert named[name] == set(keys), name
+    # the sample loads: its values are the defaults, and its [matrix] parses
+    path = tmp_path / "sample.ini"
+    path.write_text(example, encoding="utf-8")
+    parser = load_config_file(path)
+    assert parse_experiment_config(parser, path) == ExperimentConfig()
+    methods, seeds, pairs = parse_matrix_options(parser, "dg-single",
+                                                 ["D1", "D2", "D3"], path)
+    assert (methods, seeds, pairs) == (["source-only", "rna", "hna",
+                                        "rna-mid"], [0, 1, 2, 3, 4],
+                                       [(0, 1), (1, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -1095,18 +1122,15 @@ def test_config_corruption_parses_or_is_a_located_parse_error(tmp_path,
 # (config-file key, ExperimentConfig or BenchmarkSpec field, values)
 _FLOAT_KEYS = (
     ("experiment", "lambda", "lambda_weight", st.floats(0.0, 1e9)),
-    ("experiment", "hna_target_norm", "hna_target_norm",
-     st.floats(1e-300, 1e9)),
     ("experiment", "learning_rate", "learning_rate", st.floats(0.0, 1e9)),
     ("experiment", "momentum", "momentum",
      st.floats(0.0, 1.0, exclude_max=True)),
     ("experiment", "weight_decay", "weight_decay", st.floats(0.0, 1e9)),
-    ("benchmark", "prototype_scale", "prototype_scale",
-     st.floats(1e-300, 1e9)),
+    ("benchmark", "transform_strength", "transform_strength",
+     st.floats(0.0, 1e9)),
     ("benchmark", "noise_sigma", "noise_sigma", st.floats(0.0, 1e9)),
-    ("benchmark", "train_fraction", "train_fraction",
-     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-    ("benchmark", "class_skew", "class_skew", st.floats(0.0, 1e9)),
+    ("benchmark", "audio_norm_scale", "audio_norm_scale",
+     st.floats(1e-300, 1e9)),
 )
 
 

@@ -80,13 +80,11 @@ def test_config_validation_errors():
         short_config(iterations=-1)
     with pytest.raises(ConfigurationError):
         short_config(checkpoint_average=0)
-    with pytest.raises(ConfigurationError):
-        short_config(hna_target_norm=-3.0)
 
 
 def test_config_rejects_non_finite_floats_naming_the_field():
-    for name in ("lambda_weight", "hna_target_norm", "learning_rate",
-                 "momentum", "weight_decay"):
+    for name in ("lambda_weight", "learning_rate", "momentum",
+                 "weight_decay"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match=name):
                 short_config(**{name: value})
@@ -112,8 +110,6 @@ def test_config_fields_cannot_be_assigned(name):
      "need at least 2 domains (one source, one target)"),
     ("BenchmarkSpec", "noise_sigma", float("nan"),
      "noise_sigma must be finite, got nan"),
-    ("BenchmarkSpec", "train_fraction", 1.5,
-     "train_fraction must be in (0, 1)"),
     ("BenchmarkSpec", "seed", -1, "seed must be >= 0, got -1"),
     ("ModelConfig", "hidden_dim", 0, "hidden_dim must be >= 1"),
     ("ModelConfig", "num_classes", 1, "num_classes must be >= 2"),
@@ -146,14 +142,11 @@ def test_config_fields_cannot_be_assigned(name):
     ("BenchmarkSpec", "input_dim_audio", 1, "input dims must be >= 2"),
     ("BenchmarkSpec", "samples_per_class", 3,
      "samples_per_class must be >= 4"),
-    ("BenchmarkSpec", "prototype_scale", 0.0,
-     "prototype_scale must be positive"),
     ("BenchmarkSpec", "transform_strength", -0.1,
      "transform_strength must be >= 0"),
     ("BenchmarkSpec", "noise_sigma", -0.1, "noise_sigma must be >= 0"),
     ("BenchmarkSpec", "audio_norm_scale", 0.0,
      "audio_norm_scale must be positive"),
-    ("BenchmarkSpec", "class_skew", -0.1, "class_skew must be >= 0"),
     ("ExperimentConfig", "fusion_mode", "early",
      "unknown fusion mode: 'early'"),
     ("ExperimentConfig", "batch_size", 0, "batch_size must be >= 1"),
@@ -192,13 +185,11 @@ def test_spec_and_model_config_cast_their_numbers():
 
 def test_experiment_config_casts_its_fields():
     config = short_config(iterations=40.0, lambda_weight=1, seed="3",
-                          source_index=2.0, hna_target_norm=2,
-                          data_dir=pathlib.Path("some", "dir"))
+                          source_index=2.0, data_dir=pathlib.Path("some", "dir"))
     assert (config.iterations, config.seed, config.source_index) == (40, 3, 2)
     assert [type(v) for v in (config.iterations, config.seed,
                               config.source_index, config.lambda_weight,
-                              config.hna_target_norm, config.data_dir)] == [
-        int, int, int, float, float, str]
+                              config.data_dir)] == [int, int, int, float, str]
     assert config.data_dir == "some/dir"
     assert dataclasses.replace(config, setting="dg-multi",
                                source_index=None).source_index is None
@@ -413,13 +404,6 @@ def test_train_dg_rna_improves_norm_ratio():
     first = abs(telemetry.iterations[0].rho - 1.0)
     last = abs(telemetry.iterations[-1].rho - 1.0)
     assert last < first
-
-
-def test_train_dg_hna_explicit_target_norm():
-    cfg = short_config(aux_loss="hna", hna_target_norm=2.0,
-                       lambda_weight=0.01, iterations=40)
-    model, telemetry = run_experiment(cfg)
-    assert len(telemetry.iterations) == 40
 
 
 def test_headline_accuracy_matches_fused_eval():
@@ -708,12 +692,16 @@ def test_a_degenerate_auxiliary_loss_names_its_iteration_and_batch(
                                            target_index=0))
 
 
+# dg-multi, whose pairs are one-index tuples: a bare target index is not one
 @pytest.mark.parametrize("pair, given", [
-    ((0.5, 1), "(0.5, 1)"), ((True, 1), "(True, 1)"), ([0, 1], "[0, 1]")])
+    ((0.5, 1), "(0.5, 1)"), ((True, 1), "(True, 1)"), ([0, 1], "[0, 1]"),
+    (2, "2")])
 def test_matrix_pair_of_non_integer_indices_is_named_as_given(pair, given):
     with pytest.raises(ConfigurationError,
-                       match=re.escape(f"domain pair {given} must be")):
-        run_experiment_matrix(ExperimentConfig(iterations=2), [pair])
+                       match=re.escape(f"domain pair {given} must be a tuple "
+                                       f"of integer indices")):
+        run_experiment_matrix(
+            ExperimentConfig(iterations=2, setting="dg-multi"), [pair])
 
 
 @pytest.mark.parametrize("grid", [dict(pairs=[(0, 1)], seeds=()),
