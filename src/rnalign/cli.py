@@ -24,8 +24,8 @@ from . import __version__
 from .config import (METHODS, apply_method, load_config_file,
                      parse_benchmark_spec, parse_experiment_config,
                      parse_matrix_options)
-from .data import (generate_benchmark, load_feature_file, read_bytes,
-                   save_feature_file)
+from .data import (generate_benchmark, generated_domain_ids,
+                   load_feature_file, read_bytes, save_feature_file)
 from .errors import ConfigurationError, NumericalError, ParseError
 from .losses import norm_stats
 from .model import save_checkpoint
@@ -91,6 +91,16 @@ def cmd_generate(args):
     spec = parse_benchmark_spec(parser, args.config)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
+    # a data_dir run reads every domain file in the directory, so another
+    # benchmark's domains left there would join this one's
+    ids = generated_domain_ids(spec.num_domains)
+    for path in sorted(Path(args.out).glob("*.rnafeat")):
+        domain_id, _, split = path.name[:-len(".rnafeat")].rpartition("_")
+        if split in ("train", "test") and domain_id not in ids:
+            raise ConfigurationError(
+                f"{path}: domain {domain_id!r} is not one of the domains "
+                f"this spec writes ({', '.join(ids)}); remove it or choose "
+                f"another --out")
     out_dir = _ensure_outdir(args.out)
     domains = generate_benchmark(spec)
     artifacts = []

@@ -133,6 +133,29 @@ def test_generate_rerun_is_byte_identical(tmp_path, capsys):
         assert first == second, name
 
 
+def test_generate_refuses_an_out_dir_holding_other_domains(tmp_path,
+                                                          capsys):
+    # a data_dir run reads every domain file in the directory, so a 4-domain
+    # benchmark's D3 and D4 left there would join a 2-domain one's D1 and D2
+    out_dir = tmp_path / "data"
+    configs = {k: write_config(tmp_path, BENCHMARK_INI.replace(
+        "num_domains = 3", f"num_domains = {k}"), f"{k}.ini") for k in (4, 2)}
+    assert run_cli(capsys, ["generate", "--config", configs[4],
+                            "--out", str(out_dir)])[0] == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    code, out, err = run_cli(capsys, ["generate", "--config", configs[2],
+                                      "--out", str(out_dir), "--quiet"])
+    assert (code, out) == (2, "")
+    assert (f"{out_dir / 'D3_test.rnafeat'}: domain 'D3' is not one of the "
+            f"domains this spec writes (D1, D2)") in err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+    # the same domains again overwrite their files, and a file whose name
+    # does not end in _train or _test is not a domain file
+    (out_dir / "notes.rnafeat").write_text("")
+    assert run_cli(capsys, ["generate", "--config", configs[4],
+                            "--out", str(out_dir)])[0] == 0
+
+
 def test_generate_seed_flag_overrides_config(tmp_path, capsys):
     config = write_config(tmp_path, BENCHMARK_INI)
     base, other = tmp_path / "base", tmp_path / "other"

@@ -22,10 +22,9 @@ def test_demo_runs(capsys, name, expected):
     assert expected in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", ["training_walkthrough.py",
-                                  "lambda_sweep.py"])
+@pytest.mark.parametrize("name", ["training_walkthrough.py"])
 def test_training_demo_loads(name):
-    """The training demos take minutes, so only their imports and
+    """The training demo takes minutes, so only its imports and
     module-level config run here, not ``main()``."""
     namespace = runpy.run_path(str(DEMOS / name), run_name="demo")
     assert callable(namespace["main"])
@@ -34,8 +33,7 @@ def test_training_demo_loads(name):
 
 @pytest.mark.parametrize("name, expected", [
     ("training_walkthrough.py", "results matrix: every source->target pair"),
-    ("lambda_sweep.py", "final |rho-1|"),
-], ids=["training_walkthrough", "lambda_sweep"])
+], ids=["training_walkthrough"])
 def test_training_demo_main_runs_at_30_iterations(capsys, name, expected):
     namespace = runpy.run_path(str(DEMOS / name), run_name="demo")
     main = namespace["main"]
