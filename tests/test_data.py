@@ -305,7 +305,7 @@ def test_skewed_generated_spec_trains_every_class():
     spec = small_spec(num_classes=20, samples_per_class=4)
     counts = [np.bincount(d.train.labels, minlength=20).min()
               for d in generate_benchmark(spec)]
-    assert min(counts) >= 1
+    assert counts == [3] * spec.num_domains
     model, _ = run_experiment(ExperimentConfig(
         benchmark=spec, iterations=2, batch_size=4, checkpoint_average=1,
         hidden_dim=8, feature_dim=4))
