@@ -24,32 +24,14 @@ from . import __version__
 from .config import (METHODS, apply_method, load_config_file,
                      parse_benchmark_spec, parse_experiment_config,
                      parse_matrix_options)
-from .data import (generate_benchmark, generated_domain_ids,
-                   load_feature_file, read_bytes, save_feature_file)
+from .data import (generate_benchmark, generated_domain_ids, load_feature_file,
+                   read_bytes, save_feature_file, write_bytes)
 from .errors import ConfigurationError, NumericalError, ParseError
 from .losses import norm_stats
 from .model import save_checkpoint
 from .training import (NormTelemetry, domain_ids, headline_accuracy,
                        run_experiment, run_experiment_matrix,
                        write_results_csv)
-
-
-def _atomic(path, writer):
-    """Write via a temp file in the same directory, then rename into place.
-    A failure removes the temp file, unless it is a directory (which this
-    function never creates); an OSError from the writer or the rename is a
-    ConfigurationError naming the path."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if not tmp.is_dir():
-            tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise ConfigurationError(f"cannot write {path}: {exc}") from exc
-        raise
 
 
 def _ensure_outdir(out):
@@ -72,9 +54,8 @@ def _write_manifest(out_dir, command, config_dict, artifacts, started):
         "duration_seconds": time.time() - started,
     }
     path = out_dir / "manifest.json"
-    _atomic(path, lambda tmp: tmp.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        encoding="ascii"))
+    write_bytes(path, (json.dumps(manifest, indent=2, sort_keys=True)
+                       + "\n").encode("ascii"))
     return path
 
 
@@ -108,7 +89,7 @@ def cmd_generate(args):
         for split_name, batch in (("train", domain.train),
                                   ("test", domain.test)):
             path = out_dir / f"{domain.domain_id}_{split_name}.rnafeat"
-            _atomic(path, lambda tmp, b=batch: save_feature_file(b, tmp))
+            save_feature_file(batch, path)
             artifacts.append(path)
             _progress(args, f"wrote {path}")
     artifacts.append(_write_manifest(out_dir, "generate", asdict(spec),
@@ -132,8 +113,8 @@ def cmd_train(args):
     model, telemetry = run_experiment(config)
     checkpoint_path = out_dir / "checkpoint.rna"
     telemetry_path = out_dir / "telemetry.csv"
-    _atomic(checkpoint_path, lambda tmp: save_checkpoint(model, tmp))
-    _atomic(telemetry_path, lambda tmp: telemetry.to_csv(tmp))
+    save_checkpoint(model, checkpoint_path)
+    telemetry.to_csv(telemetry_path)
     _write_manifest(out_dir, "train", asdict(config),
                     [checkpoint_path, telemetry_path], started)
     accuracy = headline_accuracy(telemetry)
@@ -162,9 +143,8 @@ def cmd_matrix(args):
                   file=sys.stderr)
         results[method] = result
     results_path = out_dir / "results.csv"
-    _atomic(results_path, lambda tmp: write_results_csv(tmp, results))
-    _write_manifest(out_dir, "matrix", asdict(base),
-                    [results_path], started)
+    write_results_csv(results_path, results)
+    _write_manifest(out_dir, "matrix", asdict(base), [results_path], started)
     for method, result in results.items():
         print(f"{method} mean={repr(float(result.mean))}")
     return 0
@@ -208,8 +188,7 @@ def cmd_norms(args):
         print(f"{key}={text}")
     if args.out:
         report = "".join(f"{key},{text}\n" for key, text in rows)
-        _atomic(Path(args.out), lambda tmp: tmp.write_text(
-            "metric,value\n" + report, encoding="ascii"))
+        write_bytes(args.out, ("metric,value\n" + report).encode("ascii"))
     return 0
 
 

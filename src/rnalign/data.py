@@ -29,6 +29,7 @@ import math
 import typing
 from array import array
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -272,7 +273,7 @@ def split_domains(domains, setting, source_index, target_index):
 
 
 def save_feature_file(batch, path):
-    """Write a MultiModalBatch as an RNAFEAT v1 text file (lossless floats).
+    """Write a MultiModalBatch as an RNAFEAT v1 file via ``write_bytes``.
     A batch the format cannot hold (no rows, or a modality of width 0) is a
     ConfigurationError naming the path, raised before the file is opened."""
     if min(batch.n, batch.visual.shape[1], batch.audio.shape[1]) < 1:
@@ -291,8 +292,7 @@ def save_feature_file(batch, path):
         if labels is not None:
             line += f" {labels[i]}"
         lines.append(line)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_bytes(path):
@@ -304,6 +304,25 @@ def read_bytes(path):
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def write_bytes(path, blob):
+    """Write ``blob`` as the file ``path``.  Every writer writes its file
+    here: the bytes go to ``<path>.tmp`` in the same directory, which is then
+    renamed into place.  A failure removes the temp file, unless it is a
+    directory (which this function never creates); an OSError is a
+    ConfigurationError naming the path."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(blob)
+        tmp.replace(path)
+    except BaseException as exc:
+        if not tmp.is_dir():
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def read_text(path, encoding="ascii", newline=None):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import cast_fields, read_bytes
+from .data import cast_fields, read_bytes, write_bytes
 from .errors import ConfigurationError, ParseError
 from .losses import AUDIO, VISUAL
 
@@ -429,9 +429,9 @@ def eval_logits(model, visual_inputs, audio_inputs):
 
 def save_checkpoint(model, path):
     """Serialize a model to the flat binary checkpoint format (see module
-    docstring).  A model ``load_checkpoint`` would reject (a non-finite
-    value, a negative running variance) is a ConfigurationError naming the
-    path, raised before the file is opened."""
+    docstring) through ``write_bytes``.  A model ``load_checkpoint`` would
+    reject (a non-finite value, a negative running variance) is a
+    ConfigurationError naming the path, raised before the file is opened."""
     running = model.running
     if not (np.isfinite(model.flat).all()
             and (running is None or np.isfinite(running).all())):
@@ -448,8 +448,7 @@ def save_checkpoint(model, path):
               np.ascontiguousarray(model.flat, dtype="<f8").tobytes()]
     if running is not None:
         chunks.append(running.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_bytes(path, b"".join(chunks))
 
 
 # name, least and greatest valid value of each u32 header field

@@ -37,7 +37,7 @@ import numpy as np
 
 from .data import (BenchmarkSpec, DomainData, cast_fields, generate_benchmark,
                    generated_domain_ids, load_feature_file, read_text,
-                   split_domains)
+                   split_domains, write_bytes)
 from .errors import (ConfigurationError, DegenerateInputError,
                      NumericalError, ParseError)
 from .losses import hna_stacked, mean_norms, rna_stacked, row_norms
@@ -81,11 +81,9 @@ class NormTelemetry:
         raise ConfigurationError(f"no evaluation record for mode {mode!r}")
 
     def to_csv(self, path):
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(TELEMETRY_HEADER.split(","))
-            for r in self.iterations:
-                writer.writerow([r.iteration, *map(repr, map(float, r[1:]))])
+        _write_csv(path, [TELEMETRY_HEADER.split(","), *(
+            [r.iteration, *map(repr, map(float, r[1:]))]
+            for r in self.iterations)])
 
     @classmethod
     def from_csv(cls, path):
@@ -130,6 +128,14 @@ class NormTelemetry:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from exc
             telemetry.iterations.append(r)
         return telemetry
+
+
+def _write_csv(path, rows):
+    """Write ``rows`` through ``write_bytes`` as an ASCII CSV file, one
+    "\n"-terminated line each, encoded before the file is opened."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    write_bytes(path, text.getvalue().encode("ascii"))
 
 
 def _csv_table(path, skip):
@@ -575,12 +581,9 @@ def write_results_csv(path, results):
         if result.labels != labels:
             raise ConfigurationError(
                 f"result rows disagree on pair labels ({method})")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method"] + labels + ["mean"])
-        for method, result in items:
-            writer.writerow([method] + [repr(float(m)) for m in result.means]
-                            + [repr(float(result.mean))])
+    _write_csv(path, [["method"] + labels + ["mean"], *(
+        [method, *map(repr, map(float, [*result.means, result.mean]))]
+        for method, result in items)])
 
 
 def read_results_csv(path):

@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 
 import rnalign.training
 
-from rnalign.cli import _atomic, main
+from rnalign.cli import main
 from rnalign.config import (_SECTION_KEYS, load_config_file,
                             parse_benchmark_spec, parse_experiment_config,
                             parse_matrix_options)
 from rnalign.data import BenchmarkSpec
 from rnalign.errors import ConfigurationError, ParseError
-from rnalign.data import load_feature_file
+from rnalign.data import load_feature_file, write_bytes
 from rnalign.losses import norm_stats
 from rnalign.model import eval_logits, load_checkpoint
 from rnalign.training import (TELEMETRY_HEADER, ExperimentConfig,
@@ -866,27 +866,31 @@ def test_unknown_subcommand_is_usage_error(capsys):
 # atomic writes
 
 
-def test_atomic_write_removes_temp_file_when_writer_fails(tmp_path):
+def test_write_bytes_removes_temp_file_when_the_rename_fails(tmp_path,
+                                                            monkeypatch):
     target = tmp_path / "out.csv"
 
-    def failing_writer(tmp):
-        tmp.write_text("partial", encoding="ascii")
+    def failing_replace(src, dst):
+        assert Path(src).read_bytes() == b"partial"
         raise OSError("disk full")
 
+    monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(ConfigurationError,
                        match=f"cannot write {re.escape(str(target))}: "
                              f"disk full"):
-        _atomic(target, failing_writer)
+        write_bytes(target, b"partial")
     assert list(tmp_path.iterdir()) == []
 
 
-def test_atomic_write_removes_temp_file_and_reraises_other_errors(tmp_path):
-    def failing_writer(tmp):
-        tmp.write_text("partial", encoding="ascii")
-        raise ValueError("bad row")
+def test_write_bytes_removes_temp_file_and_reraises_other_errors(
+        tmp_path, monkeypatch):
+    def interrupted_replace(src, dst):
+        assert Path(src).read_bytes() == b"partial"
+        raise KeyboardInterrupt
 
-    with pytest.raises(ValueError, match="bad row"):
-        _atomic(tmp_path / "out.csv", failing_writer)
+    monkeypatch.setattr(os, "replace", interrupted_replace)
+    with pytest.raises(KeyboardInterrupt):
+        write_bytes(tmp_path / "out.csv", b"partial")
     assert list(tmp_path.iterdir()) == []
 
 

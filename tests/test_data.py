@@ -1,14 +1,17 @@
 """Unit tests for benchmark generation, the DG/UDA split rule, and the
 feature-file format."""
 
+import ast
 import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import rnalign
 from rnalign.data import (
     BenchmarkSpec,
     MultiModalBatch,
@@ -18,7 +21,10 @@ from rnalign.data import (
     split_domains,
 )
 from rnalign.errors import ConfigurationError, ParseError
-from rnalign.training import ExperimentConfig, run_experiment
+from rnalign.model import ModelConfig, init_model, save_checkpoint
+from rnalign.training import (ExperimentConfig, MatrixCell, MatrixResult,
+                              NormTelemetry, run_experiment,
+                              write_results_csv)
 
 
 def small_spec(**overrides):
@@ -619,3 +625,54 @@ def test_feature_file_accepts_any_line_ending(tmp_path):
                                                      newline.encode()))
         loaded.append(load_feature_file(str(path)))
     assert all(batches_equal(batch, loaded[0]) for batch in loaded[1:])
+
+
+# ---------------------------------------------------------------------------
+# the write rule: every writer writes its file through data.write_bytes
+
+WRITERS = {
+    "save_feature_file": lambda path: save_feature_file(
+        MultiModalBatch(np.ones((2, 2)), np.ones((2, 3)), [0, 1]), path),
+    "save_checkpoint": lambda path: save_checkpoint(
+        init_model(ModelConfig(3, 4, 5, 2, 2), seed=0), path),
+    "to_csv": lambda path: NormTelemetry().to_csv(path),
+    "write_results_csv": lambda path: write_results_csv(
+        path, {"rna": MatrixResult([MatrixCell("D1->D2", [0.5], 0.5)])}),
+}
+
+
+@pytest.mark.parametrize("where", ["a-directory", "under-a-missing-dir"])
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS)
+def test_every_writer_names_a_path_it_cannot_write(tmp_path, write, where):
+    if where == "a-directory":
+        target = tmp_path / "out"
+        target.mkdir()
+    else:
+        target = tmp_path / "missing" / "out"
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"cannot write {target}: ")):
+        write(target)
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_only_read_bytes_and_write_bytes_open_files():
+    """No function of the package but ``data.read_bytes`` and
+    ``data.write_bytes`` calls ``open``, ``.write_text`` or
+    ``.write_bytes``, so every reader and writer goes through those two."""
+    calls = []
+    for path in sorted(Path(rnalign.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node) for fn in tree.body
+                  if path.name == "data.py"
+                  and isinstance(fn, ast.FunctionDef)
+                  and fn.name in ("read_bytes", "write_bytes")
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in exempt:
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open"
+                    or isinstance(func, ast.Attribute) and func.attr in (
+                        "open", "write_text", "write_bytes")):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

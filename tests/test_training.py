@@ -724,6 +724,14 @@ def test_results_csv_writer_needs_rows_that_agree(tmp_path):
     assert not path.exists()
 
 
+def test_results_csv_with_a_non_ascii_method_leaves_no_file(tmp_path):
+    cells = [MatrixCell("D1->D2", [0.5], 0.5)]
+    results = {"rna": MatrixResult(cells), "rn\u00e4": MatrixResult(cells)}
+    with pytest.raises(UnicodeEncodeError):
+        write_results_csv(tmp_path / "results.csv", results)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_results_csv_round_trip(tmp_path):
     cfg = short_config(iterations=20)
     results = {
