@@ -37,6 +37,8 @@ from .errors import ConfigurationError, ParseError
 
 _DEFAULT_BENCHMARK_SEED = 7
 
+SETTINGS = ("dg-single", "dg-multi", "uda")
+
 
 class MultiModalBatch:
     """Paired visual/audio inputs with optional labels.
@@ -58,11 +60,21 @@ class MultiModalBatch:
                 and np.all(np.isfinite(self.audio))):
             raise ConfigurationError("batch contains non-finite inputs")
         if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
+            labels = np.asarray(labels)
             if labels.shape != (self.visual.shape[0],):
                 raise ConfigurationError(
                     f"expected {self.visual.shape[0]} labels, "
                     f"got shape {labels.shape}")
+            if labels.dtype.kind not in "iu":
+                # the int64 cast would read 1.7 as 1 and True as 1
+                whole = (np.isfinite(labels) & (labels == np.trunc(labels))
+                         if labels.dtype.kind == "f"
+                         else np.zeros(labels.shape, dtype=bool))
+                if not whole.all():
+                    i = int(np.argmin(whole))
+                    raise ConfigurationError(
+                        f"label {i} is not an integer: {labels[i].item()!r}")
+            labels = labels.astype(np.int64, copy=False)
         self.labels = labels
 
     @property
@@ -254,6 +266,8 @@ def split_domains(domains, setting, source_index, target_index):
     target's train split, and never its labels; every setting is tested on
     the target's held-out test split.
     """
+    if setting not in SETTINGS:
+        raise ConfigurationError(f"unknown setting: {setting!r}")
     if len(domains) < 2:
         raise ConfigurationError("need at least 2 domains")
     single = setting != "dg-multi"

@@ -35,9 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .data import (BenchmarkSpec, DomainData, cast_fields, generate_benchmark,
-                   generated_domain_ids, load_feature_file, read_text,
-                   split_domains, write_bytes)
+from .data import (SETTINGS, BenchmarkSpec, DomainData, cast_fields,
+                   generate_benchmark, generated_domain_ids, load_feature_file,
+                   read_text, split_domains, write_bytes)
 from .errors import (ConfigurationError, DegenerateInputError,
                      NumericalError, ParseError)
 from .losses import hna_stacked, mean_norms, rna_stacked, row_norms
@@ -53,8 +53,6 @@ IterationRecord = namedtuple(
 EvalRecord = namedtuple("EvalRecord", "mode accuracy")
 
 TELEMETRY_HEADER = ",".join(("iter",) + IterationRecord._fields[1:])
-
-SETTINGS = ("dg-single", "dg-multi", "uda")
 
 # the stacked feature losses: each maps the (2, N, d) feature stack and its
 # (2, N) row norms (plus R for hna) to (value, gradient stack)
@@ -232,7 +230,7 @@ def _domain_order(path):
 def _domain_files(data_dir):
     """[(domain id, train path, test path)] for ``<data_dir>/<id>_train.
     rnafeat`` / ``<id>_test.rnafeat`` pairs, ordered by the numbers in the
-    ids (D1, D2, ..., D10)."""
+    ids (D1, D2, ..., D10).  A split file without its twin is an error."""
     from pathlib import Path
     root = Path(data_dir)
     train_files = sorted(root.glob("*_train.rnafeat"), key=_domain_order)
@@ -246,6 +244,11 @@ def _domain_files(data_dir):
         if not test_path.exists():
             raise ConfigurationError(f"missing test split file: {test_path}")
         files.append((domain_id, train_path, test_path))
+    for test_path in sorted(root.glob("*_test.rnafeat"), key=_domain_order):
+        train_path = test_path.with_name(
+            test_path.name[:-len("test.rnafeat")] + "train.rnafeat")
+        if not train_path.exists():
+            raise ConfigurationError(f"missing train split file: {train_path}")
     return files
 
 

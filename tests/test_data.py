@@ -61,7 +61,16 @@ def test_batch_requires_paired_rows():
      "batch contains non-finite inputs"),
     (np.zeros((3, 2)), np.zeros((3, 2)), [0, 1],
      "expected 3 labels, got shape (2,)"),
-], ids=["not-2d", "non-finite", "label-shape"])
+    (np.zeros((2, 2)), np.zeros((2, 2)), [0.5, 1.7],
+     "label 0 is not an integer: 0.5"),
+    (np.zeros((3, 2)), np.zeros((3, 2)), [1.0, 2.0, 1.7],
+     "label 2 is not an integer: 1.7"),
+    (np.zeros((2, 2)), np.zeros((2, 2)), [0, np.nan],
+     "label 1 is not an integer: nan"),
+    (np.zeros((2, 2)), np.zeros((2, 2)), [True, False],
+     "label 0 is not an integer: True"),
+], ids=["not-2d", "non-finite", "label-shape", "fractional-label",
+        "fractional-later-label", "nan-label", "bool-labels"])
 def test_batch_checks_name_what_is_wrong(visual, audio, labels, message):
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         MultiModalBatch(visual, audio, labels)
@@ -274,6 +283,13 @@ def test_split_needs_two_domains():
     with pytest.raises(ConfigurationError, match="need at least 2 domains"):
         split_domains(generate_benchmark(small_spec())[:1], "dg-multi",
                       None, 0)
+
+
+def test_split_rejects_an_unknown_setting():
+    domains = generate_benchmark(small_spec())
+    with pytest.raises(ConfigurationError,
+                       match="^unknown setting: 'bogus'$"):
+        split_domains(domains, "bogus", 0, 1)
 
 
 def test_split_rejects_bad_target_index():

@@ -831,6 +831,16 @@ def test_data_dir_domain_without_a_test_split_is_named(tmp_path):
         domain_ids(config)
 
 
+def test_data_dir_domain_without_a_train_split_is_named(tmp_path):
+    spec = small_benchmark(samples_per_class=4)
+    save_domains(generate_benchmark(spec), tmp_path, ["D1", "D2", "D3"])
+    (tmp_path / "D3_train.rnafeat").unlink()
+    config = short_config(benchmark=spec, data_dir=str(tmp_path))
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"missing train split file: {tmp_path / 'D3_train.rnafeat'}")):
+        domain_ids(config)
+
+
 def test_data_dir_domain_files_must_be_labeled(tmp_path):
     spec = small_benchmark(num_domains=2, samples_per_class=4)
     domains = generate_benchmark(spec)
