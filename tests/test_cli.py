@@ -866,15 +866,16 @@ def test_unknown_subcommand_is_usage_error(capsys):
 # atomic writes
 
 
-def test_write_bytes_removes_temp_file_when_the_rename_fails(tmp_path,
-                                                            monkeypatch):
+def test_atomic_write_removes_temp_file_when_writer_fails(tmp_path,
+                                                         monkeypatch):
     target = tmp_path / "out.csv"
+    write = Path.write_bytes
 
-    def failing_replace(src, dst):
-        assert Path(src).read_bytes() == b"partial"
+    def failing_write(path, blob):
+        write(path, blob[:4])
         raise OSError("disk full")
 
-    monkeypatch.setattr(os, "replace", failing_replace)
+    monkeypatch.setattr(Path, "write_bytes", failing_write)
     with pytest.raises(ConfigurationError,
                        match=f"cannot write {re.escape(str(target))}: "
                              f"disk full"):
@@ -882,7 +883,7 @@ def test_write_bytes_removes_temp_file_when_the_rename_fails(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_write_bytes_removes_temp_file_and_reraises_other_errors(
+def test_atomic_write_removes_temp_file_and_reraises_other_errors(
         tmp_path, monkeypatch):
     def interrupted_replace(src, dst):
         assert Path(src).read_bytes() == b"partial"
