@@ -9,8 +9,7 @@ from .data import (BenchmarkSpec, DomainData, MultiModalBatch,
                    split_domains)
 from .errors import (ConfigurationError, DegenerateInputError, NumericalError,
                      ParseError, RnalignError)
-from .losses import (LossResult, NormStats, dot_product_decomposition,
-                     hna_loss, norm_stats, rna_loss, rna_loss_uda)
+from .losses import LossResult, NormStats, hna_loss, norm_stats, rna_loss
 from .model import (ModelConfig, TwoStreamModel, encode_pair, eval_logits,
                     init_model, load_checkpoint, save_checkpoint)
 from .training import (ExperimentConfig, NormTelemetry, run_experiment,

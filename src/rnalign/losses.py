@@ -4,16 +4,16 @@ The central quantity is the ratio rho of the two modalities' mean feature
 norms.  The relative-norm-alignment loss penalizes (rho - 1)^2, driving the
 norms of the visual and audio embeddings toward a common scale without
 constraining the angle between them.  A hard variant pinning both mean norms
-to a fixed constant is provided as a baseline, plus the dot-product
-decomposition dot = |v| |a| cos(theta) that separates norms from angle.
+to a fixed constant is provided as a baseline.
 
 Each loss is implemented once, on the two streams stacked into one (2, N, D)
 array together with their (2, N) row norms (``rna_stacked`` and friends,
 which the trainer calls).  The pair-argument functions (``rna_loss(visual,
-audio)`` ...) validate, stack and call them, and return a LossResult carrying
-the scalar value and exact analytic gradients with respect to both feature
-batches; every gradient is verified against central finite differences in
-the test suite.
+audio)``, ``hna_loss``) validate, stack and call them, and return a
+LossResult carrying the scalar value and exact analytic gradients with
+respect to both feature batches; every gradient is verified against central
+finite differences in the test suite.  ``norm_stats`` reports the two mean
+norms, their difference and their ratio for a caller's own features.
 """
 
 import math
@@ -139,24 +139,6 @@ def rna_loss(visual, audio):
     return _pair_loss(rna_stacked, visual, audio)
 
 
-def rna_loss_uda(source_visual, source_audio, target_visual, target_audio):
-    """Domain-decomposed relative norm alignment for adaptation settings.
-
-    The total loss is the sum of an independent term per domain, each computed
-    exactly as ``rna_loss`` on that domain's own feature pair; gradients never
-    mix domains.  Returns (source LossResult, target LossResult).
-    """
-    try:
-        source_term = rna_loss(source_visual, source_audio)
-    except DegenerateInputError as exc:
-        raise DegenerateInputError(f"source domain: {exc}") from exc
-    try:
-        target_term = rna_loss(target_visual, target_audio)
-    except DegenerateInputError as exc:
-        raise DegenerateInputError(f"target domain: {exc}") from exc
-    return source_term, target_term
-
-
 def hna_loss(visual, audio, target_norm):
     """``hna_stacked`` on a visual and an audio batch, for finite R > 0."""
     r = float(target_norm)
@@ -164,27 +146,3 @@ def hna_loss(visual, audio, target_norm):
         raise ConfigurationError(
             f"target norm R must be positive and finite, got {r}")
     return _pair_loss(hna_stacked, visual, audio, r)
-
-
-DotDecomposition = namedtuple(
-    "DotDecomposition", ["dot", "norm_v", "norm_a", "cos_theta"])
-
-
-def dot_product_decomposition(v, a):
-    """Decompose a dot product into norms and angle: dot = |v| |a| cos(theta).
-
-    For a zero vector the angle is undefined and cos_theta is reported as NaN;
-    the dot product itself is always defined.
-    """
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    if v.shape != a.shape:
-        raise ConfigurationError(f"vector shapes differ: {v.shape} vs {a.shape}")
-    dot = float(np.dot(v, a))
-    norm_v = float(np.linalg.norm(v))
-    norm_a = float(np.linalg.norm(a))
-    if norm_v == 0.0 or norm_a == 0.0:
-        cos_theta = float("nan")
-    else:
-        cos_theta = dot / (norm_v * norm_a)
-    return DotDecomposition(dot, norm_v, norm_a, cos_theta)

@@ -1,6 +1,5 @@
-"""Dense float64 numerics: matrix validation, softmax cross-entropy, an
-SGD-with-momentum optimizer over flat parameter vectors, and a central
-finite-difference gradient oracle used by the test suites.
+"""Dense float64 numerics: matrix validation, softmax cross-entropy and an
+SGD-with-momentum optimizer over flat parameter vectors.
 
 Everything operates on plain numpy arrays (row-major, 64-bit floats).  There
 is no autodiff graph: the model's layers (``rnalign.model``) pair each
@@ -76,41 +75,3 @@ def sgd_step(params, grads, velocity, learning_rate, momentum=0.0,
     if weight_decay:
         velocity += weight_decay * params
     params -= learning_rate * velocity
-
-
-def finite_difference_grad(f, x, eps=1e-6):
-    """Central-difference gradient estimate of a scalar function.
-
-    Per coordinate i: (f(x + eps*e_i) - f(x - eps*e_i)) / (2 eps).
-    ``f`` must be a pure function of its argument.
-    """
-    if eps <= 0:
-        raise ConfigurationError("eps must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    for idx in np.ndindex(*x.shape):
-        xp = x.copy()
-        xp[idx] += eps
-        xm = x.copy()
-        xm[idx] -= eps
-        grad[idx] = (f(xp) - f(xm)) / (2.0 * eps)
-    return grad
-
-
-def relative_error(a, b):
-    """Max elementwise relative error |a - b| / max(1e-4, |a| + |b|).
-
-    The shared yardstick for every gradient-vs-finite-differences check.
-    The denominator floor makes the comparison absolute below 1e-4: central
-    differences at eps=1e-6 carry ~1e-10 of float64 roundoff noise, so
-    structurally-zero gradients (e.g. a bias feeding a mean-subtracting
-    normalizer) can only be checked against an absolute scale.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ConfigurationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    denom = np.maximum(1e-4, np.abs(a) + np.abs(b))
-    return float(np.max(np.abs(a - b) / denom))

@@ -23,16 +23,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracle import (dot_product_decomposition, finite_difference_grad,
+                    relative_error, rna_loss_uda)
 
 from rnalign.cli import main
 from rnalign.config import apply_method
 from rnalign.data import MultiModalBatch, load_feature_file, save_feature_file
-from rnalign.losses import (dot_product_decomposition, hna_loss, norm_stats,
-                            rna_loss, rna_loss_uda)
+from rnalign.losses import hna_loss, norm_stats, rna_loss
 from rnalign.model import (ModelConfig, init_model, load_checkpoint,
                            model_backward, model_forward, save_checkpoint)
-from rnalign.numerics import (finite_difference_grad, relative_error,
-                              softmax_cross_entropy)
+from rnalign.numerics import softmax_cross_entropy
 from rnalign.training import (ExperimentConfig, default_pairs, run_experiment,
                               run_experiment_matrix)
 

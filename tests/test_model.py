@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracle import finite_difference_grad, relative_error
 
 from rnalign.errors import ConfigurationError, ParseError
 from rnalign.losses import AUDIO, VISUAL
@@ -23,12 +24,7 @@ from rnalign.model import (
     save_checkpoint,
 )
 from rnalign.data import MultiModalBatch
-from rnalign.numerics import (
-    finite_difference_grad,
-    relative_error,
-    softmax,
-    softmax_cross_entropy,
-)
+from rnalign.numerics import softmax, softmax_cross_entropy
 from rnalign.training import snapshot_accuracies
 
 

@@ -1,17 +1,16 @@
-"""Unit tests for the dense numerics, the gradient oracle, and the
-single-layer primitives that the step oracle (``test_step_oracle.py``) builds
-its per-stream reference from."""
+"""Unit tests for the dense numerics, the gradient oracle (``oracle.py``),
+and the single-layer primitives that the step oracle
+(``test_step_oracle.py``) builds its per-stream reference from."""
 
 import numpy as np
 import pytest
+from oracle import finite_difference_grad, relative_error
 from test_step_oracle import (LinearLayerParams, linear_backward,
                               linear_forward, relu_backward, relu_forward)
 
 from rnalign.errors import ConfigurationError, NumericalError
 from rnalign.numerics import (
     as_matrix,
-    finite_difference_grad,
-    relative_error,
     sgd_step,
     softmax,
     softmax_cross_entropy,
