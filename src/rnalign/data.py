@@ -74,6 +74,14 @@ class MultiModalBatch:
                     i = int(np.argmin(whole))
                     raise ConfigurationError(
                         f"label {i} is not an integer: {labels[i].item()!r}")
+            if labels.dtype.kind in "uf":
+                # the int64 cast would wrap 2**63 to -2**63
+                wraps = (labels >= 2 ** 63) | (labels < -2 ** 63)
+                if wraps.any():
+                    i = int(np.argmax(wraps))
+                    raise ConfigurationError(
+                        f"label {i} does not fit in int64: "
+                        f"{labels[i].item()!r}")
             labels = labels.astype(np.int64, copy=False)
         self.labels = labels
 

@@ -230,7 +230,8 @@ def _domain_order(path):
 def _domain_files(data_dir):
     """[(domain id, train path, test path)] for ``<data_dir>/<id>_train.
     rnafeat`` / ``<id>_test.rnafeat`` pairs, ordered by the numbers in the
-    ids (D1, D2, ..., D10).  A split file without its twin is an error."""
+    ids (D1, D2, ..., D10).  A split file without its twin is an error, and
+    so is an id that is not ASCII, the alphabet of the results table."""
     from pathlib import Path
     root = Path(data_dir)
     train_files = sorted(root.glob("*_train.rnafeat"), key=_domain_order)
@@ -240,6 +241,9 @@ def _domain_files(data_dir):
     files = []
     for train_path in train_files:
         domain_id = train_path.name[:-len("_train.rnafeat")]
+        if not domain_id.isascii():
+            raise ConfigurationError(
+                f"domain id {domain_id!r} is not ASCII: {train_path}")
         test_path = root / f"{domain_id}_test.rnafeat"
         if not test_path.exists():
             raise ConfigurationError(f"missing test split file: {test_path}")

@@ -996,6 +996,43 @@ def test_matrix_pairs_name_data_dir_domains_by_their_ids(tmp_path, capsys):
     assert code == 2 and "D1" in err
 
 
+def test_a_non_ascii_domain_id_exits_2_before_training(tmp_path, capsys,
+                                                       monkeypatch):
+    # the results table is ASCII; the id is refused before any cell trains,
+    # not when the finished grid is written
+    trained = []
+    original = rnalign.training.run_experiment
+
+    def recording(config):
+        trained.append(config)
+        return original(config)
+
+    monkeypatch.setattr(rnalign.training, "run_experiment", recording)
+    spec = write_config(tmp_path, BENCHMARK_INI.replace(
+        "num_domains = 3", "num_domains = 2"), name="spec.ini")
+    data_dir = tmp_path / "data"
+    assert run_cli(capsys, ["generate", "--config", spec,
+                            "--out", str(data_dir), "--quiet"])[0] == 0
+    for split in ("train", "test"):
+        (data_dir / f"D1_{split}.rnafeat").rename(
+            data_dir / f"Kü1_{split}.rnafeat")
+    config = write_config(
+        tmp_path,
+        MATRIX_INI.replace("pairs = D1->D2, D2->D1\n", "")
+        .replace("methods = source-only, rna", "methods = rna")
+        .replace("seeds = 0, 1", "seeds = 0")
+        .replace("iterations = 40", f"iterations = 5\ndata_dir = {data_dir}"))
+    for command in ("train", "matrix"):
+        out_dir = tmp_path / command
+        code, _, err = run_cli(capsys, [command, "--config", config,
+                                        "--out", str(out_dir)])
+        assert code == 2
+        assert (f"domain id 'Kü1' is not ASCII: "
+                f"{data_dir / 'Kü1_train.rnafeat'}") in err
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+    assert trained == []
+
+
 def config_text(path):
     with open(path, encoding="ascii") as fh:
         return fh.read()

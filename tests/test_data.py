@@ -69,8 +69,16 @@ def test_batch_requires_paired_rows():
      "label 1 is not an integer: nan"),
     (np.zeros((2, 2)), np.zeros((2, 2)), [True, False],
      "label 0 is not an integer: True"),
+    (np.zeros((2, 2)), np.zeros((2, 2)), np.array([0, 2**63], np.uint64),
+     "label 1 does not fit in int64: 9223372036854775808"),
+    (np.zeros((1, 2)), np.zeros((1, 2)), [1e20],
+     "label 0 does not fit in int64: 1e+20"),
+    (np.zeros((2, 2)), np.zeros((2, 2)), [-2.0 ** 63, -1e20],
+     "label 1 does not fit in int64: -1e+20"),
 ], ids=["not-2d", "non-finite", "label-shape", "fractional-label",
-        "fractional-later-label", "nan-label", "bool-labels"])
+        "fractional-later-label", "nan-label", "bool-labels",
+        "uint64-label-above-int64", "float-label-above-int64",
+        "float-label-below-int64"])
 def test_batch_checks_name_what_is_wrong(visual, audio, labels, message):
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         MultiModalBatch(visual, audio, labels)
@@ -692,3 +700,39 @@ def test_only_read_bytes_and_write_bytes_open_files():
                         "open", "write_text", "write_bytes")):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_every_public_function_and_class_has_a_caller_outside_tests():
+    """Each public top-level function and class of the package is used by
+    another package module, by its own module outside its definition, by a
+    demo or by the benchmark's workloads, so nothing in ``src/`` is kept for
+    the tests alone.  ``__init__``'s re-exports do not count, and neither
+    does the tracer's table of names in ``benchmarks/tracing.py``."""
+    root = Path(__file__).parents[1]
+
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    def used(trees):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for tree in trees for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)}
+
+    modules = {path.name: parse(path) for path
+               in sorted(Path(rnalign.__file__).parent.glob("*.py"))
+               if path.name != "__init__.py"}
+    outside = used(parse(path) for path in (
+        *sorted((root / "demos").glob("*.py")),
+        root / "benchmarks" / "workloads.py", root / "benchmarks" / "run.py"))
+    unused = []
+    for name, tree in modules.items():
+        elsewhere = outside | used(other for other_name, other
+                                   in modules.items() if other_name != name)
+        for definition in tree.body:
+            if (isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                    and not definition.name.startswith("_")
+                    and definition.name not in elsewhere | used(
+                        stmt for stmt in tree.body if stmt is not definition)):
+                unused.append(f"{name}:{definition.name}")
+    assert unused == []
