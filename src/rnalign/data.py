@@ -28,7 +28,7 @@ and ``float`` would accept.
 import math
 import typing
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -129,10 +129,17 @@ def _int(value):
 _CASTS = {int: _int, float: float, bool: bool, str: str}
 
 
+def at_least(low, default=MISSING):
+    """A dataclass field whose value ``cast_fields`` checks is >= ``low``."""
+    return field(default=default, metadata={"at_least": low})
+
+
 def cast_fields(config):
     """Cast in place each field of a dataclass declared int, float, bool or
-    str (or Optional of one, when not None) to that type.  A value that does
-    not cast, or a float that is not finite, is a ConfigurationError."""
+    str (or Optional of one, when not None) to that type, and check the
+    bound of each ``at_least`` field.  A value that does not cast, a float
+    that is not finite or a value below its bound is a ConfigurationError
+    naming the field."""
     for f in fields(config):
         kind, value = f.type, getattr(config, f.name)
         if typing.get_origin(kind) is typing.Union:  # Optional[kind]
@@ -147,41 +154,30 @@ def cast_fields(config):
             raise ConfigurationError(f"{f.name}: {exc}") from exc
         if kind is float and not math.isfinite(value):
             raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        low = f.metadata.get("at_least")
+        if low is not None and value < low:
+            raise ConfigurationError(
+                f"{f.name} must be >= {low}, got {value}")
         object.__setattr__(config, f.name, value)
 
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
     """Knobs of the synthetic generator, cast and checked on construction."""
-    num_domains: int = 3
-    num_classes: int = 8
-    input_dim_visual: int = 24
-    input_dim_audio: int = 24
-    samples_per_class: int = 200
-    transform_strength: float = 0.8
-    noise_sigma: float = 0.5
+    num_domains: int = at_least(2, 3)
+    num_classes: int = at_least(2, 8)
+    input_dim_visual: int = at_least(2, 24)
+    input_dim_audio: int = at_least(2, 24)
+    samples_per_class: int = at_least(4, 200)
+    transform_strength: float = at_least(0, 0.8)
+    noise_sigma: float = at_least(0, 0.5)
     audio_norm_scale: float = 10.0
-    seed: int = _DEFAULT_BENCHMARK_SEED
+    seed: int = at_least(0, _DEFAULT_BENCHMARK_SEED)
 
     def __post_init__(self):
         cast_fields(self)
-        if self.num_domains < 2:
-            raise ConfigurationError(
-                "need at least 2 domains (one source, one target)")
-        if self.num_classes < 2:
-            raise ConfigurationError("need at least 2 classes")
-        if self.input_dim_visual < 2 or self.input_dim_audio < 2:
-            raise ConfigurationError("input dims must be >= 2")
-        if self.samples_per_class < 4:
-            raise ConfigurationError("samples_per_class must be >= 4")
-        if self.transform_strength < 0:
-            raise ConfigurationError("transform_strength must be >= 0")
-        if self.noise_sigma < 0:
-            raise ConfigurationError("noise_sigma must be >= 0")
         if self.audio_norm_scale <= 0:
             raise ConfigurationError("audio_norm_scale must be positive")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 class DomainData:

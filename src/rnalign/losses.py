@@ -7,13 +7,15 @@ constraining the angle between them.  A hard variant pinning both mean norms
 to a fixed constant is provided as a baseline.
 
 Each loss is implemented once, on the two streams stacked into one (2, N, D)
-array together with their (2, N) row norms (``rna_stacked`` and friends,
-which the trainer calls).  The pair-argument functions (``rna_loss(visual,
-audio)``, ``hna_loss``) validate, stack and call them, and return a
-LossResult carrying the scalar value and exact analytic gradients with
-respect to both feature batches; every gradient is verified against central
-finite differences in the test suite.  ``norm_stats`` reports the two mean
-norms, their difference and their ratio for a caller's own features.
+array together with their (2, N) row norms (``rna_stacked`` and
+``hna_stacked``, which the trainer calls).  The pair-argument functions
+(``rna_loss(visual, audio)``, ``hna_loss``) stack a visual and an audio
+batch, call them, and return a LossResult carrying the scalar value and the
+exact analytic gradients with respect to both batches.  ``norm_stats``
+reports the two mean norms, their difference and their ratio for a caller's
+own features.  All three take the batches a ``MultiModalBatch`` takes (2-D,
+finite, the same number of rows), with at least one row; any other input is
+a ConfigurationError.
 """
 
 import math
@@ -21,8 +23,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from .data import MultiModalBatch
 from .errors import ConfigurationError, DegenerateInputError
-from .numerics import as_matrix
 
 VISUAL = "visual"
 AUDIO = "audio"
@@ -53,16 +55,12 @@ def _unit_rows(features, norms):
 
 
 def _paired(visual, audio):
-    """Both (N, D) batches as validated arrays with the same N >= 1."""
-    fv = as_matrix(visual)
-    fa = as_matrix(audio)
-    if fv.shape[0] != fa.shape[0]:
-        raise ConfigurationError(
-            f"modalities must be paired: {fv.shape[0]} visual rows vs "
-            f"{fa.shape[0]} audio rows")
-    if fv.shape[0] == 0:
+    """Both (N, D) batches as the arrays of a ``MultiModalBatch`` (2-D,
+    finite, paired), with N >= 1."""
+    batch = MultiModalBatch(visual, audio)
+    if batch.n == 0:
         raise ConfigurationError("a feature batch needs at least one row")
-    return fv, fa
+    return batch.visual, batch.audio
 
 
 def _pair_loss(stacked_loss, visual, audio, *args):

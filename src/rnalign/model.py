@@ -34,11 +34,11 @@ Checkpoint format (little-endian throughout):
 import math
 import struct
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import cast_fields, read_bytes, write_bytes
+from .data import at_least, cast_fields, read_bytes, write_bytes
 from .errors import ConfigurationError, ParseError
 from .losses import AUDIO, VISUAL
 
@@ -52,22 +52,16 @@ MID = "mid"
 class ModelConfig:
     """Dimensions and structural switches of a two-stream model, cast and
     checked on construction."""
-    input_dim_visual: int
-    input_dim_audio: int
-    hidden_dim: int = 128
-    feature_dim: int = 64
-    num_classes: int = 8
+    input_dim_visual: int = at_least(1)
+    input_dim_audio: int = at_least(1)
+    hidden_dim: int = at_least(1, 128)
+    feature_dim: int = at_least(1, 64)
+    num_classes: int = at_least(2, 8)
     fusion_mode: str = LATE
     batchnorm: bool = False
 
     def __post_init__(self):
         cast_fields(self)
-        for name in ("input_dim_visual", "input_dim_audio", "hidden_dim",
-                     "feature_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-        if self.num_classes < 2:
-            raise ConfigurationError("num_classes must be >= 2")
         if self.fusion_mode not in (LATE, MID):
             raise ConfigurationError(
                 f"unknown fusion mode: {self.fusion_mode!r}")
@@ -451,11 +445,13 @@ def save_checkpoint(model, path):
     write_bytes(path, b"".join(chunks))
 
 
-# name, least and greatest valid value of each u32 header field
-_HEADER_FIELDS = (("input_dim_visual", 1, None), ("input_dim_audio", 1, None),
-                  ("hidden_dim", 1, None), ("feature_dim", 1, None),
-                  ("num_classes", 2, None), ("fusion flag", 0, 1),
-                  ("batchnorm flag", 0, 1))
+# name, least and greatest valid value of each u32 header field: the five
+# dimensions are ModelConfig's bounded fields, in header order, with their
+# bounds; the two flags are 0 or 1
+_HEADER_FIELDS = tuple(
+    (f.name, f.metadata["at_least"], None) for f in fields(ModelConfig)
+    if "at_least" in f.metadata) + (("fusion flag", 0, 1),
+                                    ("batchnorm flag", 0, 1))
 
 
 def load_checkpoint(path):

@@ -1,26 +1,13 @@
-"""Dense float64 numerics: matrix validation, softmax cross-entropy and an
+"""Dense float64 numerics: softmax, softmax cross-entropy and an
 SGD-with-momentum optimizer over flat parameter vectors.
 
-Everything operates on plain numpy arrays (row-major, 64-bit floats).  There
-is no autodiff graph: the model's layers (``rnalign.model``) pair each
-forward with a hand-derived backward.  All computations are deterministic
-for fixed inputs.
+Each operates on plain numpy arrays (row-major, 64-bit floats) and is
+deterministic for fixed inputs.
 """
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-
-
-def as_matrix(values):
-    """Coerce ``values`` (anything numpy can turn into a 2-D array) to a 2-D
-    float64 array, validating its rank and finiteness."""
-    a = np.asarray(values, dtype=np.float64)
-    if a.ndim != 2:
-        raise ConfigurationError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise NumericalError("matrix contains non-finite entries")
-    return a
 
 
 def softmax(logits):

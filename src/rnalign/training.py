@@ -35,9 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .data import (SETTINGS, BenchmarkSpec, DomainData, cast_fields,
-                   generate_benchmark, generated_domain_ids, load_feature_file,
-                   read_text, split_domains, write_bytes)
+from .data import (SETTINGS, BenchmarkSpec, DomainData, at_least,
+                   cast_fields, generate_benchmark, generated_domain_ids,
+                   load_feature_file, read_text, split_domains, write_bytes)
 from .errors import (ConfigurationError, DegenerateInputError,
                      NumericalError, ParseError)
 from .losses import hna_stacked, mean_norms, rna_stacked, row_norms
@@ -174,19 +174,19 @@ class ExperimentConfig:
     data_dir: Optional[str] = None
     setting: str = "dg-single"
     aux_loss: str = "rna"
-    lambda_weight: float = 1.0
+    lambda_weight: float = at_least(0, 1.0)
     fusion_mode: str = "late"
-    hidden_dim: int = 128
-    feature_dim: int = 64
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.03
-    iterations: int = 2000
-    batch_size: int = 32
-    checkpoint_average: int = 9
-    source_index: Optional[int] = 0
-    target_index: int = 1
-    seed: int = 0
+    hidden_dim: int = at_least(1, 128)
+    feature_dim: int = at_least(1, 64)
+    learning_rate: float = at_least(0, 0.01)
+    momentum: float = at_least(0, 0.9)
+    weight_decay: float = at_least(0, 0.03)
+    iterations: int = at_least(0, 2000)
+    batch_size: int = at_least(1, 32)
+    checkpoint_average: int = at_least(1, 9)
+    source_index: Optional[int] = at_least(0, 0)
+    target_index: int = at_least(0, 1)
+    seed: int = at_least(0, 0)
 
     def __post_init__(self):
         cast_fields(self)
@@ -194,27 +194,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown setting: {self.setting!r}")
         if self.aux_loss not in AUX_LOSSES:
             raise ConfigurationError(f"unknown aux loss: {self.aux_loss!r}")
-        if self.lambda_weight < 0:
-            raise ConfigurationError("lambda_weight must be >= 0")
         if self.fusion_mode not in ("late", "mid"):
             raise ConfigurationError(f"unknown fusion mode: {self.fusion_mode!r}")
-        if self.iterations < 0:
-            raise ConfigurationError("iterations must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.checkpoint_average < 1:
-            raise ConfigurationError("checkpoint_average must be >= 1")
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ConfigurationError("learning_rate and weight_decay must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
+        if self.momentum >= 1.0:
             raise ConfigurationError("momentum must be in [0, 1)")
-        for name in ("hidden_dim", "feature_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
-        for name in ("source_index", "target_index", "seed"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {value}")
         if self.setting in ("dg-single", "uda") and self.source_index is None:
             raise ConfigurationError(
                 f"setting {self.setting} needs a source_index")

@@ -10,24 +10,10 @@ from test_step_oracle import (LinearLayerParams, linear_backward,
 
 from rnalign.errors import ConfigurationError, NumericalError
 from rnalign.numerics import (
-    as_matrix,
     sgd_step,
     softmax,
     softmax_cross_entropy,
 )
-
-
-# ---------------------------------------------------------------------------
-# as_matrix
-
-
-def test_as_matrix_validates_shape_and_finiteness():
-    m = as_matrix([[1, 2], [3, 4]])
-    assert m.dtype == np.float64
-    with pytest.raises(ConfigurationError):
-        as_matrix([1.0, 2.0])
-    with pytest.raises(NumericalError):
-        as_matrix([[np.nan, 0.0]])
 
 
 # ---------------------------------------------------------------------------

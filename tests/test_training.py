@@ -106,13 +106,12 @@ def test_config_fields_cannot_be_assigned(name):
 
 
 @pytest.mark.parametrize("name, key, value, message", [
-    ("BenchmarkSpec", "num_domains", 1,
-     "need at least 2 domains (one source, one target)"),
+    ("BenchmarkSpec", "num_domains", 1, "num_domains must be >= 2, got 1"),
     ("BenchmarkSpec", "noise_sigma", float("nan"),
      "noise_sigma must be finite, got nan"),
     ("BenchmarkSpec", "seed", -1, "seed must be >= 0, got -1"),
-    ("ModelConfig", "hidden_dim", 0, "hidden_dim must be >= 1"),
-    ("ModelConfig", "num_classes", 1, "num_classes must be >= 2"),
+    ("ModelConfig", "hidden_dim", 0, "hidden_dim must be >= 1, got 0"),
+    ("ModelConfig", "num_classes", 1, "num_classes must be >= 2, got 1"),
     ("ModelConfig", "fusion_mode", "early", "unknown fusion mode: 'early'"),
     ("ExperimentConfig", "setting", "dg-quadruple",
      "unknown setting: 'dg-quadruple'"),
@@ -137,25 +136,29 @@ def test_config_fields_cannot_be_assigned(name):
      "num_domains: expected an integer, got 3.7"),
     ("ModelConfig", "input_dim_visual", 4.9,
      "input_dim_visual: expected an integer, got 4.9"),
-    ("BenchmarkSpec", "num_classes", 1, "need at least 2 classes"),
-    ("BenchmarkSpec", "input_dim_visual", 1, "input dims must be >= 2"),
-    ("BenchmarkSpec", "input_dim_audio", 1, "input dims must be >= 2"),
+    ("BenchmarkSpec", "num_classes", 1, "num_classes must be >= 2, got 1"),
+    ("BenchmarkSpec", "input_dim_visual", 1,
+     "input_dim_visual must be >= 2, got 1"),
+    ("BenchmarkSpec", "input_dim_audio", 1,
+     "input_dim_audio must be >= 2, got 1"),
     ("BenchmarkSpec", "samples_per_class", 3,
-     "samples_per_class must be >= 4"),
+     "samples_per_class must be >= 4, got 3"),
     ("BenchmarkSpec", "transform_strength", -0.1,
-     "transform_strength must be >= 0"),
-    ("BenchmarkSpec", "noise_sigma", -0.1, "noise_sigma must be >= 0"),
+     "transform_strength must be >= 0, got -0.1"),
+    ("BenchmarkSpec", "noise_sigma", -0.1,
+     "noise_sigma must be >= 0, got -0.1"),
     ("BenchmarkSpec", "audio_norm_scale", 0.0,
      "audio_norm_scale must be positive"),
     ("ExperimentConfig", "fusion_mode", "early",
      "unknown fusion mode: 'early'"),
-    ("ExperimentConfig", "batch_size", 0, "batch_size must be >= 1"),
+    ("ExperimentConfig", "batch_size", 0, "batch_size must be >= 1, got 0"),
     ("ExperimentConfig", "learning_rate", -0.1,
-     "learning_rate and weight_decay must be >= 0"),
+     "learning_rate must be >= 0, got -0.1"),
     ("ExperimentConfig", "weight_decay", -0.1,
-     "learning_rate and weight_decay must be >= 0"),
-    ("ExperimentConfig", "hidden_dim", 0, "hidden_dim must be >= 1"),
-    ("ExperimentConfig", "feature_dim", -3, "feature_dim must be >= 1"),
+     "weight_decay must be >= 0, got -0.1"),
+    ("ExperimentConfig", "hidden_dim", 0, "hidden_dim must be >= 1, got 0"),
+    ("ExperimentConfig", "feature_dim", -3,
+     "feature_dim must be >= 1, got -3"),
     ("ExperimentConfig", "source_index", -1,
      "source_index must be >= 0, got -1"),
     ("ExperimentConfig", "target_index", -1,
