@@ -137,9 +137,9 @@ def at_least(low, default=MISSING):
 def cast_fields(config):
     """Cast in place each field of a dataclass declared int, float, bool or
     str (or Optional of one, when not None) to that type, and check the
-    bound of each ``at_least`` field.  A value that does not cast, a float
-    that is not finite or a value below its bound is a ConfigurationError
-    naming the field."""
+    bound of each ``at_least`` field.  A value that does not cast (a bool
+    for a number included), a float that is not finite or a value below its
+    bound is a ConfigurationError naming the field."""
     for f in fields(config):
         kind, value = f.type, getattr(config, f.name)
         if typing.get_origin(kind) is typing.Union:  # Optional[kind]
@@ -148,6 +148,9 @@ def cast_fields(config):
             kind = typing.get_args(kind)[0]
         if kind not in _CASTS:
             continue
+        if kind in (int, float) and isinstance(value, (bool, np.bool_)):
+            raise ConfigurationError(
+                f"{f.name}: expected a number, got {value!r}")
         try:
             value = _CASTS[kind](value)
         except (TypeError, ValueError, OverflowError) as exc:

@@ -189,6 +189,9 @@ class ExperimentConfig:
     seed: int = at_least(0, 0)
 
     def __post_init__(self):
+        if not isinstance(self.benchmark, BenchmarkSpec):
+            raise ConfigurationError(
+                f"benchmark: expected a BenchmarkSpec, got {self.benchmark!r}")
         cast_fields(self)
         if self.setting not in SETTINGS:
             raise ConfigurationError(f"unknown setting: {self.setting!r}")

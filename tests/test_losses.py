@@ -95,6 +95,19 @@ def test_pair_functions_reject_zero_row_batches(name):
         PAIR_FUNCTIONS[name](empty, empty)
 
 
+@pytest.mark.parametrize("name", ["hna_loss", "norm_stats", "rna_loss"])
+@pytest.mark.parametrize("bad, message", [
+    (np.ones(2), "batch inputs must be 2-D"),
+    (np.array([[np.nan, 1.0]]), "batch contains non-finite inputs"),
+], ids=["1-d", "nan"])
+def test_pair_functions_reject_bad_arrays(name, bad, message):
+    # the checks of a MultiModalBatch, on either side; a caller's mistake
+    good = np.ones((1, 2))
+    for visual, audio in ((bad, good), (good, bad)):
+        with pytest.raises(ConfigurationError, match=message):
+            PAIR_FUNCTIONS[name](visual, audio)
+
+
 # ---------------------------------------------------------------------------
 # rna loss
 

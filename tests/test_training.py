@@ -5,6 +5,7 @@ import dataclasses
 import pathlib
 import re
 import string
+import typing
 
 import numpy as np
 import pytest
@@ -163,6 +164,22 @@ def test_config_fields_cannot_be_assigned(name):
      "source_index must be >= 0, got -1"),
     ("ExperimentConfig", "target_index", -1,
      "target_index must be >= 0, got -1"),
+    # a run needs a BenchmarkSpec, and a bool is not a number
+    ("ExperimentConfig", "benchmark", None,
+     "benchmark: expected a BenchmarkSpec, got None"),
+    ("ExperimentConfig", "benchmark", {"num_domains": 3},
+     "benchmark: expected a BenchmarkSpec, got {'num_domains': 3}"),
+    ("ExperimentConfig", "seed", True, "seed: expected a number, got True"),
+    ("ExperimentConfig", "source_index", True,
+     "source_index: expected a number, got True"),
+    ("ExperimentConfig", "target_index", False,
+     "target_index: expected a number, got False"),
+    ("ExperimentConfig", "lambda_weight", True,
+     "lambda_weight: expected a number, got True"),
+    ("ModelConfig", "hidden_dim", True,
+     "hidden_dim: expected a number, got True"),
+    ("BenchmarkSpec", "noise_sigma", False,
+     "noise_sigma: expected a number, got False"),
 ])
 def test_invalid_config_cannot_be_built_or_replaced(name, key, value,
                                                     message):
@@ -174,6 +191,15 @@ def test_invalid_config_cannot_be_built_or_replaced(name, key, value,
     with pytest.raises(ConfigurationError) as replaced:
         dataclasses.replace(valid, **{key: value})
     assert str(built.value) == str(replaced.value) == message
+
+
+def test_every_number_field_declares_a_lower_bound():
+    # audio_norm_scale's rule is strict (> 0), so __post_init__ keeps it
+    unbounded = [f"{name}.{f.name}" for name, make in CONFIG_TYPES.items()
+                 for f in dataclasses.fields(make())
+                 if {f.type, *typing.get_args(f.type)} & {int, float}
+                 and "at_least" not in f.metadata]
+    assert unbounded == ["BenchmarkSpec.audio_norm_scale"]
 
 
 def test_spec_and_model_config_cast_their_numbers():
