@@ -15,7 +15,7 @@ silently falling back to defaults.
 import configparser
 from dataclasses import fields, replace
 
-from .data import BenchmarkSpec, read_text
+from .data import BenchmarkSpec, check_pair, read_text
 from .errors import ConfigurationError, ParseError
 from .training import ExperimentConfig, no_repeats
 
@@ -114,11 +114,11 @@ def _parse_pair(token, setting, ids, path):
         raise ParseError(
             f"{path}: pair {token!r} must look like 'D1->D2' for {setting}")
     left, right = token.split("->", 1)
-    pair = (domain_index(left), domain_index(right))
-    if pair[0] == pair[1]:
-        raise ParseError(f"{path}: [matrix] pairs: {token!r} has the same "
-                         f"source and target domain ({setting})")
-    return pair
+    try:
+        return check_pair(setting, (domain_index(left), domain_index(right)),
+                          len(ids))
+    except ConfigurationError as exc:
+        raise ParseError(f"{path}: [matrix] pairs: {token!r}: {exc}") from exc
 
 
 def parse_matrix_options(parser, setting, ids, path="<config>"):

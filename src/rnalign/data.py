@@ -10,9 +10,10 @@ are multiplied by a norm-imbalance factor ``audio_norm_scale`` — this changes
 magnitudes only, never angles, and is what gives the norm-alignment losses a
 measurable job.
 
-``split_domains`` is the split rule of every setting: training sees labeled
-source train splits only, uda adds the target's train split without its
-labels, and every run is tested on the target's held-out test split.
+``check_pair`` is the pair rule of every setting (which domains a run names)
+and ``split_domains`` the split rule: training sees labeled source train
+splits only, uda adds the target's train split without its labels, and
+every run is tested on the target's held-out test split.
 
 Feature file format (RNAFEAT v1): a header line
 
@@ -264,6 +265,33 @@ def generate_benchmark(spec):
     return domains
 
 
+def check_pair(setting, pair, num_domains):
+    """``pair`` unchanged if it names the domains of a run of ``setting``:
+    distinct integer indices (not bools) in ``range(num_domains)``, as a tuple
+    (source, target) for dg-single and uda and (target,) for dg-multi.  The
+    one statement of that rule; anything else is a ConfigurationError."""
+    if setting not in SETTINGS:
+        raise ConfigurationError(f"unknown setting: {setting!r}")
+    if num_domains < 2:
+        raise ConfigurationError("need at least 2 domains")
+    if not (isinstance(pair, tuple) and all(
+            isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+            for i in pair)):
+        raise ConfigurationError(
+            f"domain pair {pair!r} must be a tuple of integer indices")
+    arity = 1 if setting == "dg-multi" else 2
+    if len(pair) != arity:
+        raise ConfigurationError(f"domain pair {pair!r} does not fit "
+                                 f"{setting}, which takes {arity} indices")
+    for i in pair:
+        if not 0 <= i < num_domains:
+            raise ConfigurationError(
+                f"domain index {i} out of range for {num_domains} domains")
+    if len(set(pair)) != arity:
+        raise ConfigurationError("source and target domains must differ")
+    return pair
+
+
 def split_domains(domains, setting, source_index, target_index):
     """(labeled source pool, target train batch with its labels removed or
     None, labeled target test batch) for a run of ``setting``.
@@ -273,16 +301,9 @@ def split_domains(domains, setting, source_index, target_index):
     target's train split, and never its labels; every setting is tested on
     the target's held-out test split.
     """
-    if setting not in SETTINGS:
-        raise ConfigurationError(f"unknown setting: {setting!r}")
-    if len(domains) < 2:
-        raise ConfigurationError("need at least 2 domains")
     single = setting != "dg-multi"
-    if single and source_index == target_index:
-        raise ConfigurationError("source and target domains must differ")
-    for idx in (source_index, target_index) if single else (target_index,):
-        if not 0 <= idx < len(domains):
-            raise ConfigurationError(f"domain index {idx} out of range")
+    check_pair(setting, (source_index, target_index) if single
+               else (target_index,), len(domains))
     target = domains[target_index]
     if single:
         pool = domains[source_index].train

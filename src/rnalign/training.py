@@ -27,6 +27,7 @@ import copy
 import csv
 import functools
 import io
+import itertools
 import math
 import re
 from collections import deque, namedtuple
@@ -35,13 +36,13 @@ from typing import Optional
 
 import numpy as np
 
-from .data import (SETTINGS, BenchmarkSpec, DomainData, at_least,
-                   cast_fields, generate_benchmark, generated_domain_ids,
+from .data import (SETTINGS, BenchmarkSpec, DomainData, at_least, cast_fields,
+                   check_pair, generate_benchmark, generated_domain_ids,
                    load_feature_file, read_text, split_domains, write_bytes)
 from .errors import (ConfigurationError, DegenerateInputError,
                      NumericalError, ParseError)
 from .losses import hna_stacked, mean_norms, rna_stacked, row_norms
-from .model import (EVAL_MODES, ModelConfig, encode_pair,
+from .model import (EVAL_MODES, LATE, MID, ModelConfig, encode_pair,
                     encode_pair_backward, eval_logits, init_model,
                     model_backward, model_forward)
 from .numerics import sgd_step, softmax, softmax_cross_entropy
@@ -197,7 +198,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown setting: {self.setting!r}")
         if self.aux_loss not in AUX_LOSSES:
             raise ConfigurationError(f"unknown aux loss: {self.aux_loss!r}")
-        if self.fusion_mode not in ("late", "mid"):
+        if self.fusion_mode not in (LATE, MID):
             raise ConfigurationError(f"unknown fusion mode: {self.fusion_mode!r}")
         if self.momentum >= 1.0:
             raise ConfigurationError("momentum must be in [0, 1)")
@@ -466,40 +467,18 @@ def headline_accuracy(telemetry):
 def default_pairs(setting, num_domains):
     """Every evaluation cell for a setting: all ordered (source, target)
     pairs for dg-single/uda, one cell per held-out target for dg-multi."""
-    if num_domains < 2:
-        raise ConfigurationError("need at least 2 domains")
-    if setting in ("dg-single", "uda"):
-        return [(s, t) for s in range(num_domains)
-                for t in range(num_domains) if s != t]
-    if setting == "dg-multi":
-        return [(t,) for t in range(num_domains)]
-    raise ConfigurationError(f"unknown setting: {setting!r}")
-
-
-def _is_index(value):
-    """An int or numpy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    arity = 1 if setting == "dg-multi" else 2
+    check_pair(setting, tuple(range(arity)), num_domains)
+    grid = itertools.product(range(num_domains), repeat=arity)
+    return [pair for pair in grid if len(set(pair)) == arity]
 
 
 def pair_label(setting, pair, ids):
     """Cell label from the domain ids: "D1->D2" for a (source, target)
     tuple of dg-single or uda, "D1,D2->D3" for a (target,) of dg-multi."""
-    arity = 1 if setting == "dg-multi" else 2
-    if not (isinstance(pair, tuple) and all(map(_is_index, pair))):
-        raise ConfigurationError(
-            f"domain pair {pair!r} must be a tuple of integer indices")
-    if len(pair) != arity:
-        raise ConfigurationError(f"domain pair {pair!r} does not fit "
-                                 f"{setting}, which takes {arity} indices")
-    if not all(0 <= i < len(ids) for i in pair):
-        raise ConfigurationError(
-            f"domain pair {pair} out of range for {len(ids)} domains")
-    if arity == 2:
-        s, t = pair
-        return f"{ids[s]}->{ids[t]}"
-    (t,) = pair
-    sources = ",".join(ids[k] for k in range(len(ids)) if k != t)
-    return f"{sources}->{ids[t]}"
+    *source, t = check_pair(setting, pair, len(ids))
+    sources = source or [k for k in range(len(ids)) if k != t]
+    return f"{','.join(ids[k] for k in sources)}->{ids[t]}"
 
 
 MatrixCell = namedtuple("MatrixCell", "label accuracies mean")
@@ -528,7 +507,7 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     """Train one configuration over a grid of domain pairs and seeds.
 
     ``pairs`` are (source, target) tuples for dg-single and uda and
-    (target,) tuples for dg-multi; any other pair is a ConfigurationError.
+    (target,) tuples for dg-multi; a bad pair or seed fails before any run.
     Returns a MatrixResult with one cell per pair: the per-seed accuracies
     and their mean.  A run that aborts numerically is recorded as NaN for
     that seed and noted in ``failures``; the matrix continues.
@@ -540,19 +519,19 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     if not pairs or not seeds:
         raise ConfigurationError(
             "an experiment matrix needs at least one domain pair and one seed")
-    cells = []
-    failures = []
-    for pair in pairs:
-        label = pair_label(base_config.setting, pair, ids)
+    grid = [(pair_label(base_config.setting, pair, ids),
+             [replace(base_config, target_index=pair[-1], seed=seed,
+                      source_index=pair[0] if len(pair) == 2 else None)
+              for seed in seeds]) for pair in pairs]
+    cells, failures = [], []
+    for label, configs in grid:
         accuracies = []
-        for seed in seeds:
-            config = replace(base_config, target_index=pair[-1], seed=seed,
-                             source_index=pair[0] if len(pair) == 2 else None)
+        for config in configs:
             try:
                 _, telemetry = run_experiment(config)
                 accuracies.append(headline_accuracy(telemetry))
             except NumericalError as exc:
-                failures.append((label, seed, str(exc)))
+                failures.append((label, config.seed, str(exc)))
                 accuracies.append(float("nan"))
         cells.append(MatrixCell(label, accuracies,
                                 float(np.mean(accuracies))))
