@@ -24,8 +24,9 @@ from . import __version__
 from .config import (METHODS, apply_method, load_config_file,
                      parse_benchmark_spec, parse_experiment_config,
                      parse_matrix_options)
-from .data import (generate_benchmark, generated_domain_ids, load_feature_file,
-                   read_bytes, save_feature_file, write_bytes)
+from .data import (check_pair, generate_benchmark, generated_domain_ids,
+                   load_feature_file, read_bytes, save_feature_file,
+                   write_bytes)
 from .errors import ConfigurationError, NumericalError, ParseError
 from .losses import norm_stats
 from .model import save_checkpoint
@@ -107,6 +108,15 @@ def cmd_train(args):
     config = parse_experiment_config(parser, args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    # checked here, not when a config is built: a [matrix] base config's
+    # indices are overridden by its pairs
+    num_domains = len(domain_ids(config))
+    pair = (config.source_index, config.target_index)
+    try:
+        check_pair(config.setting, pair[1:] if config.setting == "dg-multi"
+                   else pair, num_domains)
+    except ConfigurationError as exc:
+        raise ParseError(f"{args.config}: invalid [experiment]: {exc}") from exc
     out_dir = _ensure_outdir(args.out)
     _progress(args, f"training: setting={config.setting} "
                     f"aux={config.aux_loss} seed={config.seed}")

@@ -694,6 +694,29 @@ def test_train_rejects_an_unusable_experiment_before_any_output(
     assert started == []
 
 
+@pytest.mark.parametrize("setting, indices, message", [
+    ("dg-single", "source = 1\ntarget = 1",
+     "source and target domains must differ"),
+    ("uda", "source = 0\ntarget = 7",
+     "domain index 7 out of range for 3 domains"),
+    ("dg-multi", "target = 3", "domain index 3 out of range for 3 domains"),
+], ids=["same-domain", "target-out-of-range", "dg-multi-out-of-range"])
+def test_train_refuses_its_domains_before_creating_out(
+        tmp_path, capsys, monkeypatch, setting, indices, message):
+    started = record_training(monkeypatch)
+    config = write_config(tmp_path, TRAIN_INI.replace(
+        "setting = dg-single", f"setting = {setting}").replace(
+        "source = 0\ntarget = 1", indices))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, ["train", "--config", config,
+                                      "--out", str(out_dir)])
+    assert code == 2
+    assert f"{config}: invalid [experiment]: {message}" in err
+    assert "training:" not in out + err
+    assert not out_dir.exists()
+    assert started == []
+
+
 # ---------------------------------------------------------------------------
 # norms
 

@@ -306,6 +306,30 @@ def test_split_rejects_bad_target_index():
         split_domains(domains, "dg-multi", None, 5)
 
 
+@pytest.mark.parametrize("setting, source, target, pair", [
+    ("dg-single", None, 1, "(None, 1)"),
+    ("uda", 0, 2.0, "(0, 2.0)"),
+    ("dg-single", True, 0, "(True, 0)"),
+    ("dg-multi", None, 1.0, "(1.0,)"),
+])
+def test_split_refuses_an_index_that_is_not_an_integer_naming_the_pair(
+        setting, source, target, pair):
+    domains = generate_benchmark(small_spec())
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"domain pair {pair} must be a tuple "
+                                       f"of integer indices")):
+        split_domains(domains, setting, source, target)
+
+
+def test_split_accepts_numpy_integer_indices():
+    domains = generate_benchmark(small_spec())
+    source, target_train, target_test = split_domains(
+        domains, "uda", np.int64(0), np.int64(2))
+    assert batches_equal(source, domains[0].train)
+    assert rows(target_train) == rows(domains[2].train)
+    assert batches_equal(target_test, domains[2].test)
+
+
 @pytest.mark.parametrize("setting", ["dg-single", "dg-multi", "uda"])
 def test_split_domains_keeps_target_labels_out_of_training(setting):
     domains = generate_benchmark(small_spec())

@@ -2,6 +2,7 @@
 experiment matrix."""
 
 import dataclasses
+import itertools
 import pathlib
 import re
 import string
@@ -17,7 +18,7 @@ import rnalign.training
 
 from rnalign.config import METHODS, apply_method
 from rnalign.data import (BenchmarkSpec, MultiModalBatch, generate_benchmark,
-                          load_feature_file, save_feature_file)
+                          load_feature_file, save_feature_file, split_domains)
 from rnalign.errors import (ConfigurationError, DegenerateInputError,
                             NumericalError, ParseError)
 from rnalign.model import (EVAL_MODES, ModelConfig, encode_pair,
@@ -651,6 +652,55 @@ def test_pair_labels():
     for bad in ((0, 3), (-1, 0), (3,)):
         with pytest.raises(ConfigurationError):
             pair_label("uda" if len(bad) == 2 else "dg-multi", bad, ids)
+
+
+@pytest.mark.parametrize("num_domains", [2, 3, 4])
+def test_every_pair_reader_accepts_exactly_the_default_pairs(num_domains):
+    ids = [f"D{i + 1}" for i in range(num_domains)]
+    domains = generate_benchmark(small_benchmark(num_domains=num_domains))
+    indices = range(-1, num_domains + 1)
+    for setting in ("dg-single", "dg-multi", "uda"):
+        accepted = default_pairs(setting, num_domains)
+        for pair in (p for k in (1, 2, 3)
+                     for p in itertools.product(indices, repeat=k)):
+            try:
+                pair_label(setting, pair, ids)
+                labelled = True
+            except ConfigurationError:
+                labelled = False
+            assert labelled == (pair in accepted), (setting, pair)
+            if len(pair) == len(accepted[0]):
+                try:
+                    split_domains(domains, setting, *(
+                        pair if len(pair) == 2 else (None, *pair)))
+                    split = True
+                except ConfigurationError:
+                    split = False
+                assert split == labelled, (setting, pair)
+
+
+@pytest.mark.parametrize("grid, message", [
+    (dict(pairs=[(0, 1), (1, 1)], seeds=[0]),
+     "source and target domains must differ"),
+    (dict(pairs=[(0, 1), (0, 7)], seeds=[0]),
+     "domain index 7 out of range for 3 domains"),
+    (dict(pairs=[(0, 1)], seeds=[0, -1]), "seed must be >= 0, got -1"),
+    (dict(pairs=[(0, 1)], seeds=[0, 1.5]),
+     "seed: expected an integer, got 1.5"),
+], ids=["same-domain", "out-of-range", "negative-seed", "fractional-seed"])
+def test_matrix_checks_every_cell_before_the_first_run(monkeypatch, grid,
+                                                        message):
+    trained = []
+    original = rnalign.training.run_experiment
+
+    def recording(config):
+        trained.append(config)
+        return original(config)
+
+    monkeypatch.setattr(rnalign.training, "run_experiment", recording)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        run_experiment_matrix(short_config(iterations=2), **grid)
+    assert trained == []
 
 
 @pytest.mark.parametrize("setting, pair", [
