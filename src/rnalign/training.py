@@ -30,7 +30,7 @@ import io
 import itertools
 import math
 import re
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -349,8 +349,11 @@ def run_experiment(config):
     gradient vector as the source terms'; that term sees only encoded
     target features, never labels (the target batch object has none), and
     without a feature-level auxiliary loss (``none``, ``batchnorm-only``)
-    target data is never touched.  With ``iterations == 0`` the freshly
-    initialized model is returned unchanged (and evaluated as-is).
+    target data is never touched.  The target test split is scored as the
+    run trains: the model right after each of the last
+    ``checkpoint_average`` steps (with ``iterations == 0``, the fresh model,
+    returned unchanged) goes straight to ``snapshot_accuracies``, so no
+    copy of it is kept and the last one scored is the final model.
     """
     domains = resolve_domains(config)
     source, target_train, target_test = split_domains(
@@ -372,7 +375,6 @@ def run_experiment(config):
     telemetry = NormTelemetry()
     grad, grads, _ = model.gradient()
     velocity = np.zeros_like(model.flat)
-    snapshots = deque(maxlen=config.checkpoint_average)
     lam = config.lambda_weight
     use_aux = lam != 0.0 and aux is not None
     adapt = target_train is not None and aux is not None
@@ -383,56 +385,62 @@ def run_experiment(config):
                                        target_train.n, config)
 
     # divergence shows up as inf/nan and is caught by the explicit finiteness
-    # checks in the loop; numpy's own overflow warnings would only duplicate
-    # that, so they are silenced for the loop's duration
-    with np.errstate(over="ignore", invalid="ignore"):
+    # checks in the step; numpy's own overflow warnings would only duplicate
+    # that, so they are silenced for each step, and scoring between steps
+    # keeps the caller's error state
+    @np.errstate(over="ignore", invalid="ignore")
+    def step(it, idx):
+        fused, cache = model_forward(
+            model, source.visual[idx], source.audio[idx])
+        norms = row_norms(cache.features)
+        ce, grad_logits = softmax_cross_entropy(fused, source.labels[idx])
+        aux_value, aux_grad = 0.0, None
+        if aux is not None:
+            aux_value, aux_grad = _aux_term(aux, cache.features, norms,
+                                            aux_args, it, "source")
+        if adapt:
+            idx = next(target_indices)
+            target, target_cache = encode_pair(
+                model, target_train.visual[idx], target_train.audio[idx])
+            target_value, target_grad = _aux_term(
+                aux, target, row_norms(target), aux_args, it, "target")
+            aux_value += target_value
+        mean_v, mean_a = mean_norms(norms).tolist()
+        record = IterationRecord(
+            it, mean_v, mean_a, mean_v - mean_a,
+            mean_v / mean_a if mean_a > 0 else float("nan"),
+            float(ce), float(aux_value))
+        # the telemetry reader's rule: finite mean norms and losses
+        if not all(map(math.isfinite, (mean_v, mean_a, record.ce_loss,
+                                       record.aux_loss))):
+            raise NumericalError(
+                f"non-finite norm or loss at iteration {it}: {record}; "
+                f"last record: {(telemetry.iterations or [None])[-1]}")
+        model_backward(cache, grad_logits,
+                       lam * aux_grad if use_aux else None)
+        if adapt and use_aux:
+            encode_pair_backward(target_cache, lam * target_grad)
+        try:
+            sgd_step(model.flat, grad, velocity, config.learning_rate,
+                     config.momentum, config.weight_decay)
+        except NumericalError as exc:
+            bad = next(name for name, g in grads.items()
+                       if not np.isfinite(g).all())
+            raise NumericalError(
+                f"iteration {it}: {exc} (first at '{bad}'); last record: "
+                f"{(telemetry.iterations or [None])[-1]}") from exc
+        telemetry.add_iteration(record)
+
+    def trained():
         for it, idx in zip(range(config.iterations), source_indices):
-            fused, cache = model_forward(
-                model, source.visual[idx], source.audio[idx])
-            norms = row_norms(cache.features)
-            ce, grad_logits = softmax_cross_entropy(fused, source.labels[idx])
-            aux_value, aux_grad = 0.0, None
-            if aux is not None:
-                aux_value, aux_grad = _aux_term(aux, cache.features, norms,
-                                                aux_args, it, "source")
-            if adapt:
-                idx = next(target_indices)
-                target, target_cache = encode_pair(
-                    model, target_train.visual[idx], target_train.audio[idx])
-                target_value, target_grad = _aux_term(
-                    aux, target, row_norms(target), aux_args, it, "target")
-                aux_value += target_value
-            mean_v, mean_a = mean_norms(norms).tolist()
-            record = IterationRecord(
-                it, mean_v, mean_a, mean_v - mean_a,
-                mean_v / mean_a if mean_a > 0 else float("nan"),
-                float(ce), float(aux_value))
-            # the telemetry reader's rule: finite mean norms and losses
-            if not all(map(math.isfinite, (mean_v, mean_a, record.ce_loss,
-                                           record.aux_loss))):
-                raise NumericalError(
-                    f"non-finite norm or loss at iteration {it}: {record}; "
-                    f"last record: {(telemetry.iterations or [None])[-1]}")
-            model_backward(cache, grad_logits,
-                           lam * aux_grad if use_aux else None)
-            if adapt and use_aux:
-                encode_pair_backward(target_cache, lam * target_grad)
-            try:
-                sgd_step(model.flat, grad, velocity, config.learning_rate,
-                         config.momentum, config.weight_decay)
-            except NumericalError as exc:
-                bad = next(name for name, g in grads.items()
-                           if not np.isfinite(g).all())
-                raise NumericalError(
-                    f"iteration {it}: {exc} (first at '{bad}'); last record: "
-                    f"{(telemetry.iterations or [None])[-1]}") from exc
-            telemetry.add_iteration(record)
+            step(it, idx)
             if config.iterations - it <= config.checkpoint_average:
-                snapshots.append(model.clone())
-    # the stream accuracies come from the last snapshot, which is the final
-    # model bit for bit
+                yield model
+        if config.iterations == 0:
+            yield model
+
     telemetry.evals = list(map(EvalRecord, EVAL_MODES, snapshot_accuracies(
-        list(snapshots) or [model], target_test)))
+        trained(), target_test)))
     return model, telemetry
 
 
@@ -441,19 +449,22 @@ def snapshot_accuracies(snapshots, batch):
     fused under snapshot averaging (the mean of the snapshots' softmax
     scores, then the argmax), each stream alone from the last snapshot (for
     mid fusion, with the other half of the concatenated features zeroed).
-    Ties break toward the lowest class index.  Encodes each snapshot once."""
-    if not snapshots:
-        raise ConfigurationError("need at least one snapshot")
+    Ties break toward the lowest class index.  ``snapshots`` is any
+    iterable of models, read lazily after the batch is checked: each is
+    encoded once, as it arrives, and only the running sum of scores and the
+    last one's logits are kept."""
     if batch.n == 0:
         raise ConfigurationError("cannot evaluate on an empty dataset")
     if not batch.labeled:
         raise ConfigurationError("evaluation needs a labeled dataset")
     total = None
-    for snap in snapshots:
+    for count, snap in enumerate(snapshots, 1):
         logits = eval_logits(snap, batch.visual, batch.audio)
         scores = softmax(logits[0])
         total = scores if total is None else total + scores
-    preds = (np.argmax(total / len(snapshots), axis=1),
+    if total is None:
+        raise ConfigurationError("need at least one snapshot")
+    preds = (np.argmax(total / count, axis=1),
              *np.argmax(logits[1:], axis=2))
     return [float(np.mean(pred == batch.labels)) for pred in preds]
 

@@ -6,6 +6,7 @@ import itertools
 import pathlib
 import re
 import string
+import tracemalloc
 import typing
 
 import numpy as np
@@ -21,8 +22,8 @@ from rnalign.data import (BenchmarkSpec, MultiModalBatch, generate_benchmark,
                           load_feature_file, save_feature_file, split_domains)
 from rnalign.errors import (ConfigurationError, DegenerateInputError,
                             NumericalError, ParseError)
-from rnalign.model import (EVAL_MODES, ModelConfig, encode_pair,
-                           eval_logits, init_model)
+from rnalign.model import (EVAL_MODES, ModelConfig, TwoStreamModel,
+                           encode_pair, eval_logits, init_model)
 from rnalign.numerics import softmax
 from rnalign.training import (
     AUX_LOSSES,
@@ -601,6 +602,101 @@ def test_finish_encodes_each_snapshot_once(monkeypatch):
     assert accuracies[0] == float(np.mean(fused == batch.labels))
     for mode, accuracy in zip(EVAL_MODES[1:], accuracies[1:]):
         assert accuracy == logit_accuracy(snapshots[-1], batch, mode)
+
+
+def test_snapshot_accuracies_reads_an_iterator_lazily():
+    model = rigged_probability_model([0.7, 0.3])
+    batch = balanced_batch()
+    assert snapshot_accuracies(iter([model, model]), batch) == \
+        snapshot_accuracies([model, model], batch)
+    with pytest.raises(ConfigurationError, match="at least one snapshot"):
+        snapshot_accuracies(iter([]), batch)
+    # the batch is checked before the first model is asked for
+    drawn = []
+    with pytest.raises(ConfigurationError, match="labeled"):
+        snapshot_accuracies(
+            (drawn.append(model) or model for _ in range(2)),
+            MultiModalBatch(np.ones((2, 2)), np.ones((2, 2))))
+    assert drawn == []
+
+
+def record_scored_models(monkeypatch):
+    """The (flat, running) copies of each model ``run_experiment`` scores,
+    taken as it is scored."""
+    scored = []
+
+    def recording(model, visual, audio):
+        scored.append((model.flat.copy(), None if model.running is None
+                       else model.running.copy()))
+        return eval_logits(model, visual, audio)
+
+    monkeypatch.setattr(rnalign.training, "eval_logits", recording)
+    return scored
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"fusion_mode": "mid"}, {"aux_loss": "batchnorm-only"},
+], ids=["late", "mid", "batchnorm"])
+@pytest.mark.parametrize("iterations", [0, 1, 2, 3, 6])  # 0, 1, k-1, k, k+3
+def test_scoring_during_training_equals_scoring_stored_snapshots(
+        monkeypatch, overrides, iterations):
+    k = 3
+    config = short_config(iterations=iterations, checkpoint_average=k,
+                          **overrides)
+    scored = record_scored_models(monkeypatch)
+    _, telemetry = run_experiment(config)
+    monkeypatch.undo()
+    # one seed trains one prefix, so the final model of a run n steps long
+    # is the longer run's model after step n
+    snapshots = [run_experiment(dataclasses.replace(config, iterations=n))[0]
+                 for n in range(max(iterations - k, 0) + 1, iterations + 1)
+                 ] or [run_experiment(config)[0]]
+    assert len(scored) == len(snapshots) == max(1, min(k, iterations))
+    for (flat, running), snap in zip(scored, snapshots):
+        assert np.array_equal(flat, snap.flat)
+        assert (running is None and snap.running is None
+                or np.array_equal(running, snap.running))
+    target_test = split_domains(resolve_domains(config), config.setting,
+                                config.source_index, config.target_index)[2]
+    assert telemetry.evals == list(zip(
+        EVAL_MODES, snapshot_accuracies(snapshots, target_test)))
+
+
+def test_scoring_keeps_the_callers_numpy_error_state(monkeypatch):
+    scored_under = []
+
+    def recording(*args):
+        scored_under.append(np.geterr())
+        return eval_logits(*args)
+
+    monkeypatch.setattr(rnalign.training, "eval_logits", recording)
+    # the training step silences over and invalid; the caller raises on them
+    with np.errstate(over="raise", invalid="raise"):
+        expected = np.geterr()
+        run_experiment(short_config(iterations=5, checkpoint_average=3))
+    assert scored_under == [expected] * 3
+
+
+def test_snapshot_averaging_holds_no_model_copy(monkeypatch):
+    config = short_config(iterations=12, hidden_dim=64, feature_dim=32)
+    flat_bytes = run_experiment(config)[0].flat.nbytes  # warms the data
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            run_experiment(dataclasses.replace(config, checkpoint_average=k))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(9) - peak(1) < flat_bytes
+
+    def refuse(model):
+        raise AssertionError("the run copied its model")
+
+    monkeypatch.setattr(TwoStreamModel, "clone", refuse)
+    _, telemetry = run_experiment(config)
+    assert len(telemetry.evals) == len(EVAL_MODES)
 
 
 # ---------------------------------------------------------------------------
