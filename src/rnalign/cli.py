@@ -30,9 +30,9 @@ from .data import (check_pair, generate_benchmark, generated_domain_ids,
 from .errors import ConfigurationError, NumericalError, ParseError
 from .losses import norm_stats
 from .model import save_checkpoint
-from .training import (NormTelemetry, domain_ids, headline_accuracy,
-                       run_experiment, run_experiment_matrix,
-                       write_results_csv)
+from .training import (NormTelemetry, default_pairs, domain_ids,
+                       headline_accuracy, run_experiment,
+                       run_experiment_matrix, write_results_csv)
 
 
 def _ensure_outdir(out):
@@ -138,10 +138,17 @@ def cmd_matrix(args):
     started = time.time()
     parser = load_config_file(args.config)
     base = parse_experiment_config(parser, args.config)
+    ids = domain_ids(base)
     methods, seeds, pairs = parse_matrix_options(
-        parser, base.setting, domain_ids(base), args.config)
+        parser, base.setting, ids, args.config)
     if args.seed is not None:
         seeds = [args.seed]
+    if pairs is None:
+        try:
+            pairs = default_pairs(base.setting, len(ids))
+        except ConfigurationError as exc:
+            raise ParseError(
+                f"{args.config}: invalid [experiment]: {exc}") from exc
     out_dir = _ensure_outdir(args.out)
     results = {}
     for method in methods:

@@ -109,14 +109,15 @@ def _parse_pair(token, setting, ids, path):
         return ids.index(name)
 
     if setting == "dg-multi":
-        return (domain_index(token),)
-    if "->" not in token:
+        pair = (domain_index(token),)
+    elif "->" not in token:
         raise ParseError(
             f"{path}: pair {token!r} must look like 'D1->D2' for {setting}")
-    left, right = token.split("->", 1)
+    else:
+        left, right = token.split("->", 1)
+        pair = (domain_index(left), domain_index(right))
     try:
-        return check_pair(setting, (domain_index(left), domain_index(right)),
-                          len(ids))
+        return check_pair(setting, pair, len(ids))
     except ConfigurationError as exc:
         raise ParseError(f"{path}: [matrix] pairs: {token!r}: {exc}") from exc
 

@@ -717,6 +717,36 @@ def test_train_refuses_its_domains_before_creating_out(
     assert started == []
 
 
+@pytest.mark.parametrize("setting, pairs, message", [
+    ("dg-multi", "", "invalid [experiment]: need at least 2 domains"),
+    ("dg-single", "", "invalid [experiment]: need at least 2 domains"),
+    ("dg-multi", "pairs = D1\n",
+     "[matrix] pairs: 'D1': need at least 2 domains"),
+], ids=["dg-multi-default-grid", "dg-single-default-grid",
+        "dg-multi-listed-pair"])
+def test_matrix_refuses_a_single_domain_data_dir_before_creating_out(
+        tmp_path, capsys, monkeypatch, setting, pairs, message):
+    data_dir = tmp_path / "data"
+    assert run_cli(capsys, ["generate", "--config",
+                            write_config(tmp_path, BENCHMARK_INI),
+                            "--out", str(data_dir), "--quiet"])[0] == 0
+    for path in [*data_dir.glob("D2_*"), *data_dir.glob("D3_*")]:
+        path.unlink()
+    started = record_training(monkeypatch)
+    config = write_config(tmp_path, TRAIN_INI.replace(
+        "setting = dg-single", f"setting = {setting}")
+        + f"data_dir = {data_dir}\n[matrix]\nmethods = rna\nseeds = 0\n"
+        + pairs, name="grid.ini")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, ["matrix", "--config", config,
+                                      "--out", str(out_dir)])
+    assert code == 2
+    assert f"error: {config}: {message}" in err
+    assert "method rna" not in out + err
+    assert not out_dir.exists()
+    assert started == []
+
+
 # ---------------------------------------------------------------------------
 # norms
 
