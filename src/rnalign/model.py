@@ -72,13 +72,15 @@ BATCHNORM_MOMENTUM = 0.1
 BATCHNORM_EPS = 1e-5
 
 
-def batchnorm_forward(x, gamma, beta, running, training):
+def batchnorm_forward(x, gamma, beta, running, training, out=None):
     """Normalize per feature over the batch axis (-2) of one stream's
     (N, d) batch with (d,) ``gamma``/``beta`` and (2, d) ``running``
     (mean, var), or of a (2, N, d) stack with (2, d) and (2, 2, d).
     Training mode uses the batch statistics, updates ``running`` in place
-    and returns (y, cache for ``batchnorm_backward``); evaluation mode reads
-    ``running``, never writes it, and returns (y, None).
+    and returns (y, cache for ``batchnorm_backward``), the cache holding its
+    own copy of the normalized input; evaluation mode reads ``running``,
+    never writes it, and returns (y, None).  ``y`` is computed in one
+    buffer: a new array, or ``out`` (which may be ``x`` itself) if given.
     """
     if training:
         mean = x.mean(axis=-2)
@@ -90,8 +92,11 @@ def batchnorm_forward(x, gamma, beta, running, training):
         mean = running[..., 0, :]
         var = running[..., 1, :]
     inv_std = (1.0 / np.sqrt(var + BATCHNORM_EPS))[..., None, :]
-    xhat = (x - mean[..., None, :]) * inv_std
-    y = gamma[..., None, :] * xhat + beta[..., None, :]
+    y = np.subtract(x, mean[..., None, :], out=out)
+    y *= inv_std
+    xhat = y.copy() if training else None
+    y *= gamma[..., None, :]
+    y += beta[..., None, :]
     return y, (gamma, inv_std, xhat) if training else None
 
 
@@ -211,7 +216,9 @@ class TwoStreamModel:
         """(vector, name->view mapping, pair views) of the gradient buffer
         congruent with ``flat``; the views are keyed like ``parameters()``
         and ``pairs``.  Allocated on first use and reused: every
-        ``model_backward`` overwrites it."""
+        ``model_backward`` overwrites it.  A model built on an existing
+        ``flat``, such as the one ``run_experiment`` returns, holds no
+        buffer until its first call."""
         if self._gradient is None:
             vector = np.zeros_like(self.flat)
             self._gradient = (vector, *_views(vector, self._layout))
@@ -311,12 +318,14 @@ def encode_pair_backward(cache, grad_features, add=True):
 
 def _normalize(model, features, training):
     """The batchnorm stage on the feature stack, if the model has one.
-    Returns (normalized stack, cache or None)."""
+    Returns (normalized stack, cache or None).  Evaluation overwrites
+    ``features`` with the result; training leaves it intact, because the
+    auxiliary loss and the telemetry read it."""
     if model.running is None:
         return features, None
     return batchnorm_forward(features, model.pairs["batchnorm.gamma"],
                              model.pairs["batchnorm.beta"], model.running,
-                             training)
+                             training, out=None if training else features)
 
 
 def _stream_logits(model, h):
@@ -327,9 +336,11 @@ def _stream_logits(model, h):
     return logits
 
 
-def _mid_logits(model, concat):
-    """The fusion classifier over concatenated [h_v || h_a] rows."""
-    logits = concat @ model._params["classifier_mid.weight"].T
+def _mid_logits(model, concat, out=None):
+    """The fusion classifier over concatenated [h_v || h_a] rows, into
+    ``out`` if given."""
+    logits = np.matmul(concat, model._params["classifier_mid.weight"].T,
+                       out=out)
     logits += model._params["classifier_mid.bias"]
     return logits
 
@@ -407,18 +418,22 @@ def eval_logits(model, visual_inputs, audio_inputs):
     Late fusion: the fused logits are the sum of the two heads' outputs and
     a stream alone is its own head.  Mid fusion: the fusion classifier on
     [h_v || h_a], and on that concatenation with the other stream's half
-    zeroed.
+    zeroed, the three modes in turn through one (N, 2 feature_dim) buffer.
+    The encoder's cache is dropped as soon as the features are out, and
+    batchnorm normalizes the feature stack in place.
     """
-    features, _ = encode_pair(model, visual_inputs, audio_inputs)
-    h, _ = _normalize(model, features, training=False)
+    h = _normalize(model, encode_pair(model, visual_inputs, audio_inputs)[0],
+                   training=False)[0]
     if model.config.fusion_mode == LATE:
         streams = _stream_logits(model, h)
         return np.concatenate([(streams[0] + streams[1])[None], streams])
-    d = model.config.feature_dim
-    concat = np.zeros((3, h.shape[1], 2 * d))
-    concat[0, :, :d] = concat[1, :, :d] = h[0]
-    concat[0, :, d:] = concat[2, :, d:] = h[1]
-    return _mid_logits(model, concat)
+    d, n = model.config.feature_dim, h.shape[1]
+    logits = np.empty((len(EVAL_MODES), n, model.config.num_classes))
+    concat = np.empty((n, 2 * d))
+    for out, halves in zip(logits, ((h[0], h[1]), (h[0], 0.0), (0.0, h[1]))):
+        concat[:, :d], concat[:, d:] = halves
+        _mid_logits(model, concat, out)
+    return logits
 
 
 def save_checkpoint(model, path):

@@ -42,9 +42,9 @@ from .data import (SETTINGS, BenchmarkSpec, DomainData, at_least, cast_fields,
 from .errors import (ConfigurationError, DegenerateInputError,
                      NumericalError, ParseError)
 from .losses import hna_stacked, mean_norms, rna_stacked, row_norms
-from .model import (EVAL_MODES, LATE, MID, ModelConfig, encode_pair,
-                    encode_pair_backward, eval_logits, init_model,
-                    model_backward, model_forward)
+from .model import (EVAL_MODES, LATE, MID, ModelConfig, TwoStreamModel,
+                    encode_pair, encode_pair_backward, eval_logits,
+                    init_model, model_backward, model_forward)
 from .numerics import sgd_step, softmax, softmax_cross_entropy
 
 # one telemetry row; its fields name the CSV columns, the first as "iter"
@@ -353,7 +353,9 @@ def run_experiment(config):
     run trains: the model right after each of the last
     ``checkpoint_average`` steps (with ``iterations == 0``, the fresh model,
     returned unchanged) goes straight to ``snapshot_accuracies``, so no
-    copy of it is kept and the last one scored is the final model.
+    copy of it is kept and the last one scored is the final model.  The
+    returned model shares that model's parameters and running statistics
+    but not its gradient buffer, which ``model.gradient()`` allocates anew.
     """
     domains = resolve_domains(config)
     source, target_train, target_test = split_domains(
@@ -441,7 +443,7 @@ def run_experiment(config):
 
     telemetry.evals = list(map(EvalRecord, EVAL_MODES, snapshot_accuracies(
         trained(), target_test)))
-    return model, telemetry
+    return TwoStreamModel(model.config, model.flat, model.running), telemetry
 
 
 def snapshot_accuracies(snapshots, batch):

@@ -1,7 +1,9 @@
 """Test-side oracles: the central finite-difference gradient estimate and its
 relative-error yardstick (C1 and every per-layer gradient test), the
-per-domain UDA form of the ratio loss (C1), and the dot-product
-decomposition dot = |v| |a| cos(theta) (C2).
+per-domain UDA form of the ratio loss (C1), the dot-product decomposition
+dot = |v| |a| cos(theta) (C2), and the evaluation arithmetic written with a
+fresh temporary per step, which the package's buffer-reusing forms must
+match bitwise.
 
 None of these is called by a run, the CLI, a demo or the benchmark, so they
 live beside the tests rather than in the package.  Test modules import them
@@ -14,6 +16,8 @@ import numpy as np
 
 from rnalign.errors import ConfigurationError, DegenerateInputError
 from rnalign.losses import rna_loss
+from rnalign.model import (BATCHNORM_EPS, BATCHNORM_MOMENTUM, LATE,
+                           encode_pair)
 
 
 def finite_difference_grad(f, x, eps=1e-6):
@@ -94,3 +98,45 @@ def dot_product_decomposition(v, a):
     else:
         cos_theta = dot / (norm_v * norm_a)
     return DotDecomposition(dot, norm_v, norm_a, cos_theta)
+
+
+def batchnorm_reference(x, gamma, beta, running, training):
+    """``model.batchnorm_forward`` with a fresh array for every step: the
+    centred input, ``xhat``, its scaled form and ``y``."""
+    if training:
+        mean = x.mean(axis=-2)
+        var = x.var(axis=-2)
+        m = BATCHNORM_MOMENTUM
+        running[..., 0, :] = (1.0 - m) * running[..., 0, :] + m * mean
+        running[..., 1, :] = (1.0 - m) * running[..., 1, :] + m * var
+    else:
+        mean = running[..., 0, :]
+        var = running[..., 1, :]
+    inv_std = (1.0 / np.sqrt(var + BATCHNORM_EPS))[..., None, :]
+    xhat = (x - mean[..., None, :]) * inv_std
+    y = gamma[..., None, :] * xhat + beta[..., None, :]
+    return y, (gamma, inv_std, xhat) if training else None
+
+
+def eval_logits_reference(model, visual, audio):
+    """``model.eval_logits`` built from fresh temporaries: the stacked
+    ``encode_pair``, ``batchnorm_reference`` in evaluation mode and, under
+    mid fusion, the zero-filled (3, N, 2d) stack of the three
+    concatenations."""
+    h, _ = encode_pair(model, visual, audio)
+    if model.running is not None:
+        h, _ = batchnorm_reference(h, model.pairs["batchnorm.gamma"],
+                                   model.pairs["batchnorm.beta"],
+                                   model.running, training=False)
+    if model.config.fusion_mode == LATE:
+        p = model.pairs
+        streams = (h @ np.swapaxes(p["classifier.weight"], 1, 2)
+                   + p["classifier.bias"][:, None])
+        return np.concatenate([(streams[0] + streams[1])[None], streams])
+    d = model.config.feature_dim
+    concat = np.zeros((3, h.shape[1], 2 * d))
+    concat[0, :, :d] = concat[1, :, :d] = h[0]
+    concat[0, :, d:] = concat[2, :, d:] = h[1]
+    params = model.parameters()
+    return (concat @ params["classifier_mid.weight"].T
+            + params["classifier_mid.bias"])

@@ -1,12 +1,14 @@
 """Unit tests for the two-stream model: init, fusion, batchnorm, checkpoints."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracle import finite_difference_grad, relative_error
+from oracle import (batchnorm_reference, eval_logits_reference,
+                    finite_difference_grad, relative_error)
 
 from rnalign.errors import ConfigurationError, ParseError
 from rnalign.losses import AUDIO, VISUAL
@@ -55,6 +57,20 @@ def make_identity_encoder_model(dim=3, num_classes=2, fusion_mode="late"):
     model = init_model(cfg, seed=0)
     for name in ENCODER_LAYERS:
         set_layer(model, name, np.eye(dim))
+    return model
+
+
+def stock_model(fusion_mode, batchnorm, seed=21):
+    """A model of the stock widths (24 and 24 inputs, 128 hidden, 64
+    features, 8 classes) with every parameter and running statistic moved
+    off its initial value."""
+    model = init_model(ModelConfig(24, 24, fusion_mode=fusion_mode,
+                                   batchnorm=batchnorm), seed)
+    rng = np.random.default_rng(seed)
+    model.flat += 0.1 * rng.normal(size=model.flat.size)
+    if batchnorm:
+        model.running[:, 0] = rng.normal(size=(2, 64))
+        model.running[:, 1] = rng.uniform(0.5, 2.0, size=(2, 64))
     return model
 
 
@@ -244,6 +260,49 @@ def test_batchnorm_running_statistics_change_only_in_training_mode():
     assert not np.array_equal(running[1], np.ones(3))
 
 
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("shape", [(7, 5), (2, 7, 5)],
+                         ids=["stream", "stack"])
+def test_batchnorm_forward_equals_the_fresh_temporary_reference(shape,
+                                                                training):
+    rng = np.random.default_rng(16)
+    x = rng.normal(loc=2.0, size=shape)
+    stats = shape[:-2] + shape[-1:]
+    gamma, beta = rng.normal(size=stats), rng.normal(size=stats)
+    running = np.stack([rng.normal(size=stats),
+                        rng.uniform(0.5, 2.0, size=stats)], axis=-2)
+    expected_running = running.copy()
+    kept = x.tobytes()
+    y, cache = batchnorm_forward(x, gamma, beta, running, training)
+    y_ref, cache_ref = batchnorm_reference(x, gamma, beta, expected_running,
+                                           training)
+    assert y.tobytes() == y_ref.tobytes()
+    assert running.tobytes() == expected_running.tobytes()
+    # without ``out`` neither mode writes into its input
+    assert x.tobytes() == kept
+    if training:
+        assert [a.tobytes() for a in cache] == [a.tobytes() for a in cache_ref]
+        assert not np.shares_memory(cache[2], y)
+    else:
+        assert cache is None
+        # evaluation into ``out=x`` gives the same bytes in place
+        y_in_place, _ = batchnorm_forward(x, gamma, beta, running, False,
+                                          out=x)
+        assert y_in_place is x and x.tobytes() == y_ref.tobytes()
+
+
+def test_training_forward_leaves_the_encoded_features_intact():
+    # the auxiliary loss and the telemetry read cache.features, so
+    # training-mode batchnorm must not normalize it in place
+    model = stock_model("late", batchnorm=True)
+    rng = np.random.default_rng(17)
+    visual, audio = rng.normal(size=(32, 24)), rng.normal(size=(32, 24))
+    features, _ = encode_pair(model, visual, audio)
+    _, cache = model_forward(model, visual, audio)
+    assert cache.features.tobytes() == features.tobytes()
+    assert not np.shares_memory(cache.bn[2], cache.features)
+
+
 # ---------------------------------------------------------------------------
 # fusion
 
@@ -309,6 +368,49 @@ def test_fuse_mid_visual_block_matches_visual_only_late_model():
     assert np.array_equal(alone_a, np.zeros((4, 3)))
     # the caller's inputs are left as they were
     assert np.array_equal(visual, kept[0]) and np.array_equal(audio, kept[1])
+
+
+@pytest.mark.parametrize("n", [1, 7, 400])
+@pytest.mark.parametrize("batchnorm", [False, True],
+                         ids=["plain", "batchnorm"])
+@pytest.mark.parametrize("fusion_mode", ["late", "mid"])
+def test_eval_logits_equals_the_fresh_temporary_reference(fusion_mode,
+                                                          batchnorm, n):
+    model = stock_model(fusion_mode, batchnorm)
+    rng = np.random.default_rng(n)
+    visual = rng.normal(size=(n, 24))
+    audio = 10.0 * rng.normal(size=(n, 24))
+    state = model.flat.tobytes(), batchnorm and model.running.tobytes()
+    logits = eval_logits(model, visual, audio)
+    assert logits.shape == (3, n, 8)
+    assert logits.tobytes() == \
+        eval_logits_reference(model, visual, audio).tobytes()
+    assert (model.flat.tobytes(), batchnorm and model.running.tobytes()) \
+        == state
+
+
+def test_eval_logits_builds_no_full_split_temporary():
+    # stock widths, mid fusion and batchnorm over a 400-row split: besides
+    # the encoder's hidden and feature stacks, evaluation needs one (N, 2d)
+    # concatenation and the (3, N, C) logits; the zero-filled (3, N, 2d)
+    # stack of all three concatenations is 1.2 MB on top
+    model = stock_model("mid", batchnorm=True)
+    c, n = model.config, 400
+    rng = np.random.default_rng(18)
+    visual, audio = rng.normal(size=(n, 24)), rng.normal(size=(n, 24))
+    bound = 8 * n * (2 * c.hidden_dim + 2 * c.feature_dim
+                     + 2 * c.feature_dim + 3 * c.num_classes)
+
+    def peak(evaluate):
+        evaluate(model, visual, audio)  # warm-up
+        tracemalloc.start()
+        try:
+            evaluate(model, visual, audio)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(eval_logits) < bound < peak(eval_logits_reference)
 
 
 # ---------------------------------------------------------------------------

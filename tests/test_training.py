@@ -23,8 +23,9 @@ from rnalign.data import (BenchmarkSpec, MultiModalBatch, generate_benchmark,
 from rnalign.errors import (ConfigurationError, DegenerateInputError,
                             NumericalError, ParseError)
 from rnalign.model import (EVAL_MODES, ModelConfig, TwoStreamModel,
-                           encode_pair, eval_logits, init_model)
-from rnalign.numerics import softmax
+                           encode_pair, eval_logits, init_model,
+                           model_backward, model_forward)
+from rnalign.numerics import softmax, softmax_cross_entropy
 from rnalign.training import (
     AUX_LOSSES,
     TELEMETRY_HEADER,
@@ -697,6 +698,31 @@ def test_snapshot_averaging_holds_no_model_copy(monkeypatch):
     monkeypatch.setattr(TwoStreamModel, "clone", refuse)
     _, telemetry = run_experiment(config)
     assert len(telemetry.evals) == len(EVAL_MODES)
+
+
+def test_returned_model_holds_no_gradient_buffer():
+    config = short_config(iterations=12, hidden_dim=64, feature_dim=32,
+                          aux_loss="batchnorm-only")
+    run_experiment(config)  # warms the data
+    tracemalloc.start()
+    try:
+        model, _ = run_experiment(config)
+        held = tracemalloc.get_traced_memory()[0]
+        # the first call allocates a fresh zero vector
+        vector, grads, _ = model.gradient()
+        allocated = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    # the parameters, the running statistics and the telemetry, but no
+    # second vector of the parameters' size
+    assert held < 2 * model.flat.nbytes
+    assert allocated >= vector.nbytes and not vector.any()
+    batch = split_domains(resolve_domains(config), config.setting,
+                          config.source_index, config.target_index)[2]
+    fused, cache = model_forward(model, batch.visual, batch.audio)
+    _, grad_logits = softmax_cross_entropy(fused, batch.labels)
+    assert model_backward(cache, grad_logits) is grads
+    assert np.isfinite(vector).all() and vector.any()
 
 
 # ---------------------------------------------------------------------------
