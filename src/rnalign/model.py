@@ -419,11 +419,10 @@ def eval_logits(model, visual_inputs, audio_inputs):
     a stream alone is its own head.  Mid fusion: the fusion classifier on
     [h_v || h_a], and on that concatenation with the other stream's half
     zeroed, the three modes in turn through one (N, 2 feature_dim) buffer.
-    The encoder's cache is dropped as soon as the features are out, and
-    batchnorm normalizes the feature stack in place.
+    Batchnorm normalizes the freshly encoded stack in place.
     """
-    h = _normalize(model, encode_pair(model, visual_inputs, audio_inputs)[0],
-                   training=False)[0]
+    features, _ = encode_pair(model, visual_inputs, audio_inputs)
+    h, _ = _normalize(model, features, training=False)
     if model.config.fusion_mode == LATE:
         streams = _stream_logits(model, h)
         return np.concatenate([(streams[0] + streams[1])[None], streams])
