@@ -314,6 +314,19 @@ def split_domains(domains, setting, source_index, target_index):
     return pool, target_train, target.test
 
 
+def feature_files(directory):
+    """{domain id: {split: path}} for the files of ``directory`` named
+    ``<id>_train.rnafeat`` or ``<id>_test.rnafeat``, ids and splits in path
+    order.  The id is what precedes the last "_"; it may be empty or hold a
+    "_" itself.  The one reading of those names."""
+    files = {}
+    for path in sorted(Path(directory).glob("*_*.rnafeat")):
+        domain_id, _, split = path.name[:-len(".rnafeat")].rpartition("_")
+        if split in ("train", "test"):
+            files.setdefault(domain_id, {})[split] = path
+    return files
+
+
 def save_feature_file(batch, path):
     """Write a MultiModalBatch as an RNAFEAT v1 file via ``write_bytes``.
     A batch the format cannot hold (no rows, or a modality of width 0) is a
@@ -383,16 +396,6 @@ def read_text(path, encoding="ascii", newline=None):
     return text
 
 
-def _first_non_finite_row(values, width):
-    """Index of the first complete ``width``-float row of ``values`` that
-    holds a non-finite value, or None."""
-    flat = np.frombuffer(values, dtype=np.float64)
-    finite = np.isfinite(flat[:len(flat) // width * width].reshape(-1, width))
-    if finite.all():
-        return None
-    return int(np.argmin(finite.all(axis=1)))
-
-
 def load_feature_file(path):
     """Parse an RNAFEAT v1 file back into a MultiModalBatch.
 
@@ -436,38 +439,31 @@ def load_feature_file(path):
     expected = width + (1 if labeled else 0)
     values = array("d")  # the rows' floats, row after row
     labels = array("q") if labeled else None
-
-    def row_error(lineno, message):
-        """The error of a parse stopped at ``lineno``.  Rows are checked in
-        file order (field count, numbers, finiteness, label), so a
-        non-finite value among the rows whose floats are all read, this
-        one's included, is the error the file reports."""
-        bad = _first_non_finite_row(values, width)
-        if bad is not None:
-            lineno, message = bad + 2, "non-finite value"
-        return ParseError(f"{path}: line {lineno}: {message}")
-
+    # each row in full before the next: field count, numbers, finiteness (a
+    # sum that is not finite tests each value), then the label
     for lineno, line in enumerate(raw_lines[1:], start=2):
         row = line.split()
         if len(row) != expected:
-            raise row_error(
-                lineno, f"expected {expected} fields ({dim_v} visual + "
-                f"{dim_a} audio{' + 1 label' if labeled else ''}), got "
-                f"{len(row)} — visual/audio pairing broken")
+            raise ParseError(
+                f"{path}: line {lineno}: expected {expected} fields ({dim_v} "
+                f"visual + {dim_a} audio{' + 1 label' if labeled else ''}), "
+                f"got {len(row)} — visual/audio pairing broken")
         label = row.pop() if labeled else None
         try:
-            values.extend(map(float, row))
+            floats = list(map(float, row))
         except ValueError as exc:
-            raise row_error(lineno, "non-numeric value") from exc
+            raise ParseError(
+                f"{path}: line {lineno}: non-numeric value") from exc
+        if not (math.isfinite(sum(floats))
+                or all(map(math.isfinite, floats))):
+            raise ParseError(f"{path}: line {lineno}: non-finite value")
+        values.extend(floats)
         if labeled:
             try:
                 labels.append(int(label))
             except (ValueError, OverflowError) as exc:
-                raise row_error(
-                    lineno, f"invalid label {label[:20]!r}") from exc
-    bad = _first_non_finite_row(values, width)
-    if bad is not None:
-        raise ParseError(f"{path}: line {bad + 2}: non-finite value")
+                raise ParseError(f"{path}: line {lineno}: invalid label "
+                                 f"{label[:20]!r}") from exc
     rows = np.frombuffer(values, dtype=np.float64).reshape(n, width)
     visual = rows[:, :dim_v].copy()
     audio = rows[:, dim_v:].copy()

@@ -32,13 +32,15 @@ import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .data import (SETTINGS, BenchmarkSpec, DomainData, at_least, cast_fields,
-                   check_pair, generate_benchmark, generated_domain_ids,
-                   load_feature_file, read_text, split_domains, write_bytes)
+                   check_pair, feature_files, generate_benchmark,
+                   generated_domain_ids, load_feature_file, read_text,
+                   split_domains, write_bytes)
 from .errors import (ConfigurationError, DegenerateInputError,
                      NumericalError, ParseError)
 from .losses import hna_stacked, mean_norms, rna_stacked, row_norms
@@ -219,28 +221,29 @@ def _domain_files(data_dir):
     rnafeat`` / ``<id>_test.rnafeat`` pairs, ordered by the numbers in the
     ids (D1, D2, ..., D10).  A split file without its twin is an error, and
     so is an id that is not ASCII, the alphabet of the results table."""
-    from pathlib import Path
     root = Path(data_dir)
-    train_files = sorted(root.glob("*_train.rnafeat"), key=_domain_order)
-    if not train_files:
+    files = feature_files(root)
+
+    def ids(split):  # the ids with a split file, by _domain_order of its name
+        return sorted((i for i in files if split in files[i]),
+                      key=lambda i: _domain_order(files[i][split]))
+
+    train_ids = ids("train")
+    if not train_ids:
         raise ConfigurationError(
             f"no '*_train.rnafeat' files found in {root}")
-    files = []
-    for train_path in train_files:
-        domain_id = train_path.name[:-len("_train.rnafeat")]
+    for domain_id in train_ids:
         if not domain_id.isascii():
-            raise ConfigurationError(
-                f"domain id {domain_id!r} is not ASCII: {train_path}")
-        test_path = root / f"{domain_id}_test.rnafeat"
-        if not test_path.exists():
-            raise ConfigurationError(f"missing test split file: {test_path}")
-        files.append((domain_id, train_path, test_path))
-    for test_path in sorted(root.glob("*_test.rnafeat"), key=_domain_order):
-        train_path = test_path.with_name(
-            test_path.name[:-len("test.rnafeat")] + "train.rnafeat")
-        if not train_path.exists():
-            raise ConfigurationError(f"missing train split file: {train_path}")
-    return files
+            raise ConfigurationError(f"domain id {domain_id!r} is not "
+                                     f"ASCII: {files[domain_id]['train']}")
+        if "test" not in files[domain_id]:
+            raise ConfigurationError("missing test split file: "
+                                     f"{root / f'{domain_id}_test.rnafeat'}")
+    for domain_id in ids("test"):
+        if "train" not in files[domain_id]:
+            raise ConfigurationError("missing train split file: "
+                                     f"{root / f'{domain_id}_train.rnafeat'}")
+    return [(i, files[i]["train"], files[i]["test"]) for i in train_ids]
 
 
 def domain_ids(config):
