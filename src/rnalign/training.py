@@ -161,12 +161,12 @@ def _csv_table(path, skip):
     return header, rows
 
 
-def no_repeats(where, values, shown):
-    """A ParseError naming the first entry of ``values`` that repeats an
+def no_repeats(where, values, shown, error=ParseError):
+    """An ``error`` naming the first entry of ``values`` that repeats an
     earlier one (``shown`` holds how each entry is named)."""
     for i, value in enumerate(values):
         if value in values[:i]:
-            raise ParseError(f"{where} names {shown[i]!r} twice")
+            raise error(f"{where} names {shown[i]!r} twice")
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,8 @@ def _domain_files(data_dir):
     """[(domain id, train path, test path)] for ``<data_dir>/<id>_train.
     rnafeat`` / ``<id>_test.rnafeat`` pairs, ordered by the numbers in the
     ids (D1, D2, ..., D10).  A split file without its twin is an error, and
-    so is an id that is not ASCII, the alphabet of the results table."""
+    so is an id that is not ASCII, the alphabet of the results table, or
+    that holds "," or "->", which join the ids in its labels."""
     root = Path(data_dir)
     files = feature_files(root)
 
@@ -236,6 +237,10 @@ def _domain_files(data_dir):
         if not domain_id.isascii():
             raise ConfigurationError(f"domain id {domain_id!r} is not "
                                      f"ASCII: {files[domain_id]['train']}")
+        if "," in domain_id or "->" in domain_id:
+            raise ConfigurationError(
+                f"domain id {domain_id!r} holds ',' or '->', which results "
+                f"labels join ids with: {files[domain_id]['train']}")
         if "test" not in files[domain_id]:
             raise ConfigurationError("missing test split file: "
                                      f"{root / f'{domain_id}_test.rnafeat'}")
@@ -523,7 +528,8 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
     """Train one configuration over a grid of domain pairs and seeds.
 
     ``pairs`` are (source, target) tuples for dg-single and uda and
-    (target,) tuples for dg-multi; a bad pair or seed fails before any run.
+    (target,) tuples for dg-multi; a bad or repeated pair or seed fails
+    before any run.
     Returns a MatrixResult with one cell per pair: the per-seed accuracies
     and their mean.  A run that aborts numerically is recorded as NaN for
     that seed and noted in ``failures``; the matrix continues.
@@ -539,6 +545,9 @@ def run_experiment_matrix(base_config, pairs=None, seeds=(0,)):
              [replace(base_config, target_index=pair[-1], seed=seed,
                       source_index=pair[0] if len(pair) == 2 else None)
               for seed in seeds]) for pair in pairs]
+    no_repeats("the matrix's pairs", pairs, pairs, ConfigurationError)
+    no_repeats("the matrix's seeds", [c.seed for c in grid[0][1]], seeds,
+               ConfigurationError)
     cells, failures = [], []
     for label, configs in grid:
         accuracies = []
@@ -558,8 +567,9 @@ def write_results_csv(path, results):
     """Write a methods-by-pairs results table.
 
     ``results`` is an ordered mapping method name -> MatrixResult; all rows
-    must share the same pair labels.  Cells hold the seed-mean accuracy as a
-    fraction; the last column is the mean over pairs.
+    must share the same pair labels, none of them twice, or the table is a
+    ConfigurationError raised before the file is opened.  Cells hold the
+    seed-mean accuracy as a fraction; the last column is the mean over pairs.
     """
     if not results:
         raise ConfigurationError("no results to write")
@@ -569,6 +579,7 @@ def write_results_csv(path, results):
         if result.labels != labels:
             raise ConfigurationError(
                 f"result rows disagree on pair labels ({method})")
+    no_repeats(f"{path}: the header", labels, labels, ConfigurationError)
     _write_csv(path, [["method"] + labels + ["mean"], *(
         [method, *map(repr, map(float, [*result.means, result.mean]))]
         for method, result in items)])

@@ -15,9 +15,12 @@ stated tolerance and runtime budget:
 
 The trend criteria (C5-C7) share one set of results matrices, built once per
 module; each criterion charges the build time of the matrices it actually
-uses against its own runtime budget.
+uses against its own runtime budget.  A digest of those matrices' per-seed
+accuracies is pinned, so running their cells another way (in another order,
+or in other processes) must reproduce every run bit for bit.
 """
 
+import hashlib
 import time
 from dataclasses import replace
 
@@ -320,6 +323,21 @@ def test_c7_ablation_ordering(grids):
            f"multi {margins['dg-multi']:+.2f}pts (need >= 0); mid-fusion "
            f"means {mid['dg-single'].mean:.4f}/{mid['dg-multi'].mean:.4f}, "
            f"no failed runs anywhere")
+
+
+# sha256 of the grids' 210 per-seed accuracies as little-endian float64, in
+# plan order (setting, method, pair, seed); taken with numpy 2.4 and OpenBLAS
+# 0.3.31 on x86-64, where another BLAS build may round differently
+GRIDS_SHA256 = \
+    "b1b2bdf85bdd564d7df2d4a31d89ec6a13679dbdb4875336040ca3b14d63dc8a"
+
+
+def test_grid_accuracies_are_pinned(grids):
+    accuracies = [accuracy for result, _ in grids.values()
+                  for cell in result.cells for accuracy in cell.accuracies]
+    assert len(accuracies) == 210
+    assert hashlib.sha256(np.array(accuracies, dtype="<f8").tobytes()
+                          ).hexdigest() == GRIDS_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -1086,6 +1086,70 @@ def test_a_non_ascii_domain_id_exits_2_before_training(tmp_path, capsys,
     assert trained == []
 
 
+@pytest.mark.parametrize("ids, refused", [
+    (["a", "b->c", "a->b", "c"], "a->b"), (["a,b", "c"], "a,b")])
+def test_a_domain_id_holding_a_label_separator_exits_2_before_out(
+        tmp_path, capsys, ids, refused):
+    # with ids a, b->c, a->b and c, the cells a->(b->c) and (a->b)->c would
+    # share the label a->b->c, a header read_results_csv refuses
+    spec = write_config(tmp_path, BENCHMARK_INI.replace(
+        "num_domains = 3", f"num_domains = {len(ids)}"), name="spec.ini")
+    data_dir = tmp_path / "data"
+    assert run_cli(capsys, ["generate", "--config", spec,
+                            "--out", str(data_dir), "--quiet"])[0] == 0
+    for k, domain_id in enumerate(ids, start=1):
+        for split in ("train", "test"):
+            (data_dir / f"D{k}_{split}.rnafeat").rename(
+                data_dir / f"{domain_id}_{split}.rnafeat")
+    config = write_config(
+        tmp_path,
+        MATRIX_INI.replace("pairs = D1->D2, D2->D1\n", "")
+        .replace("methods = source-only, rna", "methods = rna")
+        .replace("seeds = 0, 1", "seeds = 0")
+        .replace("iterations = 40", f"iterations = 5\ndata_dir = {data_dir}"))
+    out_dir = tmp_path / "grid"
+    code, _, err = run_cli(capsys, ["matrix", "--config", config,
+                                    "--out", str(out_dir)])
+    assert code == 2
+    assert (f"domain id {refused!r} holds ',' or '->', which results labels "
+            f"join ids with: {data_dir / f'{refused}_train.rnafeat'}") in err
+    assert not out_dir.exists()
+
+
+# the file name, and the domain id it gives, or None for a file that is not
+# a domain file
+@pytest.mark.parametrize("name, domain_id", [
+    ("D1_train.rnafeat", "D1"), ("train.rnafeat", None),
+    ("_train.rnafeat", ""), ("D1_valid.rnafeat", None),
+    ("a_b_test.rnafeat", "a_b")])
+def test_generate_and_a_data_dir_read_a_file_name_alike(tmp_path, capsys,
+                                                        name, domain_id):
+    # generate refuses the name exactly when it is another domain's file
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / name).write_text("")
+    spec = write_config(tmp_path, BENCHMARK_INI.replace(
+        "num_domains = 3", "num_domains = 2"), name="spec.ini")
+    code, _, err = run_cli(capsys, ["generate", "--config", spec,
+                                    "--out", str(out_dir), "--quiet"])
+    if domain_id in (None, "D1"):
+        assert code == 0, err
+    else:
+        assert code == 2
+        assert (f"{out_dir / name}: domain {domain_id!r} is not one of the "
+                f"domains this spec writes (D1, D2)") in err
+    # a data_dir run lists it as that domain's, or passes it by
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / name).write_text("")
+    for other in ("z9", domain_id):  # with the twin of a domain file
+        for split in ("train", "test") if other is not None else ():
+            (data_dir / f"{other}_{split}.rnafeat").write_text("")
+    listed = rnalign.training.domain_ids(ExperimentConfig(
+        data_dir=str(data_dir)))
+    assert listed == ([] if domain_id is None else [domain_id]) + ["z9"]
+
+
 def config_text(path):
     with open(path, encoding="ascii") as fh:
         return fh.read()

@@ -543,9 +543,11 @@ def test_feature_file_rejects_non_finite_values(tmp_path):
      "visual/audio pairing broken"),
     (1, ["1.0 1e999 0", "inf x 0"], 2, "non-finite value"),
     (1, ["1.0 1.0 0", "inf x 0"], 3, "non-numeric value"),
+    (0, ["1e308 1e308", "1.0 inf"], 3, "non-finite value"),
 ], ids=["before-field-count", "before-non-numeric", "before-label",
         "label-before", "same-line-label", "same-line-field-count",
-        "overflow-before-non-numeric", "same-line-non-numeric"])
+        "overflow-before-non-numeric", "same-line-non-numeric",
+        "finite-values-whose-sum-overflows-load"])
 def test_feature_file_reports_the_first_error_in_file_order(
         tmp_path, labeled, rows, line, message):
     path = tmp_path / "mixed.rnafeat"

@@ -912,6 +912,33 @@ def test_matrix_rejects_an_empty_grid(grid):
         run_experiment_matrix(short_config(iterations=1), **grid)
 
 
+@pytest.mark.parametrize("grid, named", [
+    (dict(pairs=[(0, 1), (0, 1)], seeds=[0]), "the matrix's pairs names "
+     "(0, 1) twice"),
+    (dict(pairs=[(0, 1)], seeds=[0, 0]), "the matrix's seeds names 0 twice"),
+    (dict(pairs=[(0, 1)], seeds=[3, 3.0]), "the matrix's seeds names 3.0 "
+     "twice")], ids=["pair", "seed", "seed-cast"])
+def test_matrix_rejects_a_repeated_pair_or_seed_before_any_run(
+        grid, named, monkeypatch):
+    # a repeated pair gives two cells of one label, which the results table
+    # cannot hold; a repeated seed trains the same run twice
+    trained = []
+    monkeypatch.setattr(rnalign.training, "run_experiment", trained.append)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(named)}$"):
+        run_experiment_matrix(short_config(iterations=1), **grid)
+    assert trained == []
+
+
+def test_results_csv_writer_refuses_a_repeated_label(tmp_path):
+    # read_results_csv refuses such a header, so the writer does not write it
+    path = tmp_path / "results.csv"
+    cells = [MatrixCell("D1->D2", [0.5], 0.5)] * 2
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"{path}: the header names 'D1->D2' twice")):
+        write_results_csv(path, {"rna": MatrixResult(cells)})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_results_csv_writer_needs_rows_that_agree(tmp_path):
     path = tmp_path / "results.csv"
     with pytest.raises(ConfigurationError, match="no results to write"):
