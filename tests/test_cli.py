@@ -1142,12 +1142,12 @@ def test_generate_and_a_data_dir_read_a_file_name_alike(tmp_path, capsys,
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     (data_dir / name).write_text("")
-    for other in ("z9", domain_id):  # with the twin of a domain file
-        for split in ("train", "test") if other is not None else ():
+    ids = ["z9"] if domain_id is None else [domain_id, "z9"]
+    for other in ids:  # a domain file's twin too
+        for split in ("train", "test"):
             (data_dir / f"{other}_{split}.rnafeat").write_text("")
-    listed = rnalign.training.domain_ids(ExperimentConfig(
-        data_dir=str(data_dir)))
-    assert listed == ([] if domain_id is None else [domain_id]) + ["z9"]
+    assert rnalign.training.domain_ids(
+        ExperimentConfig(data_dir=str(data_dir))) == ids
 
 
 def config_text(path):
